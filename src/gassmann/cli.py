@@ -41,11 +41,6 @@ class RunConfig:
     max_order: int = 120
     report_path: str | None = None
     out: str | None = None
-    threads: int = 1
-
-    def __post_init__(self) -> None:
-        if self.threads < 1:
-            raise ValueError("threads must be at least 1")
 
 
 def _read(path: str) -> str:
@@ -278,8 +273,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Gassmann triples, splitting equivalences, odd K-groups"
                     " and degree-one homology diagrams for finite groups.")
     parser.add_argument("--out", help="also write the JSON report here")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="reserved; orchestration is single-threaded")
     top = parser.add_subparsers(dest="topic", required=True)
 
     group = top.add_parser("group", help="inspect a group file")
@@ -362,7 +355,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         max_order=getattr(args, "max_order", 120),
         report_path=getattr(args, "report", None),
         out=args.out,
-        threads=args.threads,
     )
 
 

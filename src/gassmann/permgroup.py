@@ -46,6 +46,8 @@ __all__ = [
 ]
 
 DEFAULT_ORDER_CAP = 50_000
+# all_subgroups holds a |G| x |G| Cayley table
+_LATTICE_ORDER_CAP = 1_000
 
 
 class Permutation:
@@ -362,29 +364,60 @@ class _GroupBase:
                    for g in self.generators for h in sub.generators)
 
     def all_subgroups(self) -> tuple["Subgroup", ...]:
-        """Every subgroup, found by closing joins <S, x>; cached."""
+        """Every subgroup, by joins <S, x> for each subgroup S found and
+        one x per right coset Sx, on a Cayley table of |G|^2 entries
+        (hence the order cap); cached."""
         if self._subgroups is None:
+            if self.order > _LATTICE_ORDER_CAP:
+                raise OrderCapExceeded(
+                    f"subgroup lattice needs group order at most "
+                    f"{_LATTICE_ORDER_CAP}, got {self.order}")
+            index = {g: i for i, g in enumerate(self.elements)}
+            table = [[index[a * b] for b in self.elements]
+                     for a in self.elements]
             trivial = self.trivial_subgroup()
-            found = {trivial.element_set: trivial}
-            worklist = [trivial]
+            key = bytes([1]) + bytes(self.order - 1)  # membership by index
+            found = {key: trivial}
+            worklist = [(key, trivial)]
             while worklist:
-                current = worklist.pop()
-                if current.order == self.order:
-                    continue
-                for x in self.elements:
-                    if x in current.element_set:
+                key, current = worklist.pop()
+                members = [i for i, inside in enumerate(key) if inside]
+                gens = [index[g] for g in current.generators]
+                tried = bytearray(key)
+                for x in range(self.order):
+                    if tried[x]:
                         continue
-                    gens = current.generators + (x,)
-                    elements = _closure(self.degree, gens, cap=self.order)
-                    key = frozenset(elements)
-                    if key not in found:
-                        bigger = Subgroup(self, elements, generators=gens)
-                        found[key] = bigger
-                        worklist.append(bigger)
+                    for s in members:  # <S, sx> = <S, x>
+                        tried[table[s][x]] = 1
+                    joined = _join(table, members, key, gens + [x])
+                    if joined not in found:
+                        found[joined] = Subgroup(
+                            self, [g for g, inside in zip(self.elements,
+                                                          joined) if inside],
+                            generators=current.generators
+                            + (self.elements[x],))
+                        worklist.append((joined, found[joined]))
             ordered = sorted(found.values(),
                              key=lambda s: (s.order, s.elements))
             self._subgroups = tuple(ordered)
         return self._subgroups
+
+
+def _join(table: list[list[int]], members: list[int], key: bytes,
+          steps: list[int]) -> bytes:
+    """Membership bytes of <S, steps>, where S has the given member
+    indices and membership bytes and `steps` includes its generators.
+    Dimino: grow from S by right cosets S*r, one per new product r*g."""
+    joined = bytearray(key)
+    reps = [0]  # the identity's index
+    for r in reps:  # grows while it is walked
+        for g in steps:
+            rg = table[r][g]
+            if not joined[rg]:
+                reps.append(rg)
+                for s in members:
+                    joined[table[s][rg]] = 1
+    return bytes(joined)
 
 
 class PermGroup(_GroupBase):
@@ -748,12 +781,9 @@ class Abelianization:
         for g in group.generators:
             if not g.is_identity() and g not in gens:
                 gens.append(g)
-        self._gens = tuple(gens)
         if not gens:
             self._derived = (group.identity,)
-            self._derived_set = frozenset(self._derived)
-            self._coset_w = {group.identity: ()}
-            self._proj_rows = ()
+            self._coords = {group.identity: ()}
             self.structure = FinAbGroup(0, ())
             self.basis_reps = ()
             return
@@ -762,13 +792,12 @@ class Abelianization:
             group,
             [a * b * a.inverse() * b.inverse() for a in gens for b in gens])
         self._derived = tuple(derived)
-        self._derived_set = frozenset(derived)
 
         k = len(gens)
-        key_of = self._coset_key
-        start = key_of(group.identity)
         zero = (0,) * k
-        coords: dict[Permutation, tuple[int, ...]] = {start: zero}
+        # element -> word of the coset representative, filled coset by coset
+        coset_w: dict[Permutation, tuple[int, ...]] = dict.fromkeys(
+            derived, zero)
         reps = [group.identity]
         words = [zero]
         relations: list[tuple[int, ...]] = []
@@ -780,10 +809,10 @@ class Abelianization:
                 moved = rep * g
                 stepped = tuple(w + (1 if t == idx else 0)
                                 for t, w in enumerate(word))
-                key = key_of(moved)
-                known = coords.get(key)
+                known = coset_w.get(moved)
                 if known is None:
-                    coords[key] = stepped
+                    for d in derived:
+                        coset_w[moved * d] = stepped
                     reps.append(moved)
                     words.append(stepped)
                 else:
@@ -791,9 +820,8 @@ class Abelianization:
                     if any(relation):
                         relations.append(relation)
         quotient_order = group.order // len(derived)
-        if len(coords) != quotient_order:
+        if len(reps) != quotient_order or len(coset_w) != group.order:
             raise AssertionError("abelian quotient enumeration out of sync")
-        self._coset_w = coords
 
         relation_matrix = IntMat([[rel[r] for rel in relations]
                                   for r in range(k)])
@@ -809,7 +837,11 @@ class Abelianization:
 
         kept = [i for i, d in enumerate(diag_entries) if d > 1]
         self.structure = FinAbGroup(0, tuple(diag_entries[i] for i in kept))
-        self._proj_rows = tuple(u.row(i) for i in kept)
+        proj_rows = [u.row(i) for i in kept]
+        coords = {word: tuple(sum(r * w for r, w in zip(row, word)) % d
+                              for row, d in zip(proj_rows, self.factors))
+                  for word in words}
+        self._coords = {x: coords[word] for x, word in coset_w.items()}
         u_inverse = adjugate(u).scale(det(u))  # det is +-1
         basis = []
         for i in kept:
@@ -820,21 +852,16 @@ class Abelianization:
             basis.append(element)
         self.basis_reps = tuple(basis)
 
-    def _coset_key(self, x: Permutation) -> Permutation:
-        return min(x * d for d in self._derived)
-
     @property
     def factors(self) -> tuple[int, ...]:
         return self.structure.invariant_factors
 
     def project(self, element: Permutation) -> tuple[int, ...]:
         """Coordinates of the element's class, one entry per factor."""
-        if element not in self.group.element_set:
+        coords = self._coords.get(element)
+        if coords is None:
             raise ValueError("element lies outside the group")
-        word = self._coset_w[self._coset_key(element)]
-        return tuple(
-            sum(r * w for r, w in zip(row, word)) % d
-            for row, d in zip(self._proj_rows, self.factors))
+        return coords
 
     def derived_subgroup_order(self) -> int:
         return len(self._derived)

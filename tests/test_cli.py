@@ -236,5 +236,3 @@ def test_bad_arguments_exit_two(capsys):
 def test_run_rejects_unknown_command():
     with pytest.raises(ValueError):
         run(RunConfig(command="nope"))
-    with pytest.raises(ValueError):
-        RunConfig(command="scott", threads=0)

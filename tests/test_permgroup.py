@@ -1,10 +1,13 @@
 import itertools
+import random
+from collections import Counter
 from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gassmann.catalog import alternating, symmetric
 from gassmann.errors import (InvalidPermutation, NotASubgroup,
                              OrderCapExceeded, ParseError)
 from gassmann.permgroup import (AbHom, FinAbGroup, PermGroup, Permutation,
@@ -107,6 +110,64 @@ def test_all_subgroups_counts(s4, d4, q8):
     assert len(s4.all_subgroups()) == 30
     assert len(d4.all_subgroups()) == 10
     assert len(q8.all_subgroups()) == 6
+    by_order = Counter(sub.order for sub in symmetric(5).all_subgroups())
+    assert by_order == {1: 1, 2: 25, 3: 10, 4: 35, 5: 6, 6: 30, 8: 15,
+                        10: 6, 12: 15, 20: 6, 24: 5, 60: 1, 120: 1}
+    assert sum(by_order.values()) == 156
+
+
+def reference_closure(identity, generators):
+    elements = {identity}
+    frontier = [identity]
+    while frontier:
+        current = frontier.pop()
+        for g in generators:
+            product = current * g
+            if product not in elements:
+                elements.add(product)
+                frontier.append(product)
+    return frozenset(elements)
+
+
+def reference_subgroups(group):
+    """Every subgroup by closing <S, x> from scratch for each subgroup S
+    and each x outside it; generators are those of first discovery."""
+    trivial = frozenset([group.identity])
+    found = {trivial: ()}
+    worklist = [trivial]
+    while worklist:
+        current = worklist.pop()
+        for x in group.elements:
+            if x in current:
+                continue
+            gens = found[current] + (x,)
+            key = reference_closure(group.identity, gens)
+            if key not in found:
+                found[key] = gens
+                worklist.append(key)
+    ordered = sorted(found, key=lambda k: (len(k), sorted(k)))
+    return [(tuple(sorted(k)), found[k]) for k in ordered]
+
+
+def relabelled_s4(seed):
+    """S4 moved onto six points by a random relabelling."""
+    sigma = Permutation(random.Random(seed).sample(range(6), 6))
+    gens = [Permutation(g.images + (4, 5)).conjugate(sigma)
+            for g in symmetric(4).generators]
+    return PermGroup(6, gens)
+
+
+def test_all_subgroups_matches_reference(corpus60):
+    groups = [group for _, group in corpus60] + [relabelled_s4(7)]
+    for group in groups:
+        got = [(sub.elements, sub.generators)
+               for sub in group.all_subgroups()]
+        assert got == reference_subgroups(group)
+
+
+def test_all_subgroups_refuses_large_groups():
+    with pytest.raises(OrderCapExceeded):
+        symmetric(7).all_subgroups()
 
 
 def test_point_stabilizer_orbit_stabilizer(s4):
@@ -170,14 +231,28 @@ def test_abelianization_known_values(s3, s4, a4, d4, q8, c6):
 
 
 def test_abelianization_projection_is_homomorphism(s4):
-    ab = abelianization(s4)
-    factors = ab.factors
-    for a in s4.elements[:8]:
-        for b in s4.elements[:8]:
-            image = tuple(
-                (x + y) % d
-                for x, y, d in zip(ab.project(a), ab.project(b), factors))
-            assert ab.project(a * b) == image
+    for group in (s4, alternating(5)):
+        for sub in group.all_subgroups():
+            ab = abelianization(sub)
+            factors = ab.factors
+            image = {x: ab.project(x) for x in sub.elements}
+            for a in sub.elements:
+                for b in sub.elements:
+                    assert image[a * b] == tuple(
+                        (x + y) % d
+                        for x, y, d in zip(image[a], image[b], factors))
+            assert set(image.values()) == set(
+                itertools.product(*(range(d) for d in factors)))
+            derived = reference_closure(
+                sub.identity, [a * b * a.inverse() * b.inverse()
+                               for a in sub.elements for b in sub.elements])
+            kernel = {x for x, v in image.items() if not any(v)}
+            assert kernel == derived
+            assert ab.derived_subgroup_order() == len(derived)
+            outside = [x for x in group.elements if x not in sub]
+            if outside:
+                with pytest.raises(ValueError):
+                    ab.project(outside[0])
 
 
 def test_abelianization_kills_commutators(a4):
