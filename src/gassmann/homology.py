@@ -363,7 +363,12 @@ class CorrespondingSubgroups:
 
 def _lift(group_owner: GroupLike, h: GroupLike, u: CoordSubgroup) -> Subgroup:
     ab = abelianization(h)
-    elements = [x for x in h.elements if u.contains(ab.project(x))]
+    classes: dict[tuple[int, ...], list[Permutation]] = {}
+    for x in h.elements:
+        classes.setdefault(ab.project(x), []).append(x)
+    # membership depends only on the class: one test per class
+    elements = [x for coords, members in classes.items()
+                if u.contains(coords) for x in members]
     return Subgroup(group_owner, elements)
 
 

@@ -12,10 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, lcm
+from operator import itemgetter
 from typing import Iterable, Sequence, Union
 
 from ._primes import factorize
 from .errors import (
+    IndexMismatch,
     InvalidPermutation,
     NotASubgroup,
     OrderCapExceeded,
@@ -56,7 +58,7 @@ class Permutation:
     >>> a = Permutation.parse(3, "(0 1 2)")
     >>> b = Permutation.parse(3, "(0 1)")
     >>> (a * b).format()
-    '(1 2)'
+    '(0 2)'
     """
 
     __slots__ = ("images",)
@@ -133,11 +135,14 @@ class Permutation:
         return self.images[point]
 
     def __mul__(self, other: "Permutation") -> "Permutation":
-        if len(self.images) != len(other.images):
+        images = other.images
+        if len(self.images) != len(images):
             raise InvalidPermutation("degree mismatch in composition")
         result = object.__new__(Permutation)
-        object.__setattr__(result, "images",
-                           tuple(self.images[j] for j in other.images))
+        # below degree 2 the only permutation is the identity, and
+        # itemgetter of fewer than two indices returns no tuple
+        object.__setattr__(result, "images", itemgetter(*images)(self.images)
+                           if len(images) > 1 else self.images)
         return result
 
     def inverse(self) -> "Permutation":
@@ -149,12 +154,16 @@ class Permutation:
         return result
 
     def conjugate(self, g: "Permutation") -> "Permutation":
-        """g * self * g^-1 in one pass."""
-        if len(self.images) != len(g.images):
+        """g * self * g^-1, which takes g(p) to g(self(p)): one gather of
+        the images, then one scatter."""
+        moved = g.images
+        if len(self.images) != len(moved):
             raise InvalidPermutation("degree mismatch in conjugation")
-        images = [0] * len(self.images)
-        for point, image in enumerate(self.images):
-            images[g.images[point]] = g.images[image]
+        if len(moved) < 2:
+            return self  # the identity is the only permutation
+        images = [0] * len(moved)
+        for point, image in zip(moved, itemgetter(*self.images)(moved)):
+            images[point] = image
         result = object.__new__(Permutation)
         object.__setattr__(result, "images", tuple(images))
         return result
@@ -293,6 +302,12 @@ class _GroupBase:
     def __contains__(self, perm: Permutation) -> bool:
         return perm in self.element_set
 
+    def _element_index(self) -> dict[Permutation, int]:
+        """Position of each element in `elements`; built once."""
+        if self._index is None:
+            self._index = {g: i for i, g in enumerate(self.elements)}
+        return self._index
+
     def conjugacy_classes(self) -> tuple[ConjugacyClass, ...]:
         """Partition into conjugacy classes by generator-conjugation orbits."""
         if self._classes is None:
@@ -372,7 +387,7 @@ class _GroupBase:
                 raise OrderCapExceeded(
                     f"subgroup lattice needs group order at most "
                     f"{_LATTICE_ORDER_CAP}, got {self.order}")
-            index = {g: i for i, g in enumerate(self.elements)}
+            index = self._element_index()
             table = [[index[a * b] for b in self.elements]
                      for a in self.elements]
             trivial = self.trivial_subgroup()
@@ -436,6 +451,7 @@ class PermGroup(_GroupBase):
         self.generators = tuple(g for g in gens if not g.is_identity())
         self.elements = tuple(_closure(degree, self.generators, order_cap))
         self.element_set = frozenset(self.elements)
+        self._index = None
         self._classes = None
         self._subgroups = None
         self._ab = None
@@ -466,6 +482,7 @@ class Subgroup(_GroupBase):
                 raise NotASubgroup("generators do not generate the elements")
         else:
             self.generators = _reduce_generators(self.elements, self.degree)
+        self._index = None
         self._classes = None
         self._subgroups = None
         self._ab = None
@@ -499,6 +516,16 @@ def _require_subgroup(group: GroupLike, sub: GroupLike) -> None:
         raise NotASubgroup("claimed subgroup is not contained in the group")
 
 
+def _require_equal_index(group: GroupLike, h1: GroupLike,
+                         h2: GroupLike) -> None:
+    _require_subgroup(group, h1)
+    _require_subgroup(group, h2)
+    if h1.order != h2.order:
+        raise IndexMismatch(
+            f"indices differ: {group.order // h1.order} vs "
+            f"{group.order // h2.order}")
+
+
 def generate(degree: int, generators: Iterable[Permutation],
              order_cap: int = DEFAULT_ORDER_CAP) -> PermGroup:
     """Closure of the generators as a PermGroup; order is exact."""
@@ -513,7 +540,9 @@ class CosetSpace:
     """Left cosets gH with the action of the group by left multiplication.
 
     Coset 0 is H itself; representatives are in breadth-first order from
-    the identity, so the transversal is canonical.
+    the identity, so the transversal is canonical.  A table maps each
+    element's index in the group to its coset, filled a whole coset xH
+    at a time: |G| products in all, and a lookup is two indexings.
     """
 
     def __init__(self, group: GroupLike, subgroup: GroupLike) -> None:
@@ -521,33 +550,28 @@ class CosetSpace:
         self.group = group
         self.subgroup = subgroup
         sub_elements = subgroup.elements
-        identity = group.identity
-
-        def key_of(x: Permutation) -> Permutation:
-            return min(x * h for h in sub_elements)
-
-        self._key_of = key_of
-        reps = [identity]
-        key_to_index = {key_of(identity): 0}
-        frontier = 0
-        while frontier < len(reps):
-            current = reps[frontier]
-            frontier += 1
+        index = self._index = group._element_index()
+        coset_of = [-1] * group.order
+        for h in sub_elements:
+            coset_of[index[h]] = 0
+        reps = [group.identity]
+        for current in reps:  # grows while it is walked
             for g in group.generators:
                 candidate = g * current
-                key = key_of(candidate)
-                if key not in key_to_index:
-                    key_to_index[key] = len(reps)
+                if coset_of[index[candidate]] < 0:
+                    for h in sub_elements:
+                        coset_of[index[candidate * h]] = len(reps)
                     reps.append(candidate)
         self.coset_reps = tuple(reps)
-        self._key_to_index = key_to_index
+        self._coset_of = coset_of
 
     @property
     def index(self) -> int:
         return len(self.coset_reps)
 
     def coset_index_of(self, x: Permutation) -> int:
-        return self._key_to_index[self._key_of(x)]
+        """KeyError for an element outside the group."""
+        return self._coset_of[self._index[x]]
 
     def permutation_of(self, g: Permutation) -> Permutation:
         """The permutation of coset indices induced by left multiplication."""

@@ -14,11 +14,12 @@ from __future__ import annotations
 from math import gcd, lcm
 from typing import Iterable, Union
 
-from .errors import IndexMismatch, PreconditionViolated
+from .errors import PreconditionViolated
 from .permgroup import (
     ConjugacyClass,
     GroupLike,
     Permutation,
+    _require_equal_index,
     _require_subgroup,
     coset_action,
 )
@@ -158,12 +159,7 @@ def arithmetically_equivalent(group: GroupLike, h1: GroupLike,
                               h2: GroupLike) -> bool:
     """Equal splitting type at every class; the multiset version of the
     fixed-point condition, so this agrees with the Gassmann test."""
-    _require_subgroup(group, h1)
-    _require_subgroup(group, h2)
-    if h1.order != h2.order:
-        raise IndexMismatch(
-            f"indices differ: {group.order // h1.order} vs "
-            f"{group.order // h2.order}")
+    _require_equal_index(group, h1, h2)
     return splitting_table(group, h1) == splitting_table(group, h2)
 
 

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Iterable, Sequence, Union
+from operator import add
+from typing import Sequence, Union
 
 from .errors import (
-    IndexMismatch,
     MixedSigns,
     NonSquare,
     NotFoundWithinBudget,
@@ -24,7 +24,7 @@ from .permgroup import (
     CosetSpace,
     GroupLike,
     Permutation,
-    Subgroup,
+    _require_equal_index,
     _require_subgroup,
     coset_action,
 )
@@ -61,23 +61,9 @@ def is_gassmann(group: GroupLike, h1: GroupLike, h2: GroupLike) -> bool:
     Fixed-point counts are class functions, so checking one
     representative per class is exact.
     """
-    _require_subgroup(group, h1)
-    _require_subgroup(group, h2)
-    if h1.order != h2.order:
-        raise IndexMismatch(
-            f"indices differ: {group.order // h1.order} vs "
-            f"{group.order // h2.order}")
-    cs1 = coset_action(group, h1)
-    cs2 = coset_action(group, h2)
-    for cls in group.conjugacy_classes():
-        rep = cls.representative
-        fix1 = sum(1 for i, j in
-                   enumerate(cs1.permutation_of(rep).images) if i == j)
-        fix2 = sum(1 for i, j in
-                   enumerate(cs2.permutation_of(rep).images) if i == j)
-        if fix1 != fix2:
-            return False
-    return True
+    _require_equal_index(group, h1, h2)
+    return permutation_character(group, h1) == \
+        permutation_character(group, h2)
 
 
 def are_conjugate(group: GroupLike, h1: GroupLike, h2: GroupLike) -> bool:
@@ -106,12 +92,7 @@ class GassmannTriple:
 
     def __init__(self, group: GroupLike, h1: GroupLike,
                  h2: GroupLike) -> None:
-        _require_subgroup(group, h1)
-        _require_subgroup(group, h2)
-        if h1.order != h2.order:
-            raise IndexMismatch(
-                f"indices differ: {group.order // h1.order} vs "
-                f"{group.order // h2.order}")
+        _require_equal_index(group, h1, h2)
         self.group = group
         self.h1 = h1
         self.h2 = h2
@@ -210,15 +191,12 @@ def intertwiner_basis(group: GroupLike, h1: GroupLike,
     so every equivariant integer matrix is a unique integer combination.
     Orbits are sorted by their least pair.
     """
-    _require_subgroup(group, h1)
-    _require_subgroup(group, h2)
-    if h1.order != h2.order:
-        raise IndexMismatch("intertwiners need equal coset counts")
-    triple_like_cs1 = coset_action(group, h1)
-    triple_like_cs2 = coset_action(group, h2)
-    n = triple_like_cs1.index
-    pairs = [(triple_like_cs2.permutation_of(g).images,
-              triple_like_cs1.permutation_of(g).images)
+    _require_equal_index(group, h1, h2)
+    cosets1 = coset_action(group, h1)
+    cosets2 = coset_action(group, h2)
+    n = cosets1.index
+    pairs = [(cosets2.permutation_of(g).images,
+              cosets1.permutation_of(g).images)
              for g in group.generators]
     orbit_id = [[-1] * n for _ in range(n)]
     orbits: list[list[tuple[int, int]]] = []
@@ -248,27 +226,19 @@ def intertwiner_basis(group: GroupLike, h1: GroupLike,
     return basis
 
 
-def _orbit_structure(triple: GassmannTriple) -> tuple[list[list[int]],
-                                                      list[int]]:
-    """(orbit ids per cell, per-orbit count of cells in each row).
+def _orbit_structure(basis: Sequence[IntMat]) -> tuple[list[list[int]],
+                                                       list[int]]:
+    """(orbit number of each cell, per-orbit count of cells in each row).
 
-    Row transitivity makes the per-row count constant, so the row sum of
-    any combination sum(c_d B_d) is sum(c_d k_d) independent of the row.
+    The orbits are disjoint, so the orbit numbers are sum(d B_d).  Row
+    transitivity makes the per-row count constant, so the row sum of any
+    combination sum(c_d B_d) is sum(c_d k_d) independent of the row.
     """
-    basis = intertwiner_basis(triple.group, triple.h1, triple.h2)
-    n = triple.index
-    orbit_id = [[-1] * n for _ in range(n)]
-    row_counts = []
-    for oid, b in enumerate(basis):
-        cells = 0
-        for r in range(n):
-            for c in range(n):
-                if b[r, c]:
-                    orbit_id[r][c] = oid
-                    cells += 1
-        assert cells % n == 0
-        row_counts.append(cells // n)
-    return orbit_id, row_counts
+    orbit_id = [[0] * len(row) for row in basis[0].rows]
+    for d, b in enumerate(basis[1:], start=1):
+        for row, cells in zip(orbit_id, b.rows):
+            row[:] = map(add, row, map(d.__mul__, cells))
+    return orbit_id, [sum(b.rows[0]) for b in basis]
 
 
 def _assemble(orbit_id: Sequence[Sequence[int]],
@@ -309,7 +279,10 @@ def integral_search(group: GroupLike, h1: GroupLike, h2: GroupLike,
     if g is not None:
         return _conjugate_correspondence(triple, g)
 
-    orbit_id, row_counts = _orbit_structure(triple)
+    # the grid stands in for the k dense 0/1 matrices, which then need
+    # not stay alive through the determinants
+    orbit_id, row_counts = _orbit_structure(
+        intertwiner_basis(group, h1, h2))
     k = len(row_counts)
 
     def try_coeffs(coeffs: Sequence[int]) -> CorrespondenceMatrix | None:

@@ -196,6 +196,85 @@ def test_coset_action_is_homomorphism(s4):
                     == cosets.permutation_of(a) * cosets.permutation_of(b))
 
 
+class ReferenceCosets:
+    """The coset space before the coset table: a coset is keyed by
+    min(x * h for h in H), and representatives are found by the same
+    breadth-first search over the generators."""
+
+    def __init__(self, group, subgroup):
+        self.subgroup = subgroup
+        reps = [group.identity]
+        self.key_to_index = {self.key_of(group.identity): 0}
+        for current in reps:
+            for g in group.generators:
+                candidate = g * current
+                key = self.key_of(candidate)
+                if key not in self.key_to_index:
+                    self.key_to_index[key] = len(reps)
+                    reps.append(candidate)
+        self.coset_reps = tuple(reps)
+
+    def key_of(self, x):
+        return min(x * h for h in self.subgroup.elements)
+
+    def coset_index_of(self, x):
+        return self.key_to_index[self.key_of(x)]
+
+
+def test_coset_table_matches_reference(s4, fano):
+    a5 = alternating(5)
+    gl32, h1, h2 = fano
+    cases = ([(s4, h) for h in s4.all_subgroups()]
+             + [(a5, h) for h in a5.all_subgroups()]
+             + [(gl32, h1), (gl32, h2)])
+    for group, h in cases:
+        cosets = coset_action(group, h)
+        reference = ReferenceCosets(group, h)
+        assert cosets.coset_reps == reference.coset_reps
+        indices = [cosets.coset_index_of(x) for x in group.elements]
+        assert indices == [reference.coset_index_of(x)
+                           for x in group.elements]
+        for x, i in zip(group.elements, indices):
+            x_inv = x.inverse()
+            for y, j in zip(group.elements, indices):
+                assert (i == j) == (x_inv * y in h.element_set)
+
+
+def test_coset_lookup_outside_group_raises(s4):
+    a4 = s4.subgroup([Permutation.parse(4, "(0 1 2)"),
+                      Permutation.parse(4, "(1 2 3)")])
+    cosets = coset_action(a4, a4.trivial_subgroup())
+    with pytest.raises(KeyError):
+        cosets.coset_index_of(Permutation.parse(4, "(0 1)"))
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 30])
+def test_product_and_conjugate_match_definitions(degree):
+    rng = random.Random(degree)
+
+    def draw():
+        images = list(range(degree))
+        rng.shuffle(images)
+        return Permutation(images)
+
+    for _ in range(50):
+        p, g = draw(), draw()
+        g_inv = [g.images.index(i) for i in range(degree)]
+        product = p * g
+        assert type(product.images) is tuple
+        assert product.images == tuple(p.images[g.images[i]]
+                                       for i in range(degree))
+        conjugate = p.conjugate(g)  # g p g^-1
+        assert type(conjugate.images) is tuple
+        assert conjugate.images == tuple(g.images[p.images[g_inv[i]]]
+                                         for i in range(degree))
+    with pytest.raises(InvalidPermutation):
+        Permutation.identity(degree) * Permutation.identity(degree + 1)
+    with pytest.raises(InvalidPermutation):
+        Permutation.identity(degree).conjugate(
+            Permutation.identity(degree + 1))
+
+
 def brute_core(group, subgroup):
     """Intersection of all conjugates, element by element."""
     core = set(subgroup.element_set)

@@ -150,10 +150,14 @@ def test_numerical_set_equality_is_capped():
 
 
 def brute_norm_count(parts, k):
+    """Solutions of sum(c_i p_i) = k in c_i >= 0: every choice of all
+    but the last c_i, and the last one when the remainder allows it."""
     count = 0
-    ranges = [range(0, k // p + 1) for p in parts]
+    *first, last = parts
+    ranges = [range(0, k // p + 1) for p in first]
     for combo in itertools.product(*ranges):
-        if sum(c * p for c, p in zip(combo, parts)) == k:
+        rest = k - sum(c * p for c, p in zip(combo, first))
+        if rest >= 0 and rest % last == 0:
             count += 1
     return count
 
