@@ -120,11 +120,10 @@ def _cmd_gassmann_search(config: RunConfig) -> tuple[int, dict]:
             "basis_size": exc.basis_size,
         })
         return 1, base
-    triple = triples.GassmannTriple(group, h1, h2)
     base.update({
         "found": True,
         "matrix": _matrix_report(found.A),
-        "verification": triples.verify_integral_triple(triple, found),
+        "verification": triples.verify_integral_triple(found.triple, found),
     })
     return 0, base
 

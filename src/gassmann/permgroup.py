@@ -3,6 +3,8 @@
 Generation by full enumeration (with an order cap), conjugacy classes,
 coset and double-coset actions, normal cores, abelianizations with
 explicit coordinates, and the degree-one transfer and inclusion maps.
+A group keeps one coset action and one transfer and inclusion map per
+subgroup element set, none of which refers back to the group.
 
 Conventions: points are 0-indexed; composition is right-to-left,
 (p * q)(i) = p(q(i)); coset 0 of a coset space is the subgroup itself.
@@ -302,6 +304,15 @@ class _GroupBase:
     def __contains__(self, perm: Permutation) -> bool:
         return perm in self.element_set
 
+    def _init_caches(self) -> None:
+        self._index = None
+        self._classes = None
+        self._subgroups = None
+        self._ab = None
+        # (kind, subgroup element set) -> "cosets": CosetSpace;
+        # "transfer", "inclusion": (subgroup abelianization, AbHom)
+        self._memo: dict = {}
+
     def _element_index(self) -> dict[Permutation, int]:
         """Position of each element in `elements`; built once."""
         if self._index is None:
@@ -451,12 +462,7 @@ class PermGroup(_GroupBase):
         self.generators = tuple(g for g in gens if not g.is_identity())
         self.elements = tuple(_closure(degree, self.generators, order_cap))
         self.element_set = frozenset(self.elements)
-        self._index = None
-        self._classes = None
-        self._subgroups = None
-        self._ab = None
-        self._transfer_memo: dict = {}
-        self._inclusion_memo: dict = {}
+        self._init_caches()
 
     def __repr__(self) -> str:
         return (f"PermGroup(degree={self.degree}, order={self.order}, "
@@ -482,12 +488,7 @@ class Subgroup(_GroupBase):
                 raise NotASubgroup("generators do not generate the elements")
         else:
             self.generators = _reduce_generators(self.elements, self.degree)
-        self._index = None
-        self._classes = None
-        self._subgroups = None
-        self._ab = None
-        self._transfer_memo: dict = {}
-        self._inclusion_memo: dict = {}
+        self._init_caches()
 
     @property
     def index(self) -> int:
@@ -542,14 +543,15 @@ class CosetSpace:
     Coset 0 is H itself; representatives are in breadth-first order from
     the identity, so the transversal is canonical.  A table maps each
     element's index in the group to its coset, filled a whole coset xH
-    at a time: |G| products in all, and a lookup is two indexings.
+    at a time: |G| products in all, and a lookup is two indexings.  The
+    representatives are the group's own element objects, so a cached
+    space adds no copies of them.
     """
 
     def __init__(self, group: GroupLike, subgroup: GroupLike) -> None:
         _require_subgroup(group, subgroup)
-        self.group = group
-        self.subgroup = subgroup
         sub_elements = subgroup.elements
+        elements = group.elements
         index = self._index = group._element_index()
         coset_of = [-1] * group.order
         for h in sub_elements:
@@ -558,10 +560,11 @@ class CosetSpace:
         for current in reps:  # grows while it is walked
             for g in group.generators:
                 candidate = g * current
-                if coset_of[index[candidate]] < 0:
+                i = index[candidate]
+                if coset_of[i] < 0:
                     for h in sub_elements:
                         coset_of[index[candidate * h]] = len(reps)
-                    reps.append(candidate)
+                    reps.append(elements[i])
         self.coset_reps = tuple(reps)
         self._coset_of = coset_of
 
@@ -589,8 +592,13 @@ class CosetSpace:
 
 
 def coset_action(group: GroupLike, subgroup: GroupLike) -> CosetSpace:
-    """Action on G/H; its kernel is the normal core of H."""
-    return CosetSpace(group, subgroup)
+    """Action on G/H; its kernel is the normal core of H.  Built once per
+    subgroup element set and kept on the group."""
+    key = ("cosets", subgroup.element_set)
+    cosets = group._memo.get(key)
+    if cosets is None:
+        cosets = group._memo[key] = CosetSpace(group, subgroup)
+    return cosets
 
 
 def double_cosets(group: GroupLike, h1: GroupLike,
@@ -800,7 +808,6 @@ class Abelianization:
     """
 
     def __init__(self, group: GroupLike) -> None:
-        self.group = group
         gens: list[Permutation] = []
         for g in group.generators:
             if not g.is_identity() and g not in gens:
@@ -923,52 +930,54 @@ def abelianization(group: GroupLike) -> Abelianization:
     return group._ab
 
 
+def _memoized_hom(group: GroupLike, subgroup: GroupLike, kind: str,
+                  compute) -> AbHom:
+    """The `kind` map between H1(G) and H1(H), memoized on the group by
+    the subgroup's elements; compute(ab_g, ab_h) builds it on a miss.
+
+    A matrix holds only in the coordinates of the subgroup abelianization
+    it was computed against, so that is cached with it and adopted by an
+    equal-element instance that has none yet.
+    """
+    _require_subgroup(group, subgroup)
+    key = (kind, subgroup.element_set)
+    cached = group._memo.get(key)
+    if cached is not None:
+        ab_h, hom = cached
+        if subgroup._ab is None:
+            subgroup._ab = ab_h
+        if subgroup._ab is ab_h:
+            return hom
+    ab_h = abelianization(subgroup)
+    hom = compute(abelianization(group), ab_h)
+    group._memo[key] = (ab_h, hom)
+    return hom
+
+
 def transfer(group: GroupLike, subgroup: GroupLike) -> AbHom:
     """Matrix of the transfer map H1(G) -> H1(H) over the canonical
     transversal: g goes to the product of its H-components on the cosets.
     Memoized on the group, keyed by the subgroup's elements.
     """
-    _require_subgroup(group, subgroup)
-    # the cached matrix is only valid in the coordinates of the
-    # abelianization it was computed against, so that is cached with it
-    # and adopted by equal-element instances that have none yet
-    cached = group._transfer_memo.get(subgroup.element_set)
-    if cached is not None:
-        ab_cached, hom = cached
-        if subgroup._ab is None:
-            subgroup._ab = ab_cached
-        if subgroup._ab is ab_cached:
-            return hom
-    ab_g = abelianization(group)
-    ab_h = abelianization(subgroup)
-    cosets = coset_action(group, subgroup)
-    columns = []
-    for rep in ab_g.basis_reps:
-        product = group.identity
-        for component in cosets.h_components(rep):
-            product = product * component
-        columns.append(ab_h.project(product))
-    result = AbHom.from_columns(ab_g.factors, ab_h.factors, columns)
-    group._transfer_memo[subgroup.element_set] = (ab_h, result)
-    return result
+    def compute(ab_g: Abelianization, ab_h: Abelianization) -> AbHom:
+        cosets = coset_action(group, subgroup)
+        columns = []
+        for rep in ab_g.basis_reps:
+            product = group.identity
+            for component in cosets.h_components(rep):
+                product = product * component
+            columns.append(ab_h.project(product))
+        return AbHom.from_columns(ab_g.factors, ab_h.factors, columns)
+    return _memoized_hom(group, subgroup, "transfer", compute)
 
 
 def inclusion_induced(subgroup: GroupLike, group: GroupLike) -> AbHom:
-    """Matrix of the map H1(H) -> H1(G) sending a class to its class."""
-    _require_subgroup(group, subgroup)
-    cached = group._inclusion_memo.get(subgroup.element_set)
-    if cached is not None:
-        ab_cached, hom = cached
-        if subgroup._ab is None:
-            subgroup._ab = ab_cached
-        if subgroup._ab is ab_cached:
-            return hom
-    ab_h = abelianization(subgroup)
-    ab_g = abelianization(group)
-    columns = [ab_g.project(rep) for rep in ab_h.basis_reps]
-    result = AbHom.from_columns(ab_h.factors, ab_g.factors, columns)
-    group._inclusion_memo[subgroup.element_set] = (ab_h, result)
-    return result
+    """Matrix of the map H1(H) -> H1(G) sending a class to its class;
+    memoized like transfer."""
+    def compute(ab_g: Abelianization, ab_h: Abelianization) -> AbHom:
+        columns = [ab_g.project(rep) for rep in ab_h.basis_reps]
+        return AbHom.from_columns(ab_h.factors, ab_g.factors, columns)
+    return _memoized_hom(group, subgroup, "inclusion", compute)
 
 
 def parse_group_file(text: str, *, path: str | None = None,

@@ -20,7 +20,6 @@ from .permgroup import (
     GroupLike,
     Permutation,
     _require_equal_index,
-    _require_subgroup,
     coset_action,
 )
 
@@ -137,18 +136,19 @@ def splitting_type(group: GroupLike, subgroup: GroupLike,
                    c: ClassLike) -> SplittingType:
     """Cycle type of the class on G/H; independent of the representative
     because conjugate permutations of the coset space share a cycle type.
+    ValueError for a permutation outside the group.
     """
-    _require_subgroup(group, subgroup)
-    cosets = coset_action(group, subgroup)
-    action = cosets.permutation_of(_class_rep(c))
+    rep = _class_rep(c)
+    if rep not in group:
+        raise ValueError(f"{rep!r} is not an element of this group")
+    action = coset_action(group, subgroup).permutation_of(rep)
     return SplittingType(action.cycle_type())
 
 
 def splitting_table(group: GroupLike,
                     subgroup: GroupLike) -> list[SplittingType]:
     """One splitting type per conjugacy class, in conjugacy_classes
-    order; the coset space is built once."""
-    _require_subgroup(group, subgroup)
+    order, on the group's cached coset action."""
     cosets = coset_action(group, subgroup)
     return [SplittingType(
                 cosets.permutation_of(cls.representative).cycle_type())
@@ -163,35 +163,29 @@ def arithmetically_equivalent(group: GroupLike, h1: GroupLike,
     return splitting_table(group, h1) == splitting_table(group, h2)
 
 
+def _tables_agree(group: GroupLike, h1: GroupLike, h2: GroupLike,
+                  key) -> bool:
+    """key(splitting type) is the same on G/H1 and G/H2 at every class."""
+    return all(key(s1) == key(s2) for s1, s2 in
+               zip(splitting_table(group, h1), splitting_table(group, h2)))
+
+
 def kronecker_equivalent(group: GroupLike, h1: GroupLike,
                          h2: GroupLike) -> bool:
     """1 belongs to both splitting types or neither, at every class."""
-    _require_subgroup(group, h1)
-    _require_subgroup(group, h2)
-    t1 = splitting_table(group, h1)
-    t2 = splitting_table(group, h2)
-    return all(s1.contains_one == s2.contains_one
-               for s1, s2 in zip(t1, t2))
+    return _tables_agree(group, h1, h2, lambda s: s.contains_one)
 
 
 def weakly_kronecker_equivalent(group: GroupLike, h1: GroupLike,
                                 h2: GroupLike) -> bool:
     """Equal gcd of the splitting types at every class."""
-    _require_subgroup(group, h1)
-    _require_subgroup(group, h2)
-    t1 = splitting_table(group, h1)
-    t2 = splitting_table(group, h2)
-    return all(s1.gcd() == s2.gcd() for s1, s2 in zip(t1, t2))
+    return _tables_agree(group, h1, h2, SplittingType.gcd)
 
 
 def ultra_coarse_equivalent(group: GroupLike, h1: GroupLike,
                             h2: GroupLike) -> bool:
     """Equal lcm of the splitting types at every class."""
-    _require_subgroup(group, h1)
-    _require_subgroup(group, h2)
-    t1 = splitting_table(group, h1)
-    t2 = splitting_table(group, h2)
-    return all(s1.lcm() == s2.lcm() for s1, s2 in zip(t1, t2))
+    return _tables_agree(group, h1, h2, SplittingType.lcm)
 
 
 def numerical_set(s: SplittingType, cap: int) -> NumericalSet:

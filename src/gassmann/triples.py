@@ -21,13 +21,13 @@ from .errors import (
 )
 from .lattice import IntMat, adjugate, det
 from .permgroup import (
-    CosetSpace,
     GroupLike,
     Permutation,
     _require_equal_index,
     _require_subgroup,
     coset_action,
 )
+from .splitting import splitting_table
 
 __all__ = [
     "GassmannTriple",
@@ -42,17 +42,11 @@ __all__ = [
 ]
 
 
-def permutation_character(group: GroupLike, subgroup: GroupLike,
-                          cosets: CosetSpace | None = None) -> tuple[int, ...]:
+def permutation_character(group: GroupLike,
+                          subgroup: GroupLike) -> tuple[int, ...]:
     """Fixed-coset counts on G/H, one entry per conjugacy class of G
-    (in conjugacy_classes order)."""
-    if cosets is None:
-        cosets = coset_action(group, subgroup)
-    counts = []
-    for cls in group.conjugacy_classes():
-        action = cosets.permutation_of(cls.representative)
-        counts.append(sum(1 for i, j in enumerate(action.images) if i == j))
-    return tuple(counts)
+    (in conjugacy_classes order): the 1-parts of its splitting type."""
+    return tuple(s.parts.count(1) for s in splitting_table(group, subgroup))
 
 
 def is_gassmann(group: GroupLike, h1: GroupLike, h2: GroupLike) -> bool:
@@ -88,20 +82,18 @@ def _conjugator(group: GroupLike, h1: GroupLike,
 
 class GassmannTriple:
     """(G, H1, H2) with equal index and equal permutation characters,
-    both checked at construction."""
+    both checked at construction by is_gassmann."""
 
     def __init__(self, group: GroupLike, h1: GroupLike,
                  h2: GroupLike) -> None:
-        _require_equal_index(group, h1, h2)
+        if not is_gassmann(group, h1, h2):
+            raise PreconditionViolated(
+                "permutation characters differ: not a Gassmann triple")
         self.group = group
         self.h1 = h1
         self.h2 = h2
         self.cosets1 = coset_action(group, h1)
         self.cosets2 = coset_action(group, h2)
-        if permutation_character(group, h1, self.cosets1) != \
-                permutation_character(group, h2, self.cosets2):
-            raise PreconditionViolated(
-                "permutation characters differ: not a Gassmann triple")
         self.index = self.cosets1.index
 
     def __repr__(self) -> str:
@@ -272,8 +264,6 @@ def integral_search(group: GroupLike, h1: GroupLike, h2: GroupLike,
     Raises NotFoundWithinBudget with search statistics on failure; that
     is a report, not a nonexistence proof (except when `exhausted`).
     """
-    if not is_gassmann(group, h1, h2):
-        raise PreconditionViolated("not a Gassmann triple")
     triple = GassmannTriple(group, h1, h2)
     g = _conjugator(group, h1, h2)
     if g is not None:

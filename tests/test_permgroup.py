@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 from collections import Counter
 from math import gcd
 
@@ -362,6 +364,45 @@ def test_transfer_conjugation_compatibility(s4):
         ab1.factors, ab2.factors,
         [ab2.project(rep.conjugate(g)) for rep in ab1.basis_reps])
     assert cg.compose(transfer(s4, h)) == transfer(s4, h2)
+
+
+def test_transfer_memo_keeps_each_instance_coordinates():
+    """Equal-element subgroup instances with different generators have
+    their own abelianization coordinates; each gets the maps in its own,
+    and an instance with none yet adopts the cached one's."""
+    group = symmetric(4)
+    t, u = Permutation.parse(4, "(0 1)"), Permutation.parse(4, "(2 3)")
+    a = group.subgroup([t, u])
+    b = group.subgroup([t, t * u])
+    assert a == b and a.generators != b.generators
+    abelianization(a)
+    abelianization(b)
+    c = Subgroup(group, a.elements)
+    maps = []
+    for sub in (a, b, c):
+        uncached = PermGroup(group.degree, group.generators)
+        maps.append((transfer(group, sub), inclusion_induced(sub, group)))
+        assert maps[-1] == (transfer(uncached, sub),
+                            inclusion_induced(sub, uncached))
+    assert maps[0][0] != maps[1][0] and maps[0][1] != maps[1][1]
+    assert abelianization(c) is abelianization(b)
+
+
+def test_group_caches_make_no_reference_cycle():
+    """The per-group caches hold nothing that refers back to the group,
+    so refcounting alone frees it."""
+    gc.disable()
+    try:
+        group = symmetric(4)
+        sub = group.subgroup([Permutation.parse(4, "(0 1 2 3)")])
+        coset_action(group, sub)
+        transfer(group, sub)
+        inclusion_induced(sub, group)
+        ref = weakref.ref(group)
+        del group, sub
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_finabgroup_normalizes_cyclic_orders():

@@ -57,6 +57,14 @@ def test_splitting_type_accepts_raw_permutation(s4):
     assert splitting_type(s4, h, g).parts == (1, 1, 2)
 
 
+def test_splitting_type_rejects_element_outside_group(a4):
+    trivial = a4.trivial_subgroup()
+    for outside in (Permutation.parse(4, "(0 1)"),
+                    Permutation.parse(5, "(0 1 2)")):
+        with pytest.raises(ValueError, match="not an element of this group"):
+            splitting_type(a4, trivial, outside)
+
+
 def test_splitting_type_basic_properties():
     s = SplittingType([2, 1, 2])
     assert s.parts == (1, 2, 2)

@@ -2,10 +2,16 @@ import random
 
 import pytest
 
+from gassmann.catalog import fano_stabilizers
 from gassmann.errors import (IndexMismatch, MixedSigns, NotFoundWithinBudget,
                              PreconditionViolated)
 from gassmann.lattice import IntMat, adjugate, det
-from gassmann.permgroup import Permutation, coset_action, double_cosets
+from gassmann.permgroup import (CosetSpace, Permutation, Subgroup,
+                                coset_action, double_cosets)
+from gassmann.splitting import (arithmetically_equivalent,
+                                kronecker_equivalent, splitting_table,
+                                ultra_coarse_equivalent,
+                                weakly_kronecker_equivalent)
 from gassmann.triples import (CorrespondenceMatrix, GassmannTriple,
                               are_conjugate, integral_search,
                               intertwiner_basis, is_gassmann,
@@ -33,6 +39,35 @@ def brute_character(group, subgroup):
 def test_permutation_character_matches_bruteforce(s4):
     for sub in s4.all_subgroups():
         assert permutation_character(s4, sub) == brute_character(s4, sub)
+
+
+def test_coset_action_is_built_once_per_subgroup(monkeypatch):
+    group, h1, h2 = fano_stabilizers()
+    built = []
+    init = CosetSpace.__init__
+
+    def counting_init(self, group, subgroup):
+        built.append(subgroup.element_set)
+        init(self, group, subgroup)
+
+    monkeypatch.setattr(CosetSpace, "__init__", counting_init)
+    assert is_gassmann(group, h1, h2)
+    GassmannTriple(group, h1, h2)
+    intertwiner_basis(group, h1, h2)
+    splitting_table(group, h1)
+    splitting_table(group, h2)
+    for equivalent in (arithmetically_equivalent, kronecker_equivalent,
+                       weakly_kronecker_equivalent, ultra_coarse_equivalent):
+        assert equivalent(group, h1, h2)
+    assert built == [h1.element_set, h2.element_set]
+    same = Subgroup(group, h1.elements)
+    assert same is not h1 and same == h1
+    permutation_character(group, same)
+    assert len(built) == 2
+    other = group.point_stabilizer(1)
+    assert other.order == h1.order and other != h1
+    permutation_character(group, other)
+    assert len(built) == 3
 
 
 def test_conjugate_pairs_are_gassmann(s4):
