@@ -18,7 +18,6 @@ from ._primes import iter_primes
 from .errors import (
     CoprimalityViolated,
     DimensionMismatch,
-    IndexMismatch,
     NonSquare,
     OrderNotSupported,
     PreconditionViolated,
@@ -26,6 +25,7 @@ from .errors import (
 from .lattice import (
     IntMat,
     LocalNormLattice,
+    _det_adjugate,
     adjugate,
     det,
     maximal_normal_sublattice,
@@ -50,11 +50,16 @@ def _raw_matrix(a: MatrixLike) -> IntMat:
     return a.A if isinstance(a, CorrespondenceMatrix) else a
 
 
-def _require_unimodular(a: IntMat) -> None:
+def _require_unimodular(a: IntMat,
+                        with_adjugate: bool = False) -> IntMat | None:
+    """Check that A is square with det A = +-1; with_adjugate, return
+    adj A = +-A^-1 from the same elimination."""
     if not a.is_square:
         raise NonSquare("transport needs a square matrix")
-    if det(a) not in (1, -1):
-        raise PreconditionViolated(f"not unimodular: det = {det(a)}")
+    d, adj = _det_adjugate(a) if with_adjugate else (det(a), None)
+    if d not in (1, -1):
+        raise PreconditionViolated(f"not unimodular: det = {d}")
+    return adj
 
 
 @dataclass(frozen=True)
@@ -136,20 +141,21 @@ def notwkeq_construct(
     {{q, ..., q}} with gcd q, separating the two sides under the gcd test.
     """
     raw = _raw_matrix(a)
-    _require_unimodular(raw)
+    adj = _require_unimodular(raw, with_adjugate=True)
     if q < 2:
         raise ValueError(f"q must be at least 2: {q}")
-    d = det(raw)
-    inverse = adjugate(raw).scale(d)
-    cofactors = {abs(entry) for row in inverse.rows for entry in row}
+    # adj A = +-A^-1, so its entries are those of A^-1 up to sign
+    cofactors = {abs(entry) for row in adj.rows for entry in row}
     cofactors.discard(0)
     offenders = sorted(v for v in cofactors if gcd(q, v) > 1)
     if offenders:
         raise CoprimalityViolated(
             f"q = {q} shares a factor with cofactor(s) {offenders}")
-    model = LocalModel.standard(a, q)
-    s1 = local_splitting_type(model.L1_prime)
-    s2 = local_splitting_type(transport_lattice(a, model.L1_prime))
+    # LocalModel.standard and transport_lattice, without re-checking A
+    l1_prime = LocalNormLattice(IntMat.diagonal([1] + [q] * (raw.nrows - 1)))
+    s1 = local_splitting_type(l1_prime)
+    s2 = local_splitting_type(
+        LocalNormLattice(raw.transpose() @ l1_prime.basis))
     return s1, s2, s1.gcd(), s2.gcd()
 
 

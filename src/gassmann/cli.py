@@ -17,8 +17,8 @@ from pathlib import Path
 from . import abelext, catalog, homology, kgroups, splitting, triples
 from .errors import GassmannError, NotFoundWithinBudget, ParseError
 from .lattice import parse_matrix_file
-from .permgroup import (GroupLike, PermGroup, Subgroup, abelianization,
-                        parse_group_file)
+from .permgroup import (PermGroup, Subgroup, _require_equal_index,
+                        abelianization, parse_group_file)
 
 SCHEMA = 1
 
@@ -82,22 +82,22 @@ def _cmd_group_info(config: RunConfig) -> tuple[int, dict]:
     }
 
 
-def _pair_summary(group: GroupLike, h1: GroupLike, h2: GroupLike) -> dict:
-    return {
+def _cmd_gassmann_check(config: RunConfig) -> tuple[int, dict]:
+    group, h1, h2 = _load_pair(config)
+    _require_equal_index(group, h1, h2)
+    # is_gassmann compares exactly these two characters
+    character1 = triples.permutation_character(group, h1)
+    character2 = triples.permutation_character(group, h2)
+    report = {
         "group_order": group.order,
         "h1_order": h1.order,
         "h2_order": h2.order,
-        "gassmann": triples.is_gassmann(group, h1, h2),
+        "gassmann": character1 == character2,
         "conjugate": triples.are_conjugate(group, h1, h2),
+        "index": group.order // h1.order,
+        "character1": list(character1),
+        "character2": list(character2),
     }
-
-
-def _cmd_gassmann_check(config: RunConfig) -> tuple[int, dict]:
-    group, h1, h2 = _load_pair(config)
-    report = _pair_summary(group, h1, h2)
-    report["index"] = group.order // h1.order
-    report["character1"] = list(triples.permutation_character(group, h1))
-    report["character2"] = list(triples.permutation_character(group, h2))
     return (0 if report["gassmann"] else 1), report
 
 
@@ -229,7 +229,7 @@ def _cmd_scott(config: RunConfig) -> tuple[int, dict]:
         "index": triple.index,
         "h1_order": triple.h1.order,
         "h2_order": triple.h2.order,
-        "conjugate": triples.are_conjugate(group, triple.h1, triple.h2),
+        "conjugate": False,  # scott_triple returns a non-conjugate pair
         "gassmann": True,  # checked by the GassmannTriple constructor
     })
     return 0, base

@@ -22,7 +22,7 @@ from .errors import (
     NotCoprime,
     NotNormal,
 )
-from .lattice import IntMat, hnf
+from .lattice import IntMat, _in_hnf_span, hnf
 from .permgroup import (
     AbHom,
     GroupLike,
@@ -101,17 +101,7 @@ class CoordSubgroup:
         """Solve the lower-triangular basis system over the integers."""
         if len(vector) != len(self.factors):
             raise ValueError("vector length mismatch")
-        if self.basis is None:
-            return True
-        solution = []
-        for i in range(len(vector)):
-            residue = vector[i] - sum(
-                self.basis[i, j] * solution[j] for j in range(i))
-            pivot = self.basis[i, i]
-            if residue % pivot:
-                return False
-            solution.append(residue // pivot)
-        return True
+        return self.basis is None or _in_hnf_span(self.basis, vector)
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, CoordSubgroup)

@@ -7,7 +7,6 @@ spans of nonsingular square matrices.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from typing import Iterable, Iterator, Sequence
 
@@ -160,31 +159,6 @@ def det(m: IntMat) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _inverse_fractions(m: IntMat) -> list[list[Fraction]]:
-    """Inverse over Q by Gauss-Jordan; raises SingularMatrix."""
-    _require_square(m, "inverse")
-    n = m.nrows
-    work = [[Fraction(entry) for entry in row] for row in m.rows]
-    inv = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot_row = next((i for i in range(col, n) if work[i][col] != 0),
-                         None)
-        if pivot_row is None:
-            raise SingularMatrix("matrix is singular over Q")
-        work[col], work[pivot_row] = work[pivot_row], work[col]
-        inv[col], inv[pivot_row] = inv[pivot_row], inv[col]
-        pivot = work[col][col]
-        work[col] = [entry / pivot for entry in work[col]]
-        inv[col] = [entry / pivot for entry in inv[col]]
-        for i in range(n):
-            if i == col or work[i][col] == 0:
-                continue
-            factor = work[i][col]
-            work[i] = [a - factor * b for a, b in zip(work[i], work[col])]
-            inv[i] = [a - factor * b for a, b in zip(inv[i], inv[col])]
-    return inv
-
-
 def _minor_det(m: IntMat, drop_row: int, drop_col: int) -> int:
     rows = [[entry for j, entry in enumerate(row) if j != drop_col]
             for i, row in enumerate(m.rows) if i != drop_row]
@@ -193,30 +167,49 @@ def _minor_det(m: IntMat, drop_row: int, drop_col: int) -> int:
     return det(IntMat(rows))
 
 
+def _det_adjugate(m: IntMat) -> tuple[int, IntMat | None]:
+    """(det M, adj M) of a square matrix; adj M is None when det M = 0.
+
+    One fraction-free Gauss-Jordan pass (Bareiss 1968) turns [M | I] into
+    [d I | d M^-1], d = +-det M by the row swaps; every division is exact,
+    every entry being a minor of [M | I].  Pivot columns are dropped.
+    """
+    n = m.nrows
+    rows = [list(row) + [int(i == j) for j in range(n)]
+            for i, row in enumerate(m.rows)]
+    sign = prev = 1
+    for k in range(n):
+        pivot_row = next((i for i in range(k, n) if rows[i][0]), None)
+        if pivot_row is None:
+            return 0, None
+        if pivot_row != k:
+            rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
+            sign = -sign
+        pivot, *tail = rows[k]
+        for i, row in enumerate(rows):
+            if i != k:
+                factor = row[0]
+                rows[i] = [(pivot * x - factor * y) // prev
+                           for x, y in zip(row[1:], tail)]
+        rows[k] = tail
+        prev = pivot
+    return sign * prev, IntMat(rows).scale(sign)
+
+
 def adjugate(m: IntMat) -> "IntMat":
     """Adjugate matrix: M @ adjugate(M) == det(M) * I.
+
+    A nonsingular M takes one fraction-free Gauss-Jordan pass; a singular
+    one falls back to cofactor expansion (small inputs only).
 
     >>> adjugate(IntMat.diagonal([2, 3]))
     IntMat([[3, 0], [0, 2]])
     """
     _require_square(m, "adjugate")
+    _, adj = _det_adjugate(m)
+    if adj is not None:
+        return adj
     n = m.nrows
-    if n == 1:
-        return IntMat([[1]])
-    d = det(m)
-    if d != 0:
-        inv = _inverse_fractions(m)
-        rows = []
-        for row in inv:
-            out_row = []
-            for entry in row:
-                scaled = entry * d
-                if scaled.denominator != 1:
-                    raise AssertionError("adjugate must be integral")
-                out_row.append(int(scaled))
-            rows.append(out_row)
-        return IntMat(rows)
-    # singular case: fall back to cofactor expansion (small inputs only)
     return IntMat([[(-1) ** (i + j) * _minor_det(m, j, i) for j in range(n)]
                    for i in range(n)])
 
@@ -353,24 +346,35 @@ def maximal_normal_sublattice(m: IntMat) -> tuple[int, ...]:
     (1, 2)
     """
     _require_square(m, "maximal_normal_sublattice")
-    d = det(m)
-    if d == 0:
+    d, adj = _det_adjugate(m)
+    if adj is None:
         raise SingularMatrix("lattice basis must be nonsingular")
-    adj = adjugate(m)
-    d = abs(d)
-    result = []
-    for i in range(m.nrows):
-        col_gcd = 0
-        for entry in adj.column(i):
-            col_gcd = gcd(col_gcd, entry)
-        result.append(d // gcd(d, col_gcd))
-    return tuple(result)
+    return tuple(abs(d) // gcd(d, *adj.column(i)) for i in range(m.nrows))
+
+
+def _in_hnf_span(h: IntMat, vector: Sequence[int]) -> bool:
+    """Whether the vector is in the column span of a square HNF basis h:
+    forward substitution, failing at the first residue h[i, i] leaves."""
+    solution: list[int] = []
+    for i, row in enumerate(h.rows):
+        residue = vector[i] - sum(a * x for a, x in zip(row, solution))
+        if residue % row[i]:
+            return False
+        solution.append(residue // row[i])
+    return True
 
 
 class LocalNormLattice:
-    """Full-rank sublattice of Z^r spanned by the columns of a basis matrix."""
+    """Full-rank sublattice of Z^r spanned by the columns of a basis matrix.
 
-    __slots__ = ("basis", "_inverse")
+    Its canonical HNF basis is computed on first use, then kept.
+
+    >>> lat = LocalNormLattice(IntMat([[2, 1], [0, 3]]))
+    >>> lat.contains((1, 3)), lat.contains((1, 0))
+    (True, False)
+    """
+
+    __slots__ = ("basis", "_hnf")
 
     def __init__(self, basis: IntMat) -> None:
         if not basis.is_square:
@@ -378,7 +382,7 @@ class LocalNormLattice:
         if det(basis) == 0:
             raise SingularMatrix("lattice basis must be nonsingular")
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "_inverse", None)
+        object.__setattr__(self, "_hnf", None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("LocalNormLattice is immutable")
@@ -387,22 +391,16 @@ class LocalNormLattice:
     def rank(self) -> int:
         return self.basis.nrows
 
-    def _basis_inverse(self) -> list[list[Fraction]]:
-        if self._inverse is None:
-            object.__setattr__(self, "_inverse",
-                               _inverse_fractions(self.basis))
-        return self._inverse
+    def _basis_hnf(self) -> IntMat:
+        if self._hnf is None:
+            object.__setattr__(self, "_hnf", hnf(self.basis))
+        return self._hnf
 
     def contains(self, vector: Sequence[int]) -> bool:
         if len(vector) != self.rank:
             raise ValueError(
                 f"vector of length {len(vector)} against rank {self.rank}")
-        inv = self._basis_inverse()
-        for row in inv:
-            coordinate = sum(entry * x for entry, x in zip(row, vector))
-            if coordinate.denominator != 1:
-                return False
-        return True
+        return _in_hnf_span(self._basis_hnf(), vector)
 
     @property
     def index(self) -> int:
@@ -410,17 +408,17 @@ class LocalNormLattice:
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, LocalNormLattice)
-                and hnf(self.basis) == hnf(other.basis))
+                and self._basis_hnf() == other._basis_hnf())
 
     def __hash__(self) -> int:
-        return hash(hnf(self.basis))
+        return hash(self._basis_hnf())
 
     def __repr__(self) -> str:
         return f"LocalNormLattice({self.basis!r})"
 
 
 def contains(lattice: LocalNormLattice, vector: Sequence[int]) -> bool:
-    """Exact membership test: solve over Q and check integrality."""
+    """Exact membership test: one triangular solve in the lattice's HNF."""
     return lattice.contains(vector)
 
 

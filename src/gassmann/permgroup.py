@@ -25,7 +25,7 @@ from .errors import (
     OrderCapExceeded,
     ParseError,
 )
-from .lattice import IntMat, adjugate, det, smith_with_transforms
+from .lattice import IntMat, _det_adjugate, smith_with_transforms
 
 __all__ = [
     "DEFAULT_ORDER_CAP",
@@ -873,7 +873,8 @@ class Abelianization:
                               for row, d in zip(proj_rows, self.factors))
                   for word in words}
         self._coords = {x: coords[word] for x, word in coset_w.items()}
-        u_inverse = adjugate(u).scale(det(u))  # det is +-1
+        d, adj = _det_adjugate(u)
+        u_inverse = adj.scale(d)  # d is +-1
         basis = []
         for i in kept:
             word = u_inverse.column(i)

@@ -19,7 +19,7 @@ from .errors import (
     NotFoundWithinBudget,
     PreconditionViolated,
 )
-from .lattice import IntMat, adjugate, det
+from .lattice import IntMat, _det_adjugate, det
 from .permgroup import (
     GroupLike,
     Permutation,
@@ -328,7 +328,9 @@ def verify_integral_triple(triple: GassmannTriple,
     if a.nrows != triple.index:
         raise NonSquare(
             f"size {a.nrows} does not match index {triple.index}")
-    d = det(a)
+    conjugate = are_conjugate(triple.group, triple.h1, triple.h2)
+    # A^-1 is only read for a non-conjugate pair
+    d, adj = (det(a), None) if conjugate else _det_adjugate(a)
     unimodular = d in (1, -1)
     failures = _equivariance_failures(a, triple)
 
@@ -340,7 +342,6 @@ def verify_integral_triple(triple: GassmannTriple,
     if sign_consistent:
         sign = next(iter(row_sums))
 
-    conjugate = are_conjugate(triple.group, triple.h1, triple.h2)
     report = {
         "det": d,
         "unimodular": unimodular,
@@ -352,12 +353,9 @@ def verify_integral_triple(triple: GassmannTriple,
     }
     if not conjugate:
         report["rows_multi_support"] = _rows_multi_support(a)
-        if unimodular:
-            inverse = adjugate(a).scale(d)
-            report["inverse_rows_multi_support"] = \
-                _rows_multi_support(inverse)
-        else:
-            report["inverse_rows_multi_support"] = None
+        # adj A = +-A^-1 when A is unimodular, with the same supports
+        report["inverse_rows_multi_support"] = \
+            _rows_multi_support(adj) if unimodular else None
     passed = unimodular and not failures and sign_consistent
     if not conjugate:
         passed = passed and report["rows_multi_support"] \

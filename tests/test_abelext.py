@@ -8,7 +8,8 @@ from gassmann.abelext import (LocalModel, choose_q,
                               local_splitting_type, notwkeq_construct,
                               transport_lattice)
 from gassmann.errors import (CoprimalityViolated, DimensionMismatch,
-                             OrderNotSupported, PreconditionViolated)
+                             NonSquare, OrderNotSupported,
+                             PreconditionViolated)
 from gassmann.lattice import IntMat, LocalNormLattice, det
 from gassmann.permgroup import Permutation
 
@@ -27,8 +28,10 @@ def test_pipeline_rejects_bad_q():
         notwkeq_construct(A_PAPER, 2)  # 2 divides a cofactor
     with pytest.raises(ValueError):
         notwkeq_construct(A_PAPER, 1)
-    with pytest.raises(PreconditionViolated):
-        notwkeq_construct(IntMat([[2, 0], [0, 1]]), 5)  # det 2
+    with pytest.raises(PreconditionViolated, match="not unimodular: det = 2"):
+        notwkeq_construct(IntMat([[2, 0], [0, 1]]), 5)
+    with pytest.raises(NonSquare, match="transport needs a square matrix"):
+        notwkeq_construct(IntMat([[1, 0, 0], [0, 1, 0]]), 5)
 
 
 def test_choose_q_values():

@@ -99,7 +99,7 @@ def test_criterion_2_classical_pair(acceptance, fano):
 
 
 def brute_normal_parts(m):
-    """Least k with k*e_i inside the column lattice, by Fraction solve."""
+    """Least k with k*e_i inside the column lattice, by membership tests."""
     n = m.nrows
     lat = LocalNormLattice(m)
     bound = abs(det(m))

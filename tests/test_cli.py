@@ -221,6 +221,10 @@ def test_bad_inputs_exit_two(capsys, tmp_path, s4_file):
     code, _, err = run_cli(
         capsys, ["gassmann", "check", s4_file, "--h1", h1, "--h2", h2])
     assert code == 2 and "degree" in err
+    h3 = sub_file(tmp_path, "h3.grp", 4, ["(0 1)", "(2 3)"])
+    code, _, err = run_cli(
+        capsys, ["gassmann", "check", s4_file, "--h1", h2, "--h2", h3])
+    assert code == 2 and "indices differ: 12 vs 6" in err
     bad = tmp_path / "bad.grp"
     bad.write_text("degree: 4\ngen: (0 9)\n")
     code, _, err = run_cli(capsys, ["group", "info", str(bad)])

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gassmann.errors import NonSquare, ParseError, SingularMatrix
+from gassmann.homology import CoordSubgroup
 from gassmann.lattice import (IntMat, LocalNormLattice, adjugate, det,
                               format_matrix_file, hnf, lattice_index,
                               maximal_normal_sublattice, parse_matrix_file,
@@ -141,7 +142,7 @@ def test_snf_known_values():
 
 
 def mns_oracle(m):
-    """Least m_i with m_i * e_i in the column lattice, by Fraction solve."""
+    """Least m_i with m_i * e_i in the column lattice, by membership tests."""
     n = m.nrows
     lat = LocalNormLattice(m)
     bound = abs(det(m))
@@ -199,6 +200,20 @@ def test_lattice_equality_via_hnf():
     assert hash(a) == hash(b)
 
 
+def test_lattice_hnf_is_lazy_and_computed_once(monkeypatch):
+    import gassmann.lattice as lattice_module
+    calls = []
+    real_hnf = lattice_module.hnf
+    monkeypatch.setattr(lattice_module, "hnf",
+                        lambda m: calls.append(m) or real_hnf(m))
+    a = LocalNormLattice(IntMat([[2, 1], [0, 3]]))
+    b = LocalNormLattice(IntMat([[1, 2], [3, 0]]))
+    assert calls == []
+    for _ in range(2):
+        assert a.contains((1, 3)) and a == b and hash(a) == hash(b)
+    assert calls == [a.basis, b.basis]
+
+
 def test_matrix_file_roundtrip():
     m = IntMat([[2, 1, -2], [-1, 0, 2], [0, 0, 1]])
     assert parse_matrix_file(format_matrix_file(m)) == m
@@ -217,3 +232,101 @@ def test_matrix_file_errors():
 def test_matrix_file_accepts_comments():
     m = parse_matrix_file("# header\nsize: 2\n1 2\n3 4\n")
     assert m == IntMat([[1, 2], [3, 4]])
+
+
+def matrix_of_rank(rng, n, rank):
+    """Random n x n integer matrix of exactly the given rank."""
+    sympy = pytest.importorskip("sympy")
+    while True:
+        left = [[rng.randint(-3, 3) for _ in range(rank)] for _ in range(n)]
+        right = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rank)]
+        rows = [[sum(left[i][t] * right[t][j] for t in range(rank))
+                 for j in range(n)] for i in range(n)]
+        if sympy.Matrix(rows).rank() == rank:
+            return rows
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_det_and_adjugate_against_sympy(n):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(100 + n)
+    ranks = [n] * 4 + [n - 1] * 3 + [rng.randint(0, max(0, n - 2))
+                                      for _ in range(3)]
+    for rank in ranks:
+        rows = matrix_of_rank(rng, n, rank)
+        expected = sympy.Matrix(rows)
+        assert det(IntMat(rows)) == expected.det()
+        assert adjugate(IntMat(rows)).to_lists() == \
+            expected.adjugate().tolist()
+
+
+def test_snf_invariant_factors_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form
+    rng = random.Random(7)
+    for _ in range(60):
+        nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
+        rows = [[rng.choice((0, 0, rng.randint(-9, 9)))
+                 for _ in range(ncols)] for _ in range(nrows)]
+        expected = smith_normal_form(sympy.Matrix(rows), domain=sympy.ZZ)
+        factors = tuple(abs(expected[i, i])
+                        for i in range(min(nrows, ncols)) if expected[i, i])
+        assert snf(IntMat(rows))[1] == factors
+
+
+def rational_membership(basis_rows):
+    """Membership in the column lattice of a nonsingular basis: solve
+    over Q with sympy's inverse and check that the solution is integral."""
+    sympy = pytest.importorskip("sympy")
+    inverse = sympy.Matrix(basis_rows).inv()
+    return lambda vector: all(
+        entry.is_integer for entry in inverse * sympy.Matrix(vector))
+
+
+def membership_probes(rng, basis_rows):
+    """Random vectors and random lattice points, about half of each."""
+    n = len(basis_rows)
+    for _ in range(12):
+        yield [rng.randint(-6, 6) for _ in range(n)]
+        coeffs = [rng.randint(-3, 3) for _ in range(n)]
+        yield [sum(row[j] * coeffs[j] for j in range(n))
+               for row in basis_rows]
+
+
+def test_lattice_membership_against_sympy_solve():
+    pytest.importorskip("sympy")
+    rng = random.Random(13)
+    outcomes = set()
+    for n in range(1, 6):
+        for _ in range(8):
+            rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+            if det(IntMat(rows)) == 0:
+                continue
+            lattice = LocalNormLattice(IntMat(rows))
+            oracle = rational_membership(rows)
+            for vector in membership_probes(rng, rows):
+                expected = oracle(vector)
+                assert lattice.contains(vector) == expected
+                outcomes.add(expected)
+    assert outcomes == {True, False}
+
+
+def test_coord_subgroup_membership_against_sympy_solve():
+    pytest.importorskip("sympy")
+    rng = random.Random(17)
+    outcomes = set()
+    for k in range(1, 6):
+        for _ in range(8):
+            # a lower-triangular basis with positive pivots, the shape
+            # CoordSubgroup stores; its lattice contains det * Z^k
+            rows = [[rng.randint(1, 6) if i == j else
+                     (rng.randint(-5, 5) if j < i else 0)
+                     for j in range(k)] for i in range(k)]
+            basis = IntMat(rows)
+            subgroup = CoordSubgroup([det(basis)] * k, basis)
+            oracle = rational_membership(rows)
+            for vector in membership_probes(rng, rows):
+                expected = oracle(vector)
+                assert subgroup.contains(vector) == expected
+                outcomes.add(expected)
+    assert outcomes == {True, False}

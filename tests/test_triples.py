@@ -230,6 +230,7 @@ def test_verify_report_flags_broken_candidates(fano):
     assert not report["passed"]
     assert report["equivariant"]
     assert not report["unimodular"]
+    assert report["inverse_rows_multi_support"] is None
     # unimodular but not equivariant
     n = triple.index
     shear = IntMat([[1 if i == j else (1 if (i, j) == (0, 1) else 0)
@@ -239,6 +240,8 @@ def test_verify_report_flags_broken_candidates(fano):
     assert report2["unimodular"]
     assert not report2["equivariant"]
     assert report2["equivariance_failures"]
+    # the shear's inverse has a single entry in every row but the first
+    assert report2["inverse_rows_multi_support"] is False
 
 
 def test_verify_multi_support_fields(s4):
