@@ -30,7 +30,8 @@ from .lattice import (
     det,
     maximal_normal_sublattice,
 )
-from .permgroup import GroupLike, _require_subgroup
+from .permgroup import (GroupLike, _fixed_cosets, _require_subgroup,
+                        coset_action)
 from .splitting import SplittingType
 from .triples import CorrespondenceMatrix, is_gassmann
 
@@ -163,19 +164,16 @@ def decomposition_count_check(group: GroupLike, h1: GroupLike,
                               h2: GroupLike, d: GroupLike) -> bool:
     """Whether the two subgroups absorb equally many conjugates of a
     decomposition group of order 1 or 2; counts group elements g with
-    gDg^-1 inside each side."""
+    gDg^-1 inside each side.  gDg^-1 lies in H exactly when D fixes the
+    coset g^-1 H, so the count is |H| times the number of cosets of the
+    cached table of G/H that D fixes."""
     _require_subgroup(group, d)
     if d.order > 2:
         raise OrderNotSupported(
             f"decomposition groups here have order 1 or 2, got {d.order}")
     if not is_gassmann(group, h1, h2):
         raise PreconditionViolated("not a Gassmann triple")
-    gens = tuple(d.generators)
-    count1 = count2 = 0
-    for g in group.elements:
-        moved = [x.conjugate(g) for x in gens]
-        if all(x in h1.element_set for x in moved):
-            count1 += 1
-        if all(x in h2.element_set for x in moved):
-            count2 += 1
+    count1, count2 = (
+        h.order * len(_fixed_cosets(coset_action(group, h), d.generators))
+        for h in (h1, h2))
     return count1 == count2

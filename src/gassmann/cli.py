@@ -39,7 +39,6 @@ class RunConfig:
     budget: int = 20000
     seed: int = 0
     max_order: int = 120
-    report_path: str | None = None
     out: str | None = None
 
 
@@ -256,9 +255,6 @@ def run(config: RunConfig) -> tuple[int, dict]:
     code, report = handler(config)
     report["schema"] = SCHEMA
     report["command"] = config.command
-    if config.report_path is not None:
-        Path(config.report_path).write_text(_render(report),
-                                            encoding="utf-8")
     return code, report
 
 
@@ -325,7 +321,6 @@ def _build_parser() -> argparse.ArgumentParser:
                               help="exhaustive conjugation-correspondence"
                                    " checks over the corpus")
     sweep.add_argument("--max-order", type=int, default=120)
-    sweep.add_argument("--report", help="write the full JSON report here")
 
     sc = top.add_parser("scott",
                         help="non-conjugate A5 pair inside PSL(2,29)")
@@ -352,7 +347,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         budget=getattr(args, "budget", 20000),
         seed=getattr(args, "seed", 0),
         max_order=getattr(args, "max_order", 120),
-        report_path=getattr(args, "report", None),
         out=args.out,
     )
 

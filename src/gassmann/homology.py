@@ -26,7 +26,6 @@ from .lattice import IntMat, _in_hnf_span, hnf
 from .permgroup import (
     AbHom,
     GroupLike,
-    PermGroup,
     Permutation,
     Subgroup,
     _require_subgroup,
@@ -234,8 +233,7 @@ class Correspondence:
         """
         conjugated = frozenset(x.conjugate(g) for x in h1.element_set)
         if h2 is None:
-            owner = group if isinstance(group, PermGroup) else group.parent
-            h2 = Subgroup(owner, conjugated,
+            h2 = Subgroup(group, conjugated,
                           generators=tuple(x.conjugate(g)
                                            for x in h1.generators))
         elif h2.element_set != conjugated:
@@ -340,18 +338,18 @@ class CorrespondingSubgroups:
 
     u1, u2 live in the invariant-factor coordinates of the two
     abelianizations; gamma1p, gamma2p are their preimages in the
-    subgroups themselves.
+    subgroups themselves, and are H1 and H2 when t = 1.
     """
 
     correspondence: Correspondence
     t: int
     u1: CoordSubgroup
     u2: CoordSubgroup
-    gamma1p: Subgroup
-    gamma2p: Subgroup
+    gamma1p: GroupLike
+    gamma2p: GroupLike
 
 
-def _lift(group_owner: GroupLike, h: GroupLike, u: CoordSubgroup) -> Subgroup:
+def _lift(h: GroupLike, u: CoordSubgroup) -> Subgroup:
     ab = abelianization(h)
     classes: dict[tuple[int, ...], list[Permutation]] = {}
     for x in h.elements:
@@ -359,7 +357,7 @@ def _lift(group_owner: GroupLike, h: GroupLike, u: CoordSubgroup) -> Subgroup:
     # membership depends only on the class: one test per class
     elements = [x for coords, members in classes.items()
                 if u.contains(coords) for x in members]
-    return Subgroup(group_owner, elements)
+    return Subgroup(h, elements)
 
 
 def corresponding_subgroups(corr: Correspondence,
@@ -368,13 +366,11 @@ def corresponding_subgroups(corr: Correspondence,
     of H1 and H2.  Empty when t does not divide the homology order."""
     ab1 = abelianization(corr.h1)
     ab2 = abelianization(corr.h2)
-    owner = corr.group if isinstance(corr.group, PermGroup) \
-        else corr.group.parent
     if t == 1:
         return [CorrespondingSubgroups(
             corr, 1,
             CoordSubgroup.full(ab1.factors), CoordSubgroup.full(ab2.factors),
-            _as_subgroup_of(owner, corr.h1), _as_subgroup_of(owner, corr.h2))]
+            corr.h1, corr.h2)]
     if ab2.structure.torsion_order() % t:
         return []
     out = []
@@ -384,14 +380,8 @@ def corresponding_subgroups(corr: Correspondence,
             continue
         out.append(CorrespondingSubgroups(
             corr, t, u1, u2,
-            _lift(owner, corr.h1, u1), _lift(owner, corr.h2, u2)))
+            _lift(corr.h1, u1), _lift(corr.h2, u2)))
     return out
-
-
-def _as_subgroup_of(owner: GroupLike, h: GroupLike) -> Subgroup:
-    if isinstance(h, Subgroup) and h.parent is owner:
-        return h
-    return Subgroup(owner, h.elements, generators=h.generators)
 
 
 def gthm_check(cs: CorrespondingSubgroups) -> bool:

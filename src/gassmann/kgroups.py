@@ -80,6 +80,8 @@ class FieldModel:
     @classmethod
     def abelian(cls, conductor: int, generators) -> "FieldModel":
         """Field fixed by the subgroup generated by the given residues."""
+        if conductor < 1:  # before any residue is taken mod it
+            raise ValueError("conductor must be positive")
         h = _multiplicative_closure(
             {g % conductor for g in generators} or {1 % conductor},
             conductor)

@@ -4,7 +4,11 @@ Generation by full enumeration (with an order cap), conjugacy classes,
 coset and double-coset actions, normal cores, abelianizations with
 explicit coordinates, and the degree-one transfer and inclusion maps.
 A group keeps one coset action and one transfer and inclusion map per
-subgroup element set, none of which refers back to the group.
+subgroup element set.  Conjugacy tests, double cosets and the
+intertwiner orbits read those cached tables, and an abelianization
+reads its coordinates off the coset table of G/[G,G].  Neither the
+tables and maps nor a subgroup refer back to the group, so no cache
+makes a reference cycle.
 
 Conventions: points are 0-indexed; composition is right-to-left,
 (p * q)(i) = p(q(i)); coset 0 of a coset space is the subgroup itself.
@@ -470,17 +474,19 @@ class PermGroup(_GroupBase):
 
 
 class Subgroup(_GroupBase):
-    """Subgroup of a PermGroup; equality is element-set equality."""
+    """Subgroup of the group `parent`, which may itself be a Subgroup;
+    equality is element-set equality.  Only the index in `parent` is
+    kept, not `parent` itself."""
 
     def __init__(self, parent: _GroupBase,
                  elements: Iterable[Permutation], *,
                  generators: tuple[Permutation, ...] | None = None) -> None:
-        self.parent = parent
         self.degree = parent.degree
         self.elements = tuple(sorted(set(elements)))
         self.element_set = frozenset(self.elements)
         if not self.element_set <= parent.element_set:
             raise NotASubgroup("subgroup elements lie outside the parent")
+        self.index = parent.order // self.order
         if generators is not None:
             self.generators = tuple(g for g in generators
                                     if not g.is_identity())
@@ -489,10 +495,6 @@ class Subgroup(_GroupBase):
         else:
             self.generators = _reduce_generators(self.elements, self.degree)
         self._init_caches()
-
-    @property
-    def index(self) -> int:
-        return self.parent.order // self.order
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Subgroup)
@@ -601,21 +603,53 @@ def coset_action(group: GroupLike, subgroup: GroupLike) -> CosetSpace:
     return cosets
 
 
+def _orbits(moves: Sequence[Sequence[int]],
+            n: int) -> tuple[list[int], int]:
+    """Orbits on range(n) of the group generated by the permutations
+    `moves` (image sequences): (orbit number of each point, number of
+    orbits), with the orbits numbered in order of their least points."""
+    orbit = [-1] * n
+    count = 0
+    for start in range(n):
+        if orbit[start] >= 0:
+            continue
+        orbit[start] = count
+        stack = [start]
+        while stack:
+            point = stack.pop()
+            for move in moves:
+                image = move[point]
+                if orbit[image] < 0:
+                    orbit[image] = count
+                    stack.append(image)
+        count += 1
+    return orbit, count
+
+
+def _fixed_cosets(cosets: CosetSpace,
+                  gens: Iterable[Permutation]) -> list[int]:
+    """The cosets xH with g xH = xH for every g in `gens`."""
+    moves = [cosets.permutation_of(g).images for g in gens]
+    return [c for c in range(cosets.index)
+            if all(move[c] == c for move in moves)]
+
+
 def double_cosets(group: GroupLike, h1: GroupLike,
                   h2: GroupLike) -> list[Permutation]:
-    """Representatives of H1\\G/H2 in first-seen element order."""
+    """Representatives of H1\\G/H2 in first-seen element order: the
+    orbits of H1 on the cached table of G/H2."""
     _require_subgroup(group, h1)
-    _require_subgroup(group, h2)
-    seen: set[Permutation] = set()
+    cosets = coset_action(group, h2)
+    orbit, count = _orbits(
+        [cosets.permutation_of(h).images for h in h1.generators],
+        cosets.index)
+    seen = [False] * count
     reps = []
-    for x in group.elements:
-        if x in seen:
-            continue
-        reps.append(x)
-        for a in h1.elements:
-            left = a * x
-            for b in h2.elements:
-                seen.add(left * b)
+    # the table lists the coset of each element in element order
+    for x, coset in zip(group.elements, cosets._coset_of):
+        if not seen[orbit[coset]]:
+            seen[orbit[coset]] = True
+            reps.append(x)
     return reps
 
 
@@ -627,9 +661,7 @@ def normal_core(group: GroupLike, subgroup: GroupLike) -> Subgroup:
     _require_subgroup(group, subgroup)
     keep = [cls.members for cls in group.conjugacy_classes()
             if cls.members <= subgroup.element_set]
-    core_elements = [x for members in keep for x in members]
-    owner = group if isinstance(group, PermGroup) else group.parent
-    return Subgroup(owner, core_elements)
+    return Subgroup(group, [x for members in keep for x in members])
 
 
 @dataclass(frozen=True)
@@ -804,7 +836,8 @@ class Abelianization:
 
     Carries the canonical structure as a FinAbGroup, a projection taking a
     group element to its coordinate vector, and for each invariant-factor
-    slot a representative element projecting to that basis vector.
+    slot a representative element projecting to that basis vector.  The
+    projection is read off the coset table of G/[G,G].
     """
 
     def __init__(self, group: GroupLike) -> None:
@@ -812,9 +845,9 @@ class Abelianization:
         for g in group.generators:
             if not g.is_identity() and g not in gens:
                 gens.append(g)
+        self._index = group._element_index()
         if not gens:
-            self._derived = (group.identity,)
-            self._coords = {group.identity: ()}
+            self._coords = [()]
             self.structure = FinAbGroup(0, ())
             self.basis_reps = ()
             return
@@ -822,37 +855,28 @@ class Abelianization:
         derived = _normal_closure(
             group,
             [a * b * a.inverse() * b.inverse() for a in gens for b in gens])
-        self._derived = tuple(derived)
+        cosets = CosetSpace(group, derived)
+        quotient_order = cosets.index
 
+        # the first step into a coset gives its word, every later one a
+        # relation; the quotient is abelian, so the walk meets the cosets
+        # in the order of their representatives
         k = len(gens)
-        zero = (0,) * k
-        # element -> word of the coset representative, filled coset by coset
-        coset_w: dict[Permutation, tuple[int, ...]] = dict.fromkeys(
-            derived, zero)
-        reps = [group.identity]
-        words = [zero]
+        words: list[tuple[int, ...] | None] = [(0,) * k] + \
+            [None] * (quotient_order - 1)
         relations: list[tuple[int, ...]] = []
-        frontier = 0
-        while frontier < len(reps):
-            rep, word = reps[frontier], words[frontier]
-            frontier += 1
+        for rep, word in zip(cosets.coset_reps, words):
             for idx, g in enumerate(gens):
-                moved = rep * g
+                target = cosets.coset_index_of(rep * g)
                 stepped = tuple(w + (1 if t == idx else 0)
                                 for t, w in enumerate(word))
-                known = coset_w.get(moved)
+                known = words[target]
                 if known is None:
-                    for d in derived:
-                        coset_w[moved * d] = stepped
-                    reps.append(moved)
-                    words.append(stepped)
+                    words[target] = stepped
                 else:
                     relation = tuple(a - b for a, b in zip(stepped, known))
                     if any(relation):
                         relations.append(relation)
-        quotient_order = group.order // len(derived)
-        if len(reps) != quotient_order or len(coset_w) != group.order:
-            raise AssertionError("abelian quotient enumeration out of sync")
 
         relation_matrix = IntMat([[rel[r] for rel in relations]
                                   for r in range(k)])
@@ -869,10 +893,11 @@ class Abelianization:
         kept = [i for i, d in enumerate(diag_entries) if d > 1]
         self.structure = FinAbGroup(0, tuple(diag_entries[i] for i in kept))
         proj_rows = [u.row(i) for i in kept]
-        coords = {word: tuple(sum(r * w for r, w in zip(row, word)) % d
-                              for row, d in zip(proj_rows, self.factors))
-                  for word in words}
-        self._coords = {x: coords[word] for x, word in coset_w.items()}
+        coords = [tuple(sum(r * w for r, w in zip(row, word)) % d
+                        for row, d in zip(proj_rows, self.factors))
+                  for word in words]
+        # indexed like the group's elements
+        self._coords = [coords[c] for c in cosets._coset_of]
         d, adj = _det_adjugate(u)
         u_inverse = adj.scale(d)  # d is +-1
         basis = []
@@ -890,20 +915,20 @@ class Abelianization:
 
     def project(self, element: Permutation) -> tuple[int, ...]:
         """Coordinates of the element's class, one entry per factor."""
-        coords = self._coords.get(element)
-        if coords is None:
-            raise ValueError("element lies outside the group")
-        return coords
+        try:
+            return self._coords[self._index[element]]
+        except KeyError:
+            raise ValueError("element lies outside the group") from None
 
     def derived_subgroup_order(self) -> int:
-        return len(self._derived)
+        return len(self._coords) // self.structure.torsion_order()
 
     def __repr__(self) -> str:
         return f"Abelianization({self.structure})"
 
 
 def _normal_closure(group: GroupLike,
-                    seeds: Iterable[Permutation]) -> list[Permutation]:
+                    seeds: Iterable[Permutation]) -> Subgroup:
     gens: list[Permutation] = []
     for s in seeds:
         if not s.is_identity() and s not in gens:
@@ -918,7 +943,7 @@ def _normal_closure(group: GroupLike,
                 if moved not in element_set and moved not in extra:
                     extra.append(moved)
         if not extra:
-            return elements
+            return Subgroup(group, elements, generators=tuple(gens))
         gens.extend(extra)
         elements = _closure(group.degree, gens, cap=group.order)
         element_set = set(elements)

@@ -23,6 +23,8 @@ from .lattice import IntMat, _det_adjugate, det
 from .permgroup import (
     GroupLike,
     Permutation,
+    _fixed_cosets,
+    _orbits,
     _require_equal_index,
     _require_subgroup,
     coset_action,
@@ -71,13 +73,19 @@ def are_conjugate(group: GroupLike, h1: GroupLike, h2: GroupLike) -> bool:
 
 def _conjugator(group: GroupLike, h1: GroupLike,
                 h2: GroupLike) -> Permutation | None:
+    """The first g in element order with gH1g^-1 = H2, or None.
+
+    For subgroups of equal order, gH1g^-1 = H2 exactly when H2 fixes
+    the coset gH1, so the search reads the cached table of G/H1, which a
+    caller testing many H2 against one H1 builds only once."""
     if h1.order != h2.order:
         return None
-    target = h2.element_set
-    for g in group.elements:
-        if all(x.conjugate(g) in target for x in h1.generators):
-            return g
-    return None
+    cosets = coset_action(group, h1)
+    fixed = set(_fixed_cosets(cosets, h2.generators))
+    if not fixed:
+        return None
+    return next(g for g in group.elements
+                if cosets.coset_index_of(g) in fixed)
 
 
 class GassmannTriple:
@@ -178,44 +186,24 @@ def intertwiner_basis(group: GroupLike, h1: GroupLike,
                       h2: GroupLike) -> list[IntMat]:
     """0/1 basis of the integer intertwiner space.
 
-    The group acts on (G/H2)-row x (G/H1)-column index pairs; each orbit
-    gives one basis matrix, and the orbits partition all of the pairs,
-    so every equivariant integer matrix is a unique integer combination.
-    Orbits are sorted by their least pair.
+    The group acts on (G/H2)-row x (G/H1)-column index pairs, the cell
+    r*n + c; each orbit gives one basis matrix, and the orbits partition
+    all of the pairs, so every equivariant integer matrix is a unique
+    integer combination.  Orbits are sorted by their least pair.
     """
     _require_equal_index(group, h1, h2)
     cosets1 = coset_action(group, h1)
     cosets2 = coset_action(group, h2)
     n = cosets1.index
-    pairs = [(cosets2.permutation_of(g).images,
-              cosets1.permutation_of(g).images)
-             for g in group.generators]
-    orbit_id = [[-1] * n for _ in range(n)]
-    orbits: list[list[tuple[int, int]]] = []
-    for r0 in range(n):
-        for c0 in range(n):
-            if orbit_id[r0][c0] >= 0:
-                continue
-            oid = len(orbits)
-            stack = [(r0, c0)]
-            orbit_id[r0][c0] = oid
-            members = []
-            while stack:
-                r, c = stack.pop()
-                members.append((r, c))
-                for s2, s1 in pairs:
-                    nr, nc = s2[r], s1[c]
-                    if orbit_id[nr][nc] < 0:
-                        orbit_id[nr][nc] = oid
-                        stack.append((nr, nc))
-            orbits.append(members)
-    basis = []
-    for members in orbits:
-        rows = [[0] * n for _ in range(n)]
-        for r, c in members:
-            rows[r][c] = 1
-        basis.append(IntMat(rows))
-    return basis
+    actions = [(cosets2.permutation_of(g).images,
+                cosets1.permutation_of(g).images) for g in group.generators]
+    # the moves of the n^2 cells are freed before the basis is built
+    orbit, count = _orbits([[row * n + col for row in s2 for col in s1]
+                            for s2, s1 in actions], n * n)
+    basis = [[[0] * n for _ in range(n)] for _ in range(count)]
+    for cell, d in enumerate(orbit):
+        basis[d][cell // n][cell % n] = 1
+    return [IntMat(rows) for rows in basis]
 
 
 def _orbit_structure(basis: Sequence[IntMat]) -> tuple[list[list[int]],

@@ -189,13 +189,18 @@ def test_kgroups_command(capsys):
     code, _, err = run_cli(capsys, ["kgroups", "--field", "Q",
                                     "--field", "Q", "--n", "3"])
     assert code == 2
+    code, out, err = run_cli(capsys, ["kgroups", "--field", "abelian:m=0",
+                                      "--n", "3"])
+    assert code == 2 and out == ""
+    assert "conductor must be positive" in err
+    assert "Traceback" not in err
 
 
 def test_homology_sweep_command(capsys, tmp_path):
     report_path = tmp_path / "sweep.json"
     report = run_json(capsys,
-                      ["homology", "sweep", "--max-order", "8",
-                       "--report", str(report_path)])
+                      ["--out", str(report_path),
+                       "homology", "sweep", "--max-order", "8"])
     assert report["passed"]
     assert report["correspondences"] > 0
     mirrored = json.loads(report_path.read_text())

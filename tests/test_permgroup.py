@@ -176,6 +176,12 @@ def test_point_stabilizer_orbit_stabilizer(s4):
     stab = s4.point_stabilizer(0)
     assert stab.order == 6
     assert stab.index == 4
+    # the index is taken in the group a subgroup is built in, which the
+    # subgroup does not keep
+    assert not hasattr(stab, "parent")
+    assert stab.point_stabilizer(1).index == 3
+    with pytest.raises(NotASubgroup):
+        Subgroup(stab, [Permutation.parse(4, "(0 3)")])
 
 
 def test_coset_space_is_transitive_action(s4):
@@ -389,8 +395,9 @@ def test_transfer_memo_keeps_each_instance_coordinates():
 
 
 def test_group_caches_make_no_reference_cycle():
-    """The per-group caches hold nothing that refers back to the group,
-    so refcounting alone frees it."""
+    """The per-group caches, the cached subgroup lattice among them, hold
+    nothing that refers back to the group, so refcounting alone frees
+    it."""
     gc.disable()
     try:
         group = symmetric(4)
@@ -398,8 +405,11 @@ def test_group_caches_make_no_reference_cycle():
         coset_action(group, sub)
         transfer(group, sub)
         inclusion_induced(sub, group)
+        subgroups = group.all_subgroups()
+        abelianization(group)
+        normal_core(group, subgroups[-2])
         ref = weakref.ref(group)
-        del group, sub
+        del group, sub, subgroups
         assert ref() is None
     finally:
         gc.enable()
