@@ -30,9 +30,8 @@ from .lattice import (
     det,
     maximal_normal_sublattice,
 )
-from .permgroup import (GroupLike, _fixed_cosets, _require_subgroup,
-                        coset_action)
-from .splitting import SplittingType
+from .permgroup import GroupLike, _require_subgroup
+from .splitting import SplittingType, splitting_type
 from .triples import CorrespondenceMatrix, is_gassmann
 
 __all__ = [
@@ -152,28 +151,29 @@ def notwkeq_construct(
     if offenders:
         raise CoprimalityViolated(
             f"q = {q} shares a factor with cofactor(s) {offenders}")
-    # LocalModel.standard and transport_lattice, without re-checking A
-    l1_prime = LocalNormLattice(IntMat.diagonal([1] + [q] * (raw.nrows - 1)))
-    s1 = local_splitting_type(l1_prime)
-    s2 = local_splitting_type(
-        LocalNormLattice(raw.transpose() @ l1_prime.basis))
+    # LocalModel.standard and transport_lattice on bare bases, unchecked
+    l1_basis = IntMat.diagonal([1] + [q] * (raw.nrows - 1))
+    s1 = local_splitting_type(l1_basis)
+    s2 = local_splitting_type(raw.transpose() @ l1_basis)
     return s1, s2, s1.gcd(), s2.gcd()
 
 
 def decomposition_count_check(group: GroupLike, h1: GroupLike,
                               h2: GroupLike, d: GroupLike) -> bool:
     """Whether the two subgroups absorb equally many conjugates of a
-    decomposition group of order 1 or 2; counts group elements g with
+    decomposition group D of order 1 or 2; counts group elements g with
     gDg^-1 inside each side.  gDg^-1 lies in H exactly when D fixes the
-    coset g^-1 H, so the count is |H| times the number of cosets of the
-    cached table of G/H that D fixes."""
+    coset g^-1 H, so with D = <d> the count is |H| * chi_H(d), read off
+    the cached splitting table.  A Gassmann triple has equal |H| and
+    equal characters, so once the preconditions hold this always passes:
+    a cross-check of that identity."""
     _require_subgroup(group, d)
     if d.order > 2:
         raise OrderNotSupported(
             f"decomposition groups here have order 1 or 2, got {d.order}")
     if not is_gassmann(group, h1, h2):
         raise PreconditionViolated("not a Gassmann triple")
-    count1, count2 = (
-        h.order * len(_fixed_cosets(coset_action(group, h), d.generators))
-        for h in (h1, h2))
+    x = d.generators[0] if d.generators else group.identity
+    count1, count2 = (h.order * splitting_type(group, h, x).parts.count(1)
+                      for h in (h1, h2))
     return count1 == count2

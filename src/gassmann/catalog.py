@@ -200,12 +200,17 @@ def scott_triple(*, seed: int = 0, budget: int = 200) -> GassmannTriple:
     Random (2,3,5)-generation: a pair a, b with orders 2 and 3 whose
     product has order 5 generates a quotient of the (2,3,5) triangle
     group, hence a copy of A5.  Keeps drawing until two non-conjugate
-    copies appear.  Deterministic for a fixed seed.
+    copies appear.  Deterministic for a fixed seed.  ValueError for a
+    negative budget.
     """
+    if budget < 0:
+        raise ValueError(f"budget must be nonnegative: {budget}")
     group = psl2(29)
+    # element order is a class function; the draw lists keep element order
+    class_orders = [cls.element_order for cls in group.conjugacy_classes()]
     by_order: dict[int, list[Permutation]] = {2: [], 3: []}
     for g in group.elements:
-        k = g.order()
+        k = class_orders[group._class_index(g)]
         if k in by_order:
             by_order[k].append(g)
     rng = random.Random(seed)

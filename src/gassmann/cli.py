@@ -17,8 +17,8 @@ from pathlib import Path
 from . import abelext, catalog, homology, kgroups, splitting, triples
 from .errors import GassmannError, NotFoundWithinBudget, ParseError
 from .lattice import parse_matrix_file
-from .permgroup import (PermGroup, Subgroup, _require_equal_index,
-                        abelianization, parse_group_file)
+from .permgroup import (PermGroup, Subgroup, abelianization,
+                        parse_group_file)
 
 SCHEMA = 1
 
@@ -83,15 +83,15 @@ def _cmd_group_info(config: RunConfig) -> tuple[int, dict]:
 
 def _cmd_gassmann_check(config: RunConfig) -> tuple[int, dict]:
     group, h1, h2 = _load_pair(config)
-    _require_equal_index(group, h1, h2)
-    # is_gassmann compares exactly these two characters
+    gassmann = triples.is_gassmann(group, h1, h2)
+    # read off the splitting tables that is_gassmann has cached
     character1 = triples.permutation_character(group, h1)
     character2 = triples.permutation_character(group, h2)
     report = {
         "group_order": group.order,
         "h1_order": h1.order,
         "h2_order": h2.order,
-        "gassmann": character1 == character2,
+        "gassmann": gassmann,
         "conjugate": triples.are_conjugate(group, h1, h2),
         "index": group.order // h1.order,
         "character1": list(character1),
@@ -141,9 +141,10 @@ def _cmd_splitting_report(config: RunConfig) -> tuple[int, dict]:
     group, h1, h2 = _load_pair(config)
     table1 = splitting.splitting_table(group, h1)
     table2 = splitting.splitting_table(group, h2)
+    relations = splitting._RELATION_KEYS  # as the equivalence tests
     rows = []
     for cls, s1, s2 in zip(group.conjugacy_classes(), table1, table2):
-        rows.append({
+        row = {
             "class_rep": cls.representative.format(),
             "class_size": cls.size,
             "type1": list(s1),
@@ -153,10 +154,10 @@ def _cmd_splitting_report(config: RunConfig) -> tuple[int, dict]:
             "lcm1": s1.lcm(),
             "lcm2": s2.lcm(),
             "arithmetic": s1 == s2,
-            "kronecker": s1.contains_one == s2.contains_one,
-            "weak_kronecker": s1.gcd() == s2.gcd(),
-            "ultra_coarse": s1.lcm() == s2.lcm(),
-        })
+        }
+        row.update((name, key(s1) == key(s2))
+                   for name, key in relations.items())
+        rows.append(row)
     report = {
         "group_order": group.order,
         "h1_order": h1.order,
@@ -164,10 +165,8 @@ def _cmd_splitting_report(config: RunConfig) -> tuple[int, dict]:
         "rows": rows,
         "arithmetic": (all(r["arithmetic"] for r in rows)
                        if h1.order == h2.order else None),
-        "kronecker": all(r["kronecker"] for r in rows),
-        "weak_kronecker": all(r["weak_kronecker"] for r in rows),
-        "ultra_coarse": all(r["ultra_coarse"] for r in rows),
     }
+    report.update((name, all(r[name] for r in rows)) for name in relations)
     return 0, report
 
 

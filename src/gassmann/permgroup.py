@@ -1,14 +1,14 @@
 """Finite permutation group engine.
 
-Generation by full enumeration (with an order cap), conjugacy classes,
-coset and double-coset actions, normal cores, abelianizations with
-explicit coordinates, and the degree-one transfer and inclusion maps.
-A group keeps one coset action and one transfer and inclusion map per
-subgroup element set.  Conjugacy tests, double cosets and the
-intertwiner orbits read those cached tables, and an abelianization
-reads its coordinates off the coset table of G/[G,G].  Neither the
-tables and maps nor a subgroup refer back to the group, so no cache
-makes a reference cycle.
+Generation by full enumeration (with an order cap), conjugacy classes
+as orbits on element indices, coset and double-coset actions, normal
+cores, abelianizations with explicit coordinates, and the degree-one
+transfer and inclusion maps.  A group keeps one class map, and one
+coset action and one transfer and inclusion map per subgroup element
+set.  Conjugacy tests, double cosets and the intertwiner orbits read
+those cached tables, and an abelianization reads its coordinates off
+the coset table of G/[G,G].  Neither the tables and maps nor a subgroup
+refer back to the group, so no cache makes a reference cycle.
 
 Conventions: points are 0-indexed; composition is right-to-left,
 (p * q)(i) = p(q(i)); coset 0 of a coset space is the subgroup itself.
@@ -314,6 +314,7 @@ class _GroupBase:
         self._subgroups = None
         self._ab = None
         # (kind, subgroup element set) -> "cosets": CosetSpace;
+        # "splitting": tuple of SplittingType, one per class;
         # "transfer", "inclusion": (subgroup abelianization, AbHom)
         self._memo: dict = {}
 
@@ -324,34 +325,32 @@ class _GroupBase:
         return self._index
 
     def conjugacy_classes(self) -> tuple[ConjugacyClass, ...]:
-        """Partition into conjugacy classes by generator-conjugation orbits."""
+        """Orbits of conjugation by the generators on element indices,
+        numbered and represented by their least index; the members are
+        the group's own elements.  Cached with each element's class."""
         if self._classes is None:
-            classes = []
-            assigned: set[Permutation] = set()
-            for seed in self.elements:
-                if seed in assigned:
-                    continue
-                orbit = [seed]
-                orbit_set = {seed}
-                frontier = 0
-                while frontier < len(orbit):
-                    current = orbit[frontier]
-                    frontier += 1
-                    for g in self.generators:
-                        moved = current.conjugate(g)
-                        if moved not in orbit_set:
-                            orbit_set.add(moved)
-                            orbit.append(moved)
-                assigned |= orbit_set
-                classes.append(ConjugacyClass(seed, frozenset(orbit_set)))
-            self._classes = tuple(classes)
+            index = self._element_index()
+            self._class_number, count = _orbits(
+                [[index[x.conjugate(g)] for x in self.elements]
+                 for g in self.generators], self.order)
+            members: list[list[Permutation]] = [[] for _ in range(count)]
+            for x, number in zip(self.elements, self._class_number):
+                members[number].append(x)
+            self._classes = tuple(ConjugacyClass(m[0], frozenset(m))
+                                  for m in members)
         return self._classes
 
+    def _class_index(self, perm: Permutation) -> int:
+        """Position of the element's class in conjugacy_classes()."""
+        self.conjugacy_classes()
+        try:
+            return self._class_number[self._element_index()[perm]]
+        except KeyError:
+            raise ValueError(
+                f"{perm!r} is not an element of this group") from None
+
     def class_of(self, perm: Permutation) -> ConjugacyClass:
-        for cls in self.conjugacy_classes():
-            if perm in cls.members:
-                return cls
-        raise ValueError(f"{perm!r} is not an element of this group")
+        return self.conjugacy_classes()[self._class_index(perm)]
 
     def subgroup(self, generators: Iterable[Permutation]) -> "Subgroup":
         gens = tuple(generators)
@@ -624,14 +623,6 @@ def _orbits(moves: Sequence[Sequence[int]],
                     stack.append(image)
         count += 1
     return orbit, count
-
-
-def _fixed_cosets(cosets: CosetSpace,
-                  gens: Iterable[Permutation]) -> list[int]:
-    """The cosets xH with g xH = xH for every g in `gens`."""
-    moves = [cosets.permutation_of(g).images for g in gens]
-    return [c for c in range(cosets.index)
-            if all(move[c] == c for move in moves)]
 
 
 def double_cosets(group: GroupLike, h1: GroupLike,

@@ -126,33 +126,30 @@ class NumericalSet:
 ClassLike = Union[ConjugacyClass, Permutation]
 
 
-def _class_rep(c: ClassLike) -> Permutation:
-    if isinstance(c, ConjugacyClass):
-        return c.representative
-    return c
-
-
 def splitting_type(group: GroupLike, subgroup: GroupLike,
                    c: ClassLike) -> SplittingType:
-    """Cycle type of the class on G/H; independent of the representative
-    because conjugate permutations of the coset space share a cycle type.
-    ValueError for a permutation outside the group.
+    """Cycle type of the class of c (a class or any element of one) on
+    G/H: the splitting_table entry at that class.  ValueError for a
+    permutation outside the group.
     """
-    rep = _class_rep(c)
-    if rep not in group:
-        raise ValueError(f"{rep!r} is not an element of this group")
-    action = coset_action(group, subgroup).permutation_of(rep)
-    return SplittingType(action.cycle_type())
+    rep = c.representative if isinstance(c, ConjugacyClass) else c
+    return splitting_table(group, subgroup)[group._class_index(rep)]
 
 
 def splitting_table(group: GroupLike,
                     subgroup: GroupLike) -> list[SplittingType]:
     """One splitting type per conjugacy class, in conjugacy_classes
-    order, on the group's cached coset action."""
-    cosets = coset_action(group, subgroup)
-    return [SplittingType(
-                cosets.permutation_of(cls.representative).cycle_type())
-            for cls in group.conjugacy_classes()]
+    order: the cycle type of each class representative on the cached
+    coset action of G/H.  Built once per subgroup element set and kept
+    on the group beside that action; each call returns a fresh list."""
+    key = ("splitting", subgroup.element_set)
+    table = group._memo.get(key)
+    if table is None:
+        act = coset_action(group, subgroup).permutation_of
+        table = group._memo[key] = tuple(
+            SplittingType(act(cls.representative).cycle_type())
+            for cls in group.conjugacy_classes())
+    return list(table)
 
 
 def arithmetically_equivalent(group: GroupLike, h1: GroupLike,
@@ -163,9 +160,18 @@ def arithmetically_equivalent(group: GroupLike, h1: GroupLike,
     return splitting_table(group, h1) == splitting_table(group, h2)
 
 
+# the splitting-type invariant each coarser relation compares per class
+_RELATION_KEYS = {
+    "kronecker": lambda s: s.contains_one,
+    "weak_kronecker": SplittingType.gcd,
+    "ultra_coarse": SplittingType.lcm,
+}
+
+
 def _tables_agree(group: GroupLike, h1: GroupLike, h2: GroupLike,
-                  key) -> bool:
-    """key(splitting type) is the same on G/H1 and G/H2 at every class."""
+                  relation: str) -> bool:
+    """The relation's key is the same on G/H1 and G/H2 at every class."""
+    key = _RELATION_KEYS[relation]
     return all(key(s1) == key(s2) for s1, s2 in
                zip(splitting_table(group, h1), splitting_table(group, h2)))
 
@@ -173,19 +179,19 @@ def _tables_agree(group: GroupLike, h1: GroupLike, h2: GroupLike,
 def kronecker_equivalent(group: GroupLike, h1: GroupLike,
                          h2: GroupLike) -> bool:
     """1 belongs to both splitting types or neither, at every class."""
-    return _tables_agree(group, h1, h2, lambda s: s.contains_one)
+    return _tables_agree(group, h1, h2, "kronecker")
 
 
 def weakly_kronecker_equivalent(group: GroupLike, h1: GroupLike,
                                 h2: GroupLike) -> bool:
     """Equal gcd of the splitting types at every class."""
-    return _tables_agree(group, h1, h2, SplittingType.gcd)
+    return _tables_agree(group, h1, h2, "weak_kronecker")
 
 
 def ultra_coarse_equivalent(group: GroupLike, h1: GroupLike,
                             h2: GroupLike) -> bool:
     """Equal lcm of the splitting types at every class."""
-    return _tables_agree(group, h1, h2, SplittingType.lcm)
+    return _tables_agree(group, h1, h2, "ultra_coarse")
 
 
 def numerical_set(s: SplittingType, cap: int) -> NumericalSet:

@@ -23,7 +23,6 @@ from .lattice import IntMat, _det_adjugate, det
 from .permgroup import (
     GroupLike,
     Permutation,
-    _fixed_cosets,
     _orbits,
     _require_equal_index,
     _require_subgroup,
@@ -81,7 +80,9 @@ def _conjugator(group: GroupLike, h1: GroupLike,
     if h1.order != h2.order:
         return None
     cosets = coset_action(group, h1)
-    fixed = set(_fixed_cosets(cosets, h2.generators))
+    moves = [cosets.permutation_of(h).images for h in h2.generators]
+    fixed = {c for c in range(cosets.index)
+             if all(move[c] == c for move in moves)}
     if not fixed:
         return None
     return next(g for g in group.elements
@@ -107,14 +108,6 @@ class GassmannTriple:
     def __repr__(self) -> str:
         return (f"GassmannTriple(|G|={self.group.order}, "
                 f"index={self.index})")
-
-
-def _action_images(triple: GassmannTriple) -> list[tuple[Permutation,
-                                                          Permutation]]:
-    """(sigma1(g), sigma2(g)) on coset indices, per generator g."""
-    return [(triple.cosets1.permutation_of(g),
-             triple.cosets2.permutation_of(g))
-            for g in triple.group.generators]
 
 
 class CorrespondenceMatrix:
@@ -174,8 +167,10 @@ def _ones_eigenvalue(a: IntMat) -> int:
 def _equivariance_failures(a: IntMat, triple: GassmannTriple) -> list[str]:
     failures = []
     n = a.nrows
-    for g, (s1, s2) in zip(triple.group.generators, _action_images(triple)):
-        ok = all(a[s2.images[r], s1.images[c]] == a[r, c]
+    for g in triple.group.generators:
+        s1 = triple.cosets1.permutation_of(g).images
+        s2 = triple.cosets2.permutation_of(g).images
+        ok = all(a[s2[r], s1[c]] == a[r, c]
                  for r in range(n) for c in range(n))
         if not ok:
             failures.append(g.format())
@@ -251,7 +246,11 @@ def integral_search(group: GroupLike, h1: GroupLike, h2: GroupLike,
 
     Raises NotFoundWithinBudget with search statistics on failure; that
     is a report, not a nonexistence proof (except when `exhausted`).
+    ValueError for a negative bound or budget.
     """
+    if coeff_bound < 0 or budget < 0:
+        raise ValueError(f"bound and budget must be nonnegative: "
+                         f"{coeff_bound}, {budget}")
     triple = GassmannTriple(group, h1, h2)
     g = _conjugator(group, h1, h2)
     if g is not None:
@@ -322,13 +321,11 @@ def verify_integral_triple(triple: GassmannTriple,
     unimodular = d in (1, -1)
     failures = _equivariance_failures(a, triple)
 
-    sign = None
-    row_sums = {sum(row) for row in a.rows}
-    col_sums = {sum(a.column(j)) for j in range(a.ncols)}
-    sign_consistent = (len(row_sums) == 1 and row_sums == col_sums
-                       and next(iter(row_sums)) in (1, -1))
-    if sign_consistent:
-        sign = next(iter(row_sums))
+    try:
+        sign = _ones_eigenvalue(a)
+    except MixedSigns:
+        sign = None
+    sign_consistent = sign is not None
 
     report = {
         "det": d,

@@ -234,6 +234,20 @@ def test_bad_inputs_exit_two(capsys, tmp_path, s4_file):
     bad.write_text("degree: 4\ngen: (0 9)\n")
     code, _, err = run_cli(capsys, ["group", "info", str(bad)])
     assert code == 2 and ":2:" in err  # parse errors carry line numbers
+    # negative bounds and budgets are input errors, not searches that
+    # came back empty
+    fano = []
+    for name, obj in zip(("g", "h1", "h2"), fano_stabilizers()):
+        path = tmp_path / f"fano_{name}.grp"
+        path.write_text(format_group_file(obj))
+        fano.append(str(path))
+    search = ["gassmann", "search", fano[0], "--h1", fano[1],
+              "--h2", fano[2]]
+    for extra in (["--bound", "4", "--budget", "-5"], ["--bound", "-1"]):
+        code, out, err = run_cli(capsys, search + extra)
+        assert code == 2 and not out and "nonnegative" in err
+    code, out, err = run_cli(capsys, ["scott", "--budget", "-3"])
+    assert code == 2 and not out and "nonnegative" in err
 
 
 def test_bad_arguments_exit_two(capsys):

@@ -1,10 +1,14 @@
-"""Coset-table answers against the direct computations they replace.
+"""Coset-table and class-map answers against the direct computations
+they replace.
 
 Conjugacy, double cosets, the intertwiner orbits and the decomposition
 counts all read a group's cached coset table.  Each reference below
 answers the same question by enumerating group elements instead, and
 the two must agree on every subgroup pair of S4, A5, D6 and F20 and on
-the Fano triple.  Group orders and conjugacy-class sizes are checked
+the Fano triple.  The conjugacy classes, read off one orbit computation
+on element indices, must match a breadth-first search over conjugates,
+and every splitting type must match the cycle type of the element's own
+coset permutation.  Group orders and conjugacy-class sizes are checked
 against sympy where it is installed.
 """
 
@@ -15,7 +19,8 @@ import pytest
 from gassmann.abelext import decomposition_count_check
 from gassmann.catalog import psl2, standard_corpus
 from gassmann.lattice import IntMat
-from gassmann.permgroup import coset_action, double_cosets
+from gassmann.permgroup import Permutation, coset_action, double_cosets
+from gassmann.splitting import splitting_type
 from gassmann.triples import (_conjugator, are_conjugate, intertwiner_basis,
                               is_gassmann)
 
@@ -73,6 +78,25 @@ def intertwiner_basis_by_pairs(group, h1, h2):
             rows[r][c] = 1
         basis.append(IntMat(rows))
     return basis
+
+
+def conjugacy_classes_by_search(group):
+    """(representative, members) per class: breadth-first search over
+    conjugates by the generators, seeded in element order."""
+    classes = []
+    assigned = set()
+    for seed in group.elements:
+        if seed in assigned:
+            continue
+        orbit = [seed]
+        for current in orbit:  # grows while it is walked
+            for g in group.generators:
+                moved = current.conjugate(g)
+                if moved not in orbit:
+                    orbit.append(moved)
+        assigned.update(orbit)
+        classes.append((seed, frozenset(orbit)))
+    return classes
 
 
 def absorbed_conjugates(group, h, d):
@@ -165,3 +189,40 @@ def test_order_and_class_sizes_match_sympy(name, group):
     assert group.order == reference.order()
     assert Counter(c.size for c in group.conjugacy_classes()) == \
         Counter(len(c) for c in reference.conjugacy_classes())
+
+
+CLASS_GROUPS = standard_corpus(120) + [(f"PSL(2,{q})", psl2(q))
+                                       for q in (7, 11)]
+
+
+@pytest.mark.parametrize("name,group", CLASS_GROUPS,
+                         ids=[name for name, _ in CLASS_GROUPS])
+def test_class_map_matches_the_search(name, group):
+    classes = group.conjugacy_classes()
+    assert [(c.representative, c.members) for c in classes] == \
+        conjugacy_classes_by_search(group)
+    own = {x.images: x for x in group.elements}
+    assert all(own[x.images] is x for c in classes for x in c.members)
+    assert all(own[c.representative.images] is c.representative
+               for c in classes)
+
+
+@pytest.mark.parametrize("name", ["S4", "A5"])
+def test_class_of_and_splitting_type_match_the_action(name):
+    group = GROUPS[name]
+    reference = conjugacy_classes_by_search(group)
+    for x in group.elements:
+        assert group.class_of(x).members == \
+            next(members for _, members in reference if x in members)
+    for h in group.all_subgroups():
+        action = coset_action(group, h)
+        for x in group.elements:
+            cycle_type = action.permutation_of(x).cycle_type()
+            assert splitting_type(group, h, x).parts == cycle_type
+            assert splitting_type(group, h, group.class_of(x)).parts == \
+                cycle_type
+    outside = Permutation.identity(group.degree + 1)
+    with pytest.raises(ValueError):
+        group.class_of(outside)
+    with pytest.raises(ValueError):
+        splitting_type(group, group.trivial_subgroup(), outside)

@@ -1,7 +1,9 @@
 import random
+from collections import Counter
 
 import pytest
 
+from gassmann.abelext import decomposition_count_check
 from gassmann.catalog import fano_stabilizers
 from gassmann.errors import (IndexMismatch, MixedSigns, NotFoundWithinBudget,
                              PreconditionViolated)
@@ -43,22 +45,40 @@ def test_permutation_character_matches_bruteforce(s4):
 
 def test_coset_action_is_built_once_per_subgroup(monkeypatch):
     group, h1, h2 = fano_stabilizers()
+    reps = {cls.representative for cls in group.conjugacy_classes()}
+    involution = group.subgroup([next(g for g in group.elements
+                                      if g.order() == 2)])
     built = []
+    applied = Counter()
     init = CosetSpace.__init__
+    permutation_of = CosetSpace.permutation_of
 
     def counting_init(self, group, subgroup):
         built.append(subgroup.element_set)
         init(self, group, subgroup)
 
+    def counting_permutation_of(self, g):
+        if g in reps:
+            applied[self, g] += 1
+        return permutation_of(self, g)
+
     monkeypatch.setattr(CosetSpace, "__init__", counting_init)
+    monkeypatch.setattr(CosetSpace, "permutation_of",
+                        counting_permutation_of)
     assert is_gassmann(group, h1, h2)
     GassmannTriple(group, h1, h2)
-    intertwiner_basis(group, h1, h2)
     splitting_table(group, h1)
     splitting_table(group, h2)
     for equivalent in (arithmetically_equivalent, kronecker_equivalent,
                        weakly_kronecker_equivalent, ultra_coarse_equivalent):
         assert equivalent(group, h1, h2)
+    for d in (group.trivial_subgroup(), involution):
+        assert decomposition_count_check(group, h1, h2, d)
+    # one splitting table per subgroup: each class representative is
+    # sent through each coset action exactly once
+    assert len(applied) == 2 * len(reps)
+    assert set(applied.values()) == {1}
+    intertwiner_basis(group, h1, h2)
     assert built == [h1.element_set, h2.element_set]
     same = Subgroup(group, h1.elements)
     assert same is not h1 and same == h1
