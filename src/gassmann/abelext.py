@@ -174,6 +174,6 @@ def decomposition_count_check(group: GroupLike, h1: GroupLike,
     if not is_gassmann(group, h1, h2):
         raise PreconditionViolated("not a Gassmann triple")
     x = d.generators[0] if d.generators else group.identity
-    count1, count2 = (h.order * splitting_type(group, h, x).parts.count(1)
+    count1, count2 = (h.order * splitting_type(group, h, x).count(1)
                       for h in (h1, h2))
     return count1 == count2

@@ -96,10 +96,10 @@ def direct_product(g: PermGroup, h: PermGroup) -> PermGroup:
     gens = []
     tail = tuple(range(g.degree, degree))
     for p in g.generators:
-        gens.append(Permutation(p.images + tail))
+        gens.append(Permutation(p + tail))
     head = tuple(range(g.degree))
     for p in h.generators:
-        gens.append(Permutation(head + tuple(x + g.degree for x in p.images)))
+        gens.append(Permutation(head + tuple(x + g.degree for x in p)))
     return PermGroup(degree, gens)
 
 

@@ -428,7 +428,10 @@ def conjugation_sweep(named_groups, *, max_order: int = 120,
     through its coset), the sweep runs diagram_check, and, for each
     divisor t of |H1(H)| coprime to the index, gthm_check on every
     corresponding pair.  Returns a failure-listing report.
+    ValueError unless max_order is positive.
     """
+    if max_order < 1:
+        raise ValueError("max_order must be positive")
     report = {
         "max_order": max_order,
         "groups": [],

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 from math import gcd, lcm
 
 from ._primes import is_prime, iter_primes
-from .errors import EvenIndex, NotPrime, ParseError, UnsupportedSignature
+from .errors import (EvenIndex, NotPrime, OrderCapExceeded, ParseError,
+                     UnsupportedSignature)
 from .permgroup import FinAbGroup
 
 __all__ = [
@@ -24,6 +25,18 @@ __all__ = [
     "k_group",
     "compare_k_groups",
 ]
+
+
+# a model enumerates its residues mod m, and closes its subgroup by
+# multiplying pairs of them
+_CONDUCTOR_CAP = 1_000
+
+
+def _check_conductor(m: int) -> None:
+    if m < 1:
+        raise ValueError("conductor must be positive")
+    if m > _CONDUCTOR_CAP:
+        raise OrderCapExceeded(f"conductor {m} exceeds cap {_CONDUCTOR_CAP}")
 
 
 def _unit_residues(m: int) -> list[int]:
@@ -56,8 +69,7 @@ class FieldModel:
 
     def __post_init__(self) -> None:
         m = self.conductor
-        if m < 1:
-            raise ValueError("conductor must be positive")
+        _check_conductor(m)
         units = set(_unit_residues(m))
         h = set(self.subgroup)
         if not h:
@@ -80,8 +92,7 @@ class FieldModel:
     @classmethod
     def abelian(cls, conductor: int, generators) -> "FieldModel":
         """Field fixed by the subgroup generated by the given residues."""
-        if conductor < 1:  # before any residue is taken mod it
-            raise ValueError("conductor must be positive")
+        _check_conductor(conductor)  # before any residue is taken mod it
         h = _multiplicative_closure(
             {g % conductor for g in generators} or {1 % conductor},
             conductor)
@@ -95,19 +106,20 @@ class FieldModel:
             return cls.rationals()
         if not body.startswith("abelian:"):
             raise ParseError(f"unrecognized field {text!r}")
-        m = None
-        gens: list[int] = []
+        given: dict[str, str] = {}
         for chunk in body[len("abelian:"):].split(";"):
             chunk = chunk.strip()
-            if chunk.startswith("m="):
-                m = int(chunk[2:])
-            elif chunk.startswith("H="):
-                gens = [int(tok) for tok in chunk[2:].split(",") if tok]
+            if chunk[:2] in ("m=", "H="):
+                if chunk[0] in given:
+                    raise ParseError(f"repeated {chunk[:2]!r} in {text!r}")
+                given[chunk[0]] = chunk[2:]
             elif chunk:
                 raise ParseError(f"unrecognized field component {chunk!r}")
-        if m is None:
+        if "m" not in given:
             raise ParseError(f"missing conductor in {text!r}")
-        return cls.abelian(m, gens)
+        return cls.abelian(int(given["m"]),
+                           [int(tok) for tok in given.get("H", "").split(",")
+                            if tok])
 
     @property
     def is_rational(self) -> bool:

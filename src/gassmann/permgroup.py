@@ -56,33 +56,39 @@ __all__ = [
 DEFAULT_ORDER_CAP = 50_000
 # all_subgroups holds a |G| x |G| Cayley table
 _LATTICE_ORDER_CAP = 1_000
+# a group file's degree is allocated before any generator is read, and
+# enumeration holds up to DEFAULT_ORDER_CAP tuples of that length
+# (about 60 MB at this cap, 400 MB at degree 1,000)
+_DEGREE_CAP = 100
 
 
-class Permutation:
-    """Permutation of {0, ..., degree-1} stored as its image tuple.
+class Permutation(tuple):
+    """Permutation of {0, ..., degree-1}: the tuple of its images,
+    checked to be a bijection.  Equality, hashing, ordering and
+    immutability are the tuple's own, so a permutation equals, and
+    hashes as, the plain tuple of its images.
 
     >>> a = Permutation.parse(3, "(0 1 2)")
     >>> b = Permutation.parse(3, "(0 1)")
     >>> (a * b).format()
     '(0 2)'
+    >>> a == (1, 2, 0)
+    True
     """
 
-    __slots__ = ("images",)
+    __slots__ = ()
 
-    def __init__(self, images: Iterable[int]) -> None:
-        imgs = tuple(images)
-        seen = [False] * len(imgs)
-        for value in imgs:
-            if not isinstance(value, int) or not 0 <= value < len(imgs):
+    def __new__(cls, images: Iterable[int]) -> "Permutation":
+        self = tuple.__new__(cls, images)
+        seen = [False] * len(self)
+        for value in self:
+            if not isinstance(value, int) or not 0 <= value < len(self):
                 raise InvalidPermutation(
-                    f"image {value!r} out of range for degree {len(imgs)}")
+                    f"image {value!r} out of range for degree {len(self)}")
             if seen[value]:
                 raise InvalidPermutation(f"repeated image {value}")
             seen[value] = True
-        object.__setattr__(self, "images", imgs)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Permutation is immutable")
+        return self
 
     @classmethod
     def identity(cls, degree: int) -> "Permutation":
@@ -134,45 +140,41 @@ class Permutation:
         return cls.from_cycles(degree, cycles)
 
     @property
+    def images(self) -> tuple[int, ...]:
+        return tuple(self)
+
+    @property
     def degree(self) -> int:
-        return len(self.images)
+        return len(self)
 
     def __call__(self, point: int) -> int:
-        return self.images[point]
+        return self[point]
 
     def __mul__(self, other: "Permutation") -> "Permutation":
-        images = other.images
-        if len(self.images) != len(images):
+        if len(self) != len(other):
             raise InvalidPermutation("degree mismatch in composition")
-        result = object.__new__(Permutation)
         # below degree 2 the only permutation is the identity, and
         # itemgetter of fewer than two indices returns no tuple
-        object.__setattr__(result, "images", itemgetter(*images)(self.images)
-                           if len(images) > 1 else self.images)
-        return result
+        return tuple.__new__(Permutation, itemgetter(*other)(self)
+                             if len(other) > 1 else self)
 
     def inverse(self) -> "Permutation":
-        inverse_images = [0] * len(self.images)
-        for point, image in enumerate(self.images):
+        inverse_images = [0] * len(self)
+        for point, image in enumerate(self):
             inverse_images[image] = point
-        result = object.__new__(Permutation)
-        object.__setattr__(result, "images", tuple(inverse_images))
-        return result
+        return tuple.__new__(Permutation, inverse_images)
 
     def conjugate(self, g: "Permutation") -> "Permutation":
         """g * self * g^-1, which takes g(p) to g(self(p)): one gather of
         the images, then one scatter."""
-        moved = g.images
-        if len(self.images) != len(moved):
+        if len(self) != len(g):
             raise InvalidPermutation("degree mismatch in conjugation")
-        if len(moved) < 2:
+        if len(g) < 2:
             return self  # the identity is the only permutation
-        images = [0] * len(moved)
-        for point, image in zip(moved, itemgetter(*self.images)(moved)):
+        images = [0] * len(g)
+        for point, image in zip(g, itemgetter(*self)(g)):
             images[point] = image
-        result = object.__new__(Permutation)
-        object.__setattr__(result, "images", tuple(images))
-        return result
+        return tuple.__new__(Permutation, images)
 
     def __pow__(self, exponent: int) -> "Permutation":
         if exponent < 0:
@@ -187,23 +189,23 @@ class Permutation:
         return result
 
     def is_identity(self) -> bool:
-        return all(image == point for point, image in enumerate(self.images))
+        return all(image == point for point, image in enumerate(self))
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, each starting at its least point."""
         seen = [False] * self.degree
         out = []
         for start in range(self.degree):
-            if seen[start] or self.images[start] == start:
+            if seen[start] or self[start] == start:
                 seen[start] = True
                 continue
             cycle = [start]
             seen[start] = True
-            point = self.images[start]
+            point = self[start]
             while point != start:
                 cycle.append(point)
                 seen[point] = True
-                point = self.images[point]
+                point = self[point]
             out.append(tuple(cycle))
         return out
 
@@ -225,15 +227,6 @@ class Permutation:
             return "()"
         return "".join("(" + " ".join(str(p) for p in c) + ")"
                        for c in cycles)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Permutation) and self.images == other.images
-
-    def __lt__(self, other: "Permutation") -> bool:
-        return self.images < other.images
-
-    def __hash__(self) -> int:
-        return hash(self.images)
 
     def __repr__(self) -> str:
         return f"Permutation.parse({self.degree}, {self.format()!r})"
@@ -385,7 +378,7 @@ class _GroupBase:
 
     def point_stabilizer(self, point: int) -> "Subgroup":
         return Subgroup(self, [g for g in self.elements
-                               if g.images[point] == point])
+                               if g[point] == point])
 
     def is_normal_subgroup(self, sub: "Subgroup") -> bool:
         _require_subgroup(self, sub)
@@ -632,8 +625,7 @@ def double_cosets(group: GroupLike, h1: GroupLike,
     _require_subgroup(group, h1)
     cosets = coset_action(group, h2)
     orbit, count = _orbits(
-        [cosets.permutation_of(h).images for h in h1.generators],
-        cosets.index)
+        [cosets.permutation_of(h) for h in h1.generators], cosets.index)
     seen = [False] * count
     reps = []
     # the table lists the coset of each element in element order
@@ -1016,8 +1008,8 @@ def parse_group_file(text: str, *, path: str | None = None,
             except ValueError:
                 raise ParseError(f"bad degree {body!r}",
                                  line=lineno, path=path) from None
-            if degree <= 0:
-                raise ParseError("degree must be positive",
+            if not 0 < degree <= _DEGREE_CAP:
+                raise ParseError(f"degree must be 1 to {_DEGREE_CAP}",
                                  line=lineno, path=path)
         elif line.startswith("gen:"):
             if degree is None:

@@ -38,57 +38,45 @@ __all__ = [
 ]
 
 
-class SplittingType:
-    """Multiset of positive integers (residue degrees), kept sorted.
+class SplittingType(tuple):
+    """Multiset of positive integers (residue degrees): the sorted tuple
+    of its parts, so it equals, and hashes as, that plain tuple.
 
-    >>> SplittingType([2, 1, 2]).parts
-    (1, 2, 2)
+    >>> SplittingType([2, 1, 2]) == (1, 2, 2)
+    True
     """
 
-    __slots__ = ("parts",)
+    __slots__ = ()
 
-    def __init__(self, parts: Iterable[int]) -> None:
-        ordered = tuple(sorted(parts))
-        if not ordered:
+    def __new__(cls, parts: Iterable[int]) -> "SplittingType":
+        self = tuple.__new__(cls, sorted(parts))
+        if not self:
             raise ValueError("a splitting type has at least one part")
-        if any(not isinstance(p, int) or p < 1 for p in ordered):
-            raise ValueError(f"parts must be positive integers: {ordered}")
-        object.__setattr__(self, "parts", ordered)
+        if any(not isinstance(p, int) or p < 1 for p in self):
+            raise ValueError(
+                f"parts must be positive integers: {tuple(self)}")
+        return self
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("SplittingType is immutable")
+    @property
+    def parts(self) -> tuple[int, ...]:
+        return tuple(self)
 
     @property
     def degree(self) -> int:
-        return sum(self.parts)
+        return sum(self)
 
     def gcd(self) -> int:
-        return gcd(*self.parts) if len(self.parts) > 1 else self.parts[0]
+        return gcd(*self)
 
     def lcm(self) -> int:
-        result = 1
-        for p in self.parts:
-            result = lcm(result, p)
-        return result
+        return lcm(*self)
 
     @property
     def contains_one(self) -> bool:
-        return self.parts[0] == 1
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, SplittingType) and self.parts == other.parts
-
-    def __hash__(self) -> int:
-        return hash(self.parts)
+        return self[0] == 1
 
     def __repr__(self) -> str:
-        return "{{" + ", ".join(str(p) for p in self.parts) + "}}"
+        return "{{" + ", ".join(str(p) for p in self) + "}}"
 
 
 class NumericalSet:
@@ -200,7 +188,7 @@ def numerical_set(s: SplittingType, cap: int) -> NumericalSet:
         raise ValueError("cap must be nonnegative")
     reachable = [False] * (cap + 1)
     reachable[0] = True
-    for part in set(s.parts):
+    for part in set(s):
         for total in range(part, cap + 1):
             if reachable[total - part]:
                 reachable[total] = True
@@ -217,7 +205,7 @@ def norm_count(s: SplittingType, k: int) -> int:
         raise ValueError("k must be nonnegative")
     ways = [0] * (k + 1)
     ways[0] = 1
-    for part in s.parts:
+    for part in s:
         for total in range(part, k + 1):
             ways[total] += ways[total - part]
     return ways[k]

@@ -47,7 +47,7 @@ def permutation_character(group: GroupLike,
                           subgroup: GroupLike) -> tuple[int, ...]:
     """Fixed-coset counts on G/H, one entry per conjugacy class of G
     (in conjugacy_classes order): the 1-parts of its splitting type."""
-    return tuple(s.parts.count(1) for s in splitting_table(group, subgroup))
+    return tuple(s.count(1) for s in splitting_table(group, subgroup))
 
 
 def is_gassmann(group: GroupLike, h1: GroupLike, h2: GroupLike) -> bool:
@@ -80,7 +80,7 @@ def _conjugator(group: GroupLike, h1: GroupLike,
     if h1.order != h2.order:
         return None
     cosets = coset_action(group, h1)
-    moves = [cosets.permutation_of(h).images for h in h2.generators]
+    moves = [cosets.permutation_of(h) for h in h2.generators]
     fixed = {c for c in range(cosets.index)
              if all(move[c] == c for move in moves)}
     if not fixed:
@@ -168,8 +168,8 @@ def _equivariance_failures(a: IntMat, triple: GassmannTriple) -> list[str]:
     failures = []
     n = a.nrows
     for g in triple.group.generators:
-        s1 = triple.cosets1.permutation_of(g).images
-        s2 = triple.cosets2.permutation_of(g).images
+        s1 = triple.cosets1.permutation_of(g)
+        s2 = triple.cosets2.permutation_of(g)
         ok = all(a[s2[r], s1[c]] == a[r, c]
                  for r in range(n) for c in range(n))
         if not ok:
@@ -190,8 +190,8 @@ def intertwiner_basis(group: GroupLike, h1: GroupLike,
     cosets1 = coset_action(group, h1)
     cosets2 = coset_action(group, h2)
     n = cosets1.index
-    actions = [(cosets2.permutation_of(g).images,
-                cosets1.permutation_of(g).images) for g in group.generators]
+    actions = [(cosets2.permutation_of(g), cosets1.permutation_of(g))
+               for g in group.generators]
     # the moves of the n^2 cells are freed before the basis is built
     orbit, count = _orbits([[row * n + col for row in s2 for col in s1]
                             for s2, s1 in actions], n * n)

@@ -4,7 +4,8 @@ import pytest
 
 from gassmann.catalog import fano_stabilizers
 from gassmann.cli import RunConfig, main, run
-from gassmann.permgroup import format_group_file
+from gassmann.kgroups import _CONDUCTOR_CAP
+from gassmann.permgroup import _DEGREE_CAP, format_group_file
 
 S4_TEXT = "degree: 4\ngen: (0 1 2 3)\ngen: (0 1)\n"
 D4_TEXT = "degree: 4\ngen: (0 1 2 3)\ngen: (1 3)\n"
@@ -248,6 +249,23 @@ def test_bad_inputs_exit_two(capsys, tmp_path, s4_file):
         assert code == 2 and not out and "nonnegative" in err
     code, out, err = run_cli(capsys, ["scott", "--budget", "-3"])
     assert code == 2 and not out and "nonnegative" in err
+    # an empty sweep is not a passed one, a field takes one conductor and
+    # one subgroup, and sizes read from input are capped before use
+    big = tmp_path / "big.grp"
+    big.write_text(f"degree: {_DEGREE_CAP + 1}\n")
+    for argv, message in (
+            (["homology", "sweep", "--max-order", "-5"], "max_order"),
+            (["homology", "sweep", "--max-order", "0"], "max_order"),
+            (["kgroups", "--field", "abelian:m=5;m=7", "--n", "3"],
+             "repeated 'm='"),
+            (["kgroups", "--field", "abelian:m=5;H=1;H=4", "--n", "3"],
+             "repeated 'H='"),
+            (["kgroups", "--field", f"abelian:m={_CONDUCTOR_CAP + 1}",
+              "--n", "3"], "OrderCapExceeded"),
+            (["group", "info", str(big)], ":1:")):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and not out and message in err, argv
+        assert "Traceback" not in err
 
 
 def test_bad_arguments_exit_two(capsys):

@@ -1,9 +1,10 @@
 import pytest
 
-from gassmann.errors import (EvenIndex, NotPrime, ParseError,
-                             UnsupportedSignature)
-from gassmann.kgroups import (FieldModel, compare_k_groups, cyclo_exponent,
-                              k_group, w_invariant)
+from gassmann import kgroups
+from gassmann.errors import (EvenIndex, NotPrime, OrderCapExceeded,
+                             ParseError, UnsupportedSignature)
+from gassmann.kgroups import (_CONDUCTOR_CAP, FieldModel, compare_k_groups,
+                              cyclo_exponent, k_group, w_invariant)
 
 Q = FieldModel.rationals()
 REAL_QUAD = FieldModel.abelian(5, [4])       # the m=5, H={1,4} model
@@ -101,6 +102,9 @@ def test_field_model_parse():
         FieldModel.parse("cubic:disc=-23")
     with pytest.raises(ParseError):
         FieldModel.parse("abelian:m=5;x=3")
+    for repeated in ("abelian:m=5;m=7", "abelian:m=5;H=1;H=4"):
+        with pytest.raises(ParseError, match="repeated"):
+            FieldModel.parse(repeated)
 
 
 def test_field_model_validation():
@@ -110,6 +114,21 @@ def test_field_model_validation():
         FieldModel(6, frozenset({1, 4}))  # 4 is not a unit mod 6
     model = FieldModel.abelian(8, [3, 5])
     assert model.degree == 1  # {3,5} generates all of (Z/8)^x
+
+
+def test_conductor_cap_rejects_before_enumerating(monkeypatch):
+    assert FieldModel.abelian(_CONDUCTOR_CAP, [-1]).conductor == \
+        _CONDUCTOR_CAP
+
+    def enumerated(*args):
+        raise AssertionError("residues enumerated past the cap")
+
+    monkeypatch.setattr(kgroups, "_unit_residues", enumerated)
+    monkeypatch.setattr(kgroups, "_multiplicative_closure", enumerated)
+    for make in (lambda m: FieldModel(m), lambda m: FieldModel.abelian(m, [2]),
+                 lambda m: FieldModel.parse(f"abelian:m={m};H=2")):
+        with pytest.raises(OrderCapExceeded):
+            make(_CONDUCTOR_CAP + 1)
 
 
 def test_degree_and_signature():

@@ -229,6 +229,26 @@ def test_matrix_file_errors():
         parse_matrix_file("size: x\n")
 
 
+# free text over the format's characters, and headed files whose rows
+# may not match the declared size
+matrix_texts = st.one_of(
+    st.text(alphabet="size:0123456789 -#\n", max_size=40),
+    st.builds(lambda n, rows: f"size: {n}\n" + "\n".join(
+        " ".join(map(str, row)) for row in rows),
+        st.integers(-1, 3), st.lists(st.lists(small, max_size=3),
+                                     max_size=3)))
+
+
+@settings(max_examples=300)
+@given(matrix_texts)
+def test_matrix_file_parses_or_raises_parse_error(text):
+    try:
+        m = parse_matrix_file(text)
+    except ParseError:
+        return
+    assert parse_matrix_file(format_matrix_file(m)) == m
+
+
 def test_matrix_file_accepts_comments():
     m = parse_matrix_file("# header\nsize: 2\n1 2\n3 4\n")
     assert m == IntMat([[1, 2], [3, 4]])

@@ -12,11 +12,11 @@ from hypothesis import strategies as st
 from gassmann.catalog import alternating, symmetric
 from gassmann.errors import (InvalidPermutation, NotASubgroup,
                              OrderCapExceeded, ParseError)
-from gassmann.permgroup import (AbHom, FinAbGroup, PermGroup, Permutation,
-                                Subgroup, abelianization, coset_action,
-                                double_cosets, format_group_file,
-                                inclusion_induced, normal_core,
-                                parse_group_file, transfer)
+from gassmann.permgroup import (_DEGREE_CAP, AbHom, FinAbGroup, PermGroup,
+                                Permutation, Subgroup, abelianization,
+                                coset_action, double_cosets,
+                                format_group_file, inclusion_induced,
+                                normal_core, parse_group_file, transfer)
 
 perms5 = st.permutations(range(5)).map(Permutation)
 
@@ -36,6 +36,42 @@ def test_parse_rejects_garbage():
         Permutation.parse(3, "(0 5)")
     with pytest.raises(InvalidPermutation):
         Permutation.parse(3, "(0 0)")
+
+
+def test_permutation_is_its_image_tuple():
+    assert Permutation.__hash__ is tuple.__hash__
+    assert Permutation.__eq__ is tuple.__eq__
+    p = Permutation.parse(4, "(0 1 2)")
+    assert p == (1, 2, 0, 3) and hash(p) == hash((1, 2, 0, 3))
+    assert tuple(p) == p.images
+    for name in ("images", "degree", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, (0, 1, 2, 3))
+    with pytest.raises(TypeError):
+        Permutation()
+    for bad in ([0, 0, 1], [0, 3, 1], [-1, 0], [0, 1.0]):
+        with pytest.raises(InvalidPermutation):
+            Permutation(bad)
+
+
+# cycle strings: free text over the notation's characters, and
+# well-formed cycles whose points may fall outside degree 6
+cycle_texts = st.one_of(
+    st.text(alphabet="()0123456789 ,", max_size=24),
+    st.lists(st.lists(st.integers(0, 7), max_size=4), max_size=3).map(
+        lambda cycles: "".join("(" + " ".join(map(str, c)) + ")"
+                               for c in cycles)))
+
+
+@settings(max_examples=300)
+@given(cycle_texts)
+def test_parse_returns_a_permutation_or_raises_invalid(text):
+    try:
+        p = Permutation.parse(6, text)
+    except InvalidPermutation:
+        return
+    assert type(p) is Permutation and p.degree == 6
+    assert Permutation.parse(6, p.format()) == p
 
 
 @given(perms5, perms5)
@@ -467,6 +503,11 @@ def test_group_file_errors_carry_line_numbers():
         parse_group_file("gen: (0 1)\n")  # degree must come first
     with pytest.raises(ParseError):
         parse_group_file("degree: 0\n")
+    # rejected at the degree line, before a degree-sized identity exists
+    with pytest.raises(ParseError) as err:
+        parse_group_file(f"# cap\ndegree: {_DEGREE_CAP + 1}\ngen: (0 1)\n")
+    assert err.value.line == 2
+    assert parse_group_file(f"degree: {_DEGREE_CAP}\n").degree == _DEGREE_CAP
 
 
 def test_group_file_ignores_comments_and_blanks():

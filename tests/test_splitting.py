@@ -79,6 +79,22 @@ def test_splitting_type_basic_properties():
         SplittingType([])
 
 
+def test_splitting_type_is_its_sorted_tuple():
+    assert SplittingType.__hash__ is tuple.__hash__
+    assert SplittingType.__eq__ is tuple.__eq__
+    s = SplittingType([2, 1, 2])
+    assert s == (1, 2, 2) and hash(s) == hash((1, 2, 2))
+    assert list(s) == [1, 2, 2] and len(s) == 3
+    for name in ("parts", "degree", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(s, name, (1,))
+    with pytest.raises(TypeError):
+        SplittingType()
+    for bad in ([-2], [3, 1.5]):
+        with pytest.raises(ValueError):
+            SplittingType(bad)
+
+
 def test_splitting_table_alignment(fano):
     group, h1, _ = fano
     table = splitting_table(group, h1)
