@@ -287,7 +287,8 @@ def _build_parser() -> argparse.ArgumentParser:
             sub.add_argument("--bound", type=int, default=2,
                              help="coefficient box half-width (default 2)")
             sub.add_argument("--budget", type=int, default=20000,
-                             help="candidate limit (default 20000)")
+                             help="candidate limit; the whole box is "
+                                  "searched when it fits (default 20000)")
             sub.add_argument("--seed", type=int, default=0)
         if name == "verify":
             sub.add_argument("--matrix", required=True,

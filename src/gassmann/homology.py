@@ -12,6 +12,7 @@ coprime-index theorem.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Sequence
@@ -157,34 +158,18 @@ def index_subgroups(factors: Sequence[int], t: int) -> list[CoordSubgroup]:
         return [CoordSubgroup.full(factors)]
     found = []
     for diagonal in _ordered_factorizations(t, k):
-        rows_template = [[0] * k for _ in range(k)]
-        for i, h in enumerate(diagonal):
-            rows_template[i][i] = h
-
-        def fill(i: int) -> None:
-            if i == k:
-                basis = IntMat([row[:] for row in rows_template])
-                candidate = CoordSubgroup(factors, basis)
-                if all(candidate.contains(
-                        [d if j == axis else 0 for j in range(k)])
-                       for axis, d in enumerate(factors)):
-                    found.append(candidate)
-                return
-            positions = list(range(i))
-            limits = [diagonal[i]] * len(positions)
-
-            def assign(pos: int) -> None:
-                if pos == len(positions):
-                    fill(i + 1)
-                    return
-                for value in range(limits[pos]):
-                    rows_template[i][positions[pos]] = value
-                    assign(pos + 1)
-                rows_template[i][positions[pos]] = 0
-
-            assign(0)
-
-        fill(0)
+        # row i of the HNF basis: i entries below the diagonal, each
+        # reduced modulo diagonal[i]
+        below = [range(h) for i, h in enumerate(diagonal) for _ in range(i)]
+        for entries in itertools.product(*below):
+            values = iter(entries)
+            rows = [[next(values) for _ in range(i)] + [h] + [0] * (k - i - 1)
+                    for i, h in enumerate(diagonal)]
+            candidate = CoordSubgroup(factors, IntMat(rows))
+            if all(candidate.contains(
+                    [d if j == axis else 0 for j in range(k)])
+                   for axis, d in enumerate(factors)):
+                found.append(candidate)
     found.sort(key=lambda u: u.basis.rows)
     return found
 

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import itertools
 import random
-from operator import add
-from typing import Sequence, Union
+from operator import add, mul
+from typing import Iterator, Sequence, Union
 
 from .errors import (
     MixedSigns,
@@ -232,17 +232,32 @@ def _conjugate_correspondence(triple: GassmannTriple,
     return CorrespondenceMatrix(IntMat(rows), triple)
 
 
+def _box_in_l1_order(k: int, bound: int) -> Iterator[tuple[int, ...]]:
+    """Every point of {-bound..bound}^k, by L1 norm, then by the tuple
+    of magnitudes, then by signs with + before -.
+
+    Only the (bound+1)^k magnitude tuples are sorted; the signs of each
+    are expanded lazily."""
+    magnitudes = sorted(itertools.product(range(bound + 1), repeat=k),
+                        key=lambda m: (sum(m), m))
+    for m in magnitudes:
+        yield from itertools.product(*[(x, -x) if x else (0,) for x in m])
+
+
 def integral_search(group: GroupLike, h1: GroupLike, h2: GroupLike,
                     coeff_bound: int, budget: int, *,
                     seed: int = 0) -> CorrespondenceMatrix:
     """Search for a unimodular intertwiner.
 
     Conjugate subgroups short-circuit to the coset bijection.  Otherwise
-    candidates are integer combinations of the orbit basis; the search
-    is exhaustive over the coefficient box when it is small (basis size
-    <= 6 and bound <= 3) and seeded-random sampling beyond that.  Only
-    combinations whose constant row sum is +-1 can be unimodular, which
-    prunes most of the box before any determinant is computed.
+    candidates are integer combinations of the k orbit-basis matrices
+    with coefficients in [-coeff_bound, coeff_bound].  When the whole
+    box fits the budget, (2 coeff_bound + 1)^k <= budget, the search is
+    exhaustive and tries the box in order of L1 norm; beyond that it
+    draws `budget` seeded-random points of the box.  Only combinations
+    whose constant row sum is +-1 can be unimodular, which prunes most
+    candidates before any determinant is computed; a hit is scaled by
+    its row sum, so the matrix found has row sums +1.
 
     Raises NotFoundWithinBudget with search statistics on failure; that
     is a report, not a nonexistence proof (except when `exhausted`).
@@ -261,41 +276,25 @@ def integral_search(group: GroupLike, h1: GroupLike, h2: GroupLike,
     orbit_id, row_counts = _orbit_structure(
         intertwiner_basis(group, h1, h2))
     k = len(row_counts)
-
-    def try_coeffs(coeffs: Sequence[int]) -> CorrespondenceMatrix | None:
-        if sum(c * w for c, w in zip(coeffs, row_counts)) not in (1, -1):
-            return None
-        a = _assemble(orbit_id, coeffs)
-        if det(a) in (1, -1):
-            return sign_normalize(CorrespondenceMatrix(a, triple))
-        return None
-
-    if k <= 6 and coeff_bound <= 3:
-        box = itertools.product(range(-coeff_bound, coeff_bound + 1),
-                                repeat=k)
-        ordered = sorted(box, key=lambda c: (sum(abs(x) for x in c),
-                                             tuple(abs(x) for x in c),
-                                             tuple(x < 0 for x in c)))
-        trials = 0
-        for coeffs in ordered:
-            trials += 1
-            found = try_coeffs(coeffs)
-            if found is not None:
-                return found
-        raise NotFoundWithinBudget(
-            "no unimodular combination in the coefficient box",
-            trials=trials, exhausted=True, coeff_bound=coeff_bound,
-            basis_size=k)
-
-    rng = random.Random(seed)
-    for trial in range(budget):
-        coeffs = [rng.randint(-coeff_bound, coeff_bound) for _ in range(k)]
-        found = try_coeffs(coeffs)
-        if found is not None:
-            return found
+    exhaustive = (2 * coeff_bound + 1) ** k <= budget
+    if exhaustive:
+        candidates = _box_in_l1_order(k, coeff_bound)
+    else:
+        rng = random.Random(seed)
+        candidates = ([rng.randint(-coeff_bound, coeff_bound)
+                       for _ in range(k)] for _ in range(budget))
+    trials = 0
+    for coeffs in candidates:
+        trials += 1
+        row_sum = sum(map(mul, coeffs, row_counts))
+        if row_sum in (1, -1):
+            a = _assemble(orbit_id, [row_sum * c for c in coeffs])
+            if det(a) in (1, -1):
+                return CorrespondenceMatrix(a, triple)
     raise NotFoundWithinBudget(
-        f"no unimodular combination in {budget} random samples",
-        trials=budget, exhausted=False, coeff_bound=coeff_bound,
+        "no unimodular combination in the coefficient box" if exhaustive
+        else f"no unimodular combination in {budget} random samples",
+        trials=trials, exhausted=exhaustive, coeff_bound=coeff_bound,
         basis_size=k)
 
 

@@ -1,21 +1,27 @@
-"""End-to-end acceptance gate: seven criteria, one recorded verdict
+"""End-to-end acceptance gate: eight criteria, one recorded verdict
 line each, printed in the terminal summary.  Every numeric target is
 checked against an independent in-test oracle or a pinned exact value.
 """
 
 import itertools
+import json
 import random
 import time
 from fractions import Fraction
 
+import pytest
+
 from gassmann.abelext import notwkeq_construct
 from gassmann.catalog import scott_triple, standard_corpus
+from gassmann.cli import main
 from gassmann.homology import conjugation_sweep
 from gassmann.kgroups import FieldModel, k_group
 from gassmann.lattice import (IntMat, LocalNormLattice, det,
                               maximal_normal_sublattice)
 from gassmann.permgroup import (AbHom, FinAbGroup, abelianization,
-                                inclusion_induced, normal_core, transfer)
+                                coset_action, format_group_file,
+                                inclusion_induced, normal_core,
+                                parse_group_file, transfer)
 from gassmann.splitting import (SplittingType, arithmetically_equivalent,
                                 kronecker_equivalent, numerical_set,
                                 splitting_table, splitting_type,
@@ -241,3 +247,52 @@ def test_criterion_7_ultra_coarse_bound(acceptance):
         assert checks >= 100
 
     run_criterion(acceptance, "criterion 7 (ultra-coarse bound)", body)
+
+
+def brute_coset_actions(group, subgroup):
+    """Generator permutations on explicit frozenset cosets xH, labelled
+    by the program's coset representatives."""
+    label = {frozenset(rep * h for h in subgroup.elements): i
+             for i, rep in enumerate(coset_action(group,
+                                                  subgroup).coset_reps)}
+    assert len(label) == group.order // subgroup.order
+    return [[label[frozenset(g * x for x in coset)] for coset in label]
+            for g in group.generators]
+
+
+def test_criterion_8_scott_intertwiner(acceptance, tmp_path, capsys):
+    pytest.importorskip("sympy")
+    from sympy.polys.domains import ZZ
+    from sympy.polys.matrices import DomainMatrix
+
+    def body():
+        triple = scott_triple(seed=0)
+        paths = []
+        for name, g in (("g", triple.group), ("h1", triple.h1),
+                        ("h2", triple.h2)):
+            path = tmp_path / f"{name}.grp"
+            path.write_text(format_group_file(g))
+            paths.append(path)
+        code = main(["gassmann", "search", str(paths[0]),
+                     "--h1", str(paths[1]), "--h2", str(paths[2]),
+                     "--bound", "1"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert report["found"] and report["verification"]["passed"]
+        rows = report["matrix"]["rows"]
+        n = len(rows)
+        assert n == 203
+        d = DomainMatrix([[ZZ(x) for x in row] for row in rows],
+                         (n, n), ZZ).det()
+        assert d in (1, -1)
+        # equivariance on the groups the program reads from the files
+        group, h1, h2 = (parse_group_file(path.read_text())
+                         for path in paths)
+        h1, h2 = group.subgroup(h1.generators), group.subgroup(h2.generators)
+        for s1, s2 in zip(brute_coset_actions(group, h1),
+                          brute_coset_actions(group, h2)):
+            assert all(rows[s2[r]][s1[c]] == rows[r][c]
+                       for r in range(n) for c in range(n))
+
+    run_criterion(acceptance, "criterion 8 (scott intertwiner)", body,
+                  budget=120)

@@ -93,18 +93,21 @@ def test_gassmann_search_conjugate_pair_finds(capsys, tmp_path, s4_file):
     assert len(report["matrix"]["rows"]) == 12
 
 
-def test_gassmann_search_exhausts_fano_box(capsys, tmp_path):
-    group, h1, h2 = fano_stabilizers()
-    g_path = tmp_path / "g.grp"
-    g_path.write_text(format_group_file(group))
-    h1_path = tmp_path / "h1.grp"
-    h1_path.write_text(format_group_file(h1))
-    h2_path = tmp_path / "h2.grp"
-    h2_path.write_text(format_group_file(h2))
+@pytest.fixture
+def fano_search(tmp_path):
+    """`gassmann search` argv on the Fano pair, written to group files."""
+    paths = []
+    for name, obj in zip(("g", "h1", "h2"), fano_stabilizers()):
+        path = tmp_path / f"fano_{name}.grp"
+        path.write_text(format_group_file(obj))
+        paths.append(str(path))
+    return ["gassmann", "search", paths[0], "--h1", paths[1],
+            "--h2", paths[2]]
+
+
+def test_gassmann_search_exhausts_fano_box(capsys, fano_search):
     code, out, _ = run_cli(
-        capsys, ["gassmann", "search", str(g_path),
-                 "--h1", str(h1_path), "--h2", str(h2_path),
-                 "--bound", "3", "--budget", "1000"])
+        capsys, fano_search + ["--bound", "3", "--budget", "1000"])
     assert code == 1
     report = json.loads(out)
     assert report == json.loads(json.dumps(report))
@@ -112,6 +115,13 @@ def test_gassmann_search_exhausts_fano_box(capsys, tmp_path):
     assert report["exhausted"]
     assert report["trials"] == 49
     assert report["basis_size"] == 2
+    # the 7x7 box does not fit a budget of 48, so 48 points are sampled
+    code, out, _ = run_cli(
+        capsys, fano_search + ["--bound", "3", "--budget", "48"])
+    assert code == 1
+    report = json.loads(out)
+    assert not report["found"] and not report["exhausted"]
+    assert report["trials"] == 48
 
 
 def test_gassmann_verify(capsys, tmp_path, s4_file):
@@ -218,7 +228,7 @@ def test_scott_command(capsys):
     assert report["gassmann"] is True
 
 
-def test_bad_inputs_exit_two(capsys, tmp_path, s4_file):
+def test_bad_inputs_exit_two(capsys, tmp_path, s4_file, fano_search):
     code, _, err = run_cli(capsys, ["group", "info",
                                     str(tmp_path / "missing.grp")])
     assert code == 2 and "error" in err
@@ -237,15 +247,8 @@ def test_bad_inputs_exit_two(capsys, tmp_path, s4_file):
     assert code == 2 and ":2:" in err  # parse errors carry line numbers
     # negative bounds and budgets are input errors, not searches that
     # came back empty
-    fano = []
-    for name, obj in zip(("g", "h1", "h2"), fano_stabilizers()):
-        path = tmp_path / f"fano_{name}.grp"
-        path.write_text(format_group_file(obj))
-        fano.append(str(path))
-    search = ["gassmann", "search", fano[0], "--h1", fano[1],
-              "--h2", fano[2]]
     for extra in (["--bound", "4", "--budget", "-5"], ["--bound", "-1"]):
-        code, out, err = run_cli(capsys, search + extra)
+        code, out, err = run_cli(capsys, fano_search + extra)
         assert code == 2 and not out and "nonnegative" in err
     code, out, err = run_cli(capsys, ["scott", "--budget", "-3"])
     assert code == 2 and not out and "nonnegative" in err

@@ -16,26 +16,27 @@ FACTORS = (2, 4)
 VECTORS = [(a, b) for a in range(2) for b in range(4)]
 
 
-def brute_close(gens):
-    """Subgroup of Z/2 x Z/4 generated by the given vectors."""
-    elems = {(0, 0)} | {tuple(x % d for x, d in zip(g, FACTORS))
-                        for g in gens}
+def brute_close(factors, gens):
+    """Subgroup of Z/factors[0] x Z/factors[1] x ... generated by the
+    given vectors."""
+    elems = {(0,) * len(factors)} | {tuple(x % d for x, d in zip(g, factors))
+                                     for g in gens}
     while True:
-        new = {tuple((x + y) % d for x, y, d in zip(a, b, FACTORS))
+        new = {tuple((x + y) % d for x, y, d in zip(a, b, factors))
                for a in elems for b in elems} - elems
         if not new:
             return frozenset(elems)
         elems |= new
 
 
-def member_set(u):
-    return frozenset(v for v in VECTORS if u.contains(list(v)))
+def member_set(u, vectors=VECTORS):
+    return frozenset(v for v in vectors if u.contains(list(v)))
 
 
 @given(st.lists(st.sampled_from(VECTORS), max_size=4))
 def test_coord_subgroup_matches_brute_closure(gens):
     u = CoordSubgroup.from_generators(FACTORS, gens)
-    brute = brute_close(gens)
+    brute = brute_close(FACTORS, gens)
     assert member_set(u) == brute
     assert u.index == 8 // len(brute)
 
@@ -56,18 +57,28 @@ def test_coord_subgroup_basics():
     assert empty.index == 1 and empty.contains([])
 
 
-def test_index_subgroups_against_brute_enumeration():
-    all_subs = {brute_close({a, b}) for a in VECTORS for b in VECTORS}
-    for t in (1, 2, 4, 8):
-        expected = {s for s in all_subs if len(s) == 8 // t}
-        got = index_subgroups(FACTORS, t)
-        assert {member_set(u) for u in got} == expected
+@pytest.mark.parametrize("factors", [(2, 4), (2, 2, 2), (3, 6), (2, 2, 4),
+                                     (12,)],
+                         ids=lambda f: "x".join(map(str, f)))
+def test_index_subgroups_against_brute_enumeration(factors):
+    vectors = list(product(*map(range, factors)))
+    order = len(vectors)
+    # a group with k invariant factors has subgroups of rank <= k only
+    all_subs = {brute_close(factors, gens)
+                for gens in {frozenset(g)
+                             for g in product(vectors, repeat=len(factors))}}
+    for t in range(1, order + 1):
+        if order % t:
+            continue
+        expected = {s for s in all_subs if len(s) == order // t}
+        got = index_subgroups(factors, t)
+        assert {member_set(u, vectors) for u in got} == expected
         assert len(got) == len(expected)  # no duplicates
-    assert index_subgroups(FACTORS, 3) == []
-    assert index_subgroups(FACTORS, 16) == []
-    assert index_subgroups(FACTORS, 1) == [CoordSubgroup.full(FACTORS)]
+    assert index_subgroups(factors, order + 1) == []
+    assert index_subgroups(factors, 2 * order) == []
+    assert index_subgroups(factors, 1) == [CoordSubgroup.full(factors)]
     with pytest.raises(ValueError):
-        index_subgroups(FACTORS, 0)
+        index_subgroups(factors, 0)
 
 
 def test_conjugation_correspondence_diagram_commutes(d6):

@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 
@@ -15,10 +16,10 @@ from gassmann.splitting import (arithmetically_equivalent,
                                 ultra_coarse_equivalent,
                                 weakly_kronecker_equivalent)
 from gassmann.triples import (CorrespondenceMatrix, GassmannTriple,
-                              are_conjugate, integral_search,
-                              intertwiner_basis, is_gassmann,
-                              permutation_character, sign_normalize,
-                              verify_integral_triple)
+                              _box_in_l1_order, are_conjugate,
+                              integral_search, intertwiner_basis,
+                              is_gassmann, permutation_character,
+                              sign_normalize, verify_integral_triple)
 
 
 def brute_character(group, subgroup):
@@ -232,13 +233,29 @@ def test_integral_search_fano_exhausts_small_box(fano):
 
     Two orbit matrices with constant row sums 3 and 4; a row sum
     a*3 + b*4 = +-1 forces the candidates, none of which is unimodular.
+    The full 7x7 box is tried once the budget covers its 49 points;
+    below that the search samples within the budget.
     """
     group, h1, h2 = fano
-    with pytest.raises(NotFoundWithinBudget) as err:
-        integral_search(group, h1, h2, 3, 100000)
-    assert err.value.exhausted
-    assert err.value.basis_size == 2
-    assert err.value.trials == 49  # full 7x7 coefficient box
+    for budget, exhausted, trials in ((100000, True, 49), (49, True, 49),
+                                      (48, False, 48)):
+        with pytest.raises(NotFoundWithinBudget) as err:
+            integral_search(group, h1, h2, 3, budget)
+        assert err.value.exhausted is exhausted
+        assert err.value.basis_size == 2
+        assert err.value.trials == trials
+
+
+def test_box_order_is_the_sorted_box():
+    """The lazy box order equals sorting the whole box by L1 norm, then
+    magnitudes, then signs (+ before -)."""
+    for k in range(5):
+        for bound in range(4):
+            box = itertools.product(range(-bound, bound + 1), repeat=k)
+            expected = sorted(box, key=lambda c: (
+                sum(abs(x) for x in c), tuple(abs(x) for x in c),
+                tuple(x < 0 for x in c)))
+            assert list(_box_in_l1_order(k, bound)) == expected
 
 
 def test_verify_report_flags_broken_candidates(fano):
