@@ -194,14 +194,15 @@ def _cmd_kgroups(config: RunConfig) -> tuple[int, dict]:
     model = kgroups.FieldModel.parse(config.fields[0])
     entries = []
     for n in sorted(set(config.ns)):
-        structure = kgroups.k_group(model, n)
-        i = (n + 1) // 2
+        i = kgroups._odd_index(n)
+        w = kgroups.w_invariant(model, i).value
+        structure = kgroups._k_group_rule(model.signature, n, w)
         entries.append({
             "n": n,
             "k_group": str(structure),
             "free_rank": structure.free_rank,
             "torsion": list(structure.invariant_factors),
-            "w": kgroups.w_invariant(model, i).value,
+            "w": w,
         })
     return 0, {"field": model.describe(), "degree": model.degree,
                "entries": entries}

@@ -32,6 +32,10 @@ __all__ = [
 _CONDUCTOR_CAP = 1_000
 
 
+# cyclo_exponent tests |H| * lcm(m, p^nu) / m residues
+_LIFT_CAP = 1_000_000
+
+
 def _check_conductor(m: int) -> None:
     if m < 1:
         raise ValueError("conductor must be positive")
@@ -43,16 +47,6 @@ def _unit_residues(m: int) -> list[int]:
     if m == 1:
         return [0]
     return [x for x in range(m) if gcd(x, m) == 1]
-
-
-def _mult_order(a: int, m: int) -> int:
-    if m == 1:
-        return 1
-    order, power = 1, a % m
-    while power != 1 % m:
-        power = power * a % m
-        order += 1
-    return order
 
 
 @dataclass(frozen=True)
@@ -167,7 +161,15 @@ def cyclo_exponent(f: FieldModel, p: int, nu: int) -> int:
     """Exponent of the Galois group of F(zeta_{p^nu}) over F.
 
     The group is the image in (Z/p^nu)^x of the units mod M = lcm(m, p^nu)
-    that fix F; its exponent is the lcm of the element orders.
+    that fix F.  A unit x mod M with x mod m in H is a lift h + m*t of
+    some h in H, 0 <= t < M/m, so only those |H|*M/m residues are tested;
+    above _LIFT_CAP of them, OrderCapExceeded is raised before any is.
+    For odd p, (Z/p^nu)^x is cyclic and the exponent is the image's
+    order; for p = 2 it is the largest element order, a power of 2
+    found by repeated squaring.
+
+    >>> cyclo_exponent(FieldModel.rationals(), 5, 2)
+    20
     """
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
@@ -178,11 +180,21 @@ def cyclo_exponent(f: FieldModel, p: int, nu: int) -> int:
     pn = p ** nu
     m = f.conductor
     big = lcm(m, pn)
-    image = {x % pn for x in range(big)
-             if gcd(x, big) == 1 and x % m in f.subgroup}
+    lifts = len(f.subgroup) * (big // m)
+    if lifts > _LIFT_CAP:
+        raise OrderCapExceeded(
+            f"{lifts} lifts mod {big} exceed cap {_LIFT_CAP}")
+    image = {x % pn for h in f.subgroup for x in range(h, big, m)
+             if gcd(x, big) == 1}
+    if p != 2:
+        return len(image)
     exponent = 1
     for a in image:
-        exponent = lcm(exponent, _mult_order(a, pn))
+        order = 1
+        while a != 1:
+            a = a * a % pn
+            order *= 2
+        exponent = max(exponent, order)
     return exponent
 
 
@@ -195,6 +207,9 @@ def w_invariant(f: FieldModel, i: int) -> WInvariant:
     each such p the level is raised while the exponent divides i; the
     exponents are nondecreasing in the level, so the first failure is
     final.
+
+    >>> w_invariant(FieldModel.rationals(), 2).value
+    24
     """
     if i < 1:
         raise ValueError("i must be positive")
@@ -225,13 +240,22 @@ def k_group(f: FieldModel, n: int) -> FinAbGroup:
     The n = 3 mod 8 case needs r1 >= 1; totally imaginary fields are
     refused there rather than guessed at.
     """
+    i = _odd_index(n)
+    return _k_group_rule(f.signature, n, w_invariant(f, i).value)
+
+
+def _odd_index(n: int) -> int:
+    """i = (n+1)/2 for an odd n >= 3, checked before any w is computed."""
     if n % 2 == 0:
         raise EvenIndex(f"n = {n} is even")
     if n < 3:
         raise ValueError(f"n must be at least 3: {n}")
-    i = (n + 1) // 2
-    r1, r2 = f.signature
-    w = w_invariant(f, i).value
+    return (n + 1) // 2
+
+
+def _k_group_rule(signature: tuple[int, int], n: int, w: int) -> FinAbGroup:
+    """The n mod 8 rule of k_group, given the signature and w_i."""
+    r1, r2 = signature
     residue = n % 8
     if residue == 1:
         return FinAbGroup.from_cyclic_orders([w], free_rank=r1 + r2)

@@ -4,6 +4,7 @@ import pytest
 
 from gassmann.catalog import fano_stabilizers
 from gassmann.cli import RunConfig, main, run
+from gassmann import kgroups
 from gassmann.kgroups import _CONDUCTOR_CAP
 from gassmann.permgroup import _DEGREE_CAP, format_group_file
 
@@ -205,6 +206,34 @@ def test_kgroups_command(capsys):
     assert code == 2 and out == ""
     assert "conductor must be positive" in err
     assert "Traceback" not in err
+
+
+def test_kgroups_command_computes_each_w_once(capsys, monkeypatch):
+    spec = "abelian:m=5;H=1,4"
+    ns = [3, 5, 7, 9, 11, 13]
+    model = kgroups.FieldModel.parse(spec)
+    expected = {n: (kgroups.w_invariant(model, (n + 1) // 2).value,
+                    kgroups.k_group(model, n)) for n in ns}
+    calls = []
+    w_invariant = kgroups.w_invariant
+
+    def counted(*args):
+        calls.append(args)
+        return w_invariant(*args)
+
+    monkeypatch.setattr(kgroups, "w_invariant", counted)
+    argv = ["kgroups", "--field", spec]
+    for n in ns:
+        argv += ["--n", str(n)]
+    report = run_json(capsys, argv)
+    assert len(calls) == len(ns)
+    assert [e["n"] for e in report["entries"]] == ns
+    for e in report["entries"]:
+        w, structure = expected[e["n"]]
+        assert e["w"] == w
+        assert e["k_group"] == str(structure)
+        assert e["free_rank"] == structure.free_rank
+        assert e["torsion"] == list(structure.invariant_factors)
 
 
 def test_homology_sweep_command(capsys, tmp_path):

@@ -1,3 +1,6 @@
+import random
+from math import gcd, lcm
+
 import pytest
 
 from gassmann import kgroups
@@ -20,10 +23,57 @@ def closed_form_exponent(p, nu):
     return (p - 1) * p ** (nu - 1)
 
 
+def brute_cyclo_exponent(f, p, nu):
+    """Every unit mod lcm(m, p^nu) fixing F, mapped to (Z/p^nu)^x; the
+    lcm of the image's element orders."""
+    pn = p ** nu
+    big = lcm(f.conductor, pn)
+    image = {x % pn for x in range(big)
+             if x % f.conductor in f.subgroup and gcd(x, big) == 1}
+    exponent = 1
+    for a in image:
+        order, power = 1, a % pn
+        while power != 1 % pn:
+            power = power * a % pn
+            order += 1
+        exponent = lcm(exponent, order)
+    return exponent
+
+
+def unit_subgroups(m, rng):
+    """{1}, <-1> and two random <-1, u> mod m."""
+    units = [x for x in range(m) if gcd(x, m) == 1]
+    yield FieldModel.abelian(m, [])
+    yield FieldModel.abelian(m, [-1])
+    for _ in range(2):
+        yield FieldModel.abelian(m, [-1, rng.choice(units)])
+
+
+def assert_matches_brute(f):
+    for p in (2, 3, 5, 7):
+        for nu in range(4):
+            assert cyclo_exponent(f, p, nu) == brute_cyclo_exponent(f, p, nu), \
+                (f.describe(), p, nu)
+
+
+def test_cyclo_exponent_matches_brute_force_small_conductors():
+    rng = random.Random(0)
+    for m in range(1, 61):
+        for f in unit_subgroups(m, rng):
+            assert_matches_brute(f)
+
+
+def test_cyclo_exponent_matches_brute_force_arith_sized_fields():
+    # real fields of the benchmark's size: conductor 120-360, degree 12-20;
+    # 5 divides 240 and 330 only, 7 divides 168 and 252 only
+    for m, u in ((168, 13), (240, 31), (252, 55), (330, 89)):
+        f = FieldModel.abelian(m, [-1, u])
+        assert 12 <= f.degree <= 20, (m, u, f.degree)
+        assert_matches_brute(f)
+
+
 def test_cyclo_exponent_over_rationals_matches_closed_form():
-    # depth capped for the larger primes: order computation in (Z/p^nu)^x
-    # gets slow and the formula branches are already covered at p = 2, 3
-    for p, depth in ((2, 5), (3, 5), (5, 4), (7, 3), (11, 2), (13, 2)):
+    for p, depth in ((2, 5), (3, 5), (5, 4), (7, 3), (11, 4), (13, 4)):
         for nu in range(0, depth):
             assert cyclo_exponent(Q, p, nu) == closed_form_exponent(p, nu)
 
@@ -42,6 +92,15 @@ def test_cyclo_exponent_shrinks_with_larger_unit_group():
 def test_w_invariants_of_rationals():
     assert [w_invariant(Q, i).value for i in (1, 2, 3, 4, 5)] == \
         [2, 24, 2, 240, 2]
+
+
+def test_w_invariants_of_rationals_match_bernoulli_denominators():
+    # w_i(Q) is 2 for odd i and the denominator of B_i / 2i for even i
+    sympy = pytest.importorskip("sympy")
+    for i in range(1, 41):
+        expected = 2 if i % 2 else \
+            (sympy.bernoulli(i) / (2 * i)).as_numer_denom()[1]
+        assert w_invariant(Q, i).value == expected, i
 
 
 def test_w_invariant_of_real_quadratic():
@@ -129,6 +188,26 @@ def test_conductor_cap_rejects_before_enumerating(monkeypatch):
                  lambda m: FieldModel.parse(f"abelian:m={m};H=2")):
         with pytest.raises(OrderCapExceeded):
             make(_CONDUCTOR_CAP + 1)
+
+
+def test_lift_cap_rejects_before_enumerating(monkeypatch):
+    lifts = len(REAL_QUAD.subgroup) * lcm(5, 5 ** 3) // 5
+    monkeypatch.setattr(kgroups, "_LIFT_CAP", lifts)
+    assert cyclo_exponent(REAL_QUAD, 5, 3) == 50
+
+    def enumerated(*args):
+        raise AssertionError("residues enumerated past the cap")
+
+    monkeypatch.setattr(kgroups, "gcd", enumerated)
+    monkeypatch.setattr(kgroups, "_LIFT_CAP", lifts - 1)
+    with pytest.raises(OrderCapExceeded):
+        cyclo_exponent(REAL_QUAD, 5, 3)
+    # w_invariant has no cap of its own: it stops at the first layer
+    # past the cyclo_exponent cap
+    monkeypatch.setattr(kgroups, "gcd", gcd)
+    monkeypatch.setattr(kgroups, "_LIFT_CAP", 64)
+    with pytest.raises(OrderCapExceeded):
+        w_invariant(Q, 2 ** 18)
 
 
 def test_degree_and_signature():
