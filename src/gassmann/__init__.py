@@ -69,7 +69,6 @@ from .triples import (
     intertwiner_basis,
     is_gassmann,
     permutation_character,
-    sign_normalize,
     verify_integral_triple,
 )
 from .splitting import (

@@ -26,7 +26,7 @@ from .lattice import (
     IntMat,
     LocalNormLattice,
     _det_adjugate,
-    adjugate,
+    adjugate,  # unused here; perfbench/selftest.py reads abelext.adjugate
     det,
     maximal_normal_sublattice,
 )
@@ -114,15 +114,13 @@ def local_splitting_type(
 
 
 def choose_q(a: MatrixLike) -> int:
-    """Least prime dividing no nonzero cofactor of A.
+    """Least prime dividing no nonzero cofactor of the unimodular A.
 
     Cofactors are the adjugate's entries (transposed, which does not
-    change the set).
+    change the set).  PreconditionViolated when det A is not +-1.
     """
-    raw = _raw_matrix(a)
-    if not raw.is_square:
-        raise NonSquare("cofactors need a square matrix")
-    cofactors = {abs(entry) for row in adjugate(raw).rows for entry in row}
+    adj = _require_unimodular(_raw_matrix(a), with_adjugate=True)
+    cofactors = {abs(entry) for row in adj.rows for entry in row}
     cofactors.discard(0)
     for p in iter_primes():
         if all(value % p for value in cofactors):

@@ -52,6 +52,7 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True, repr=False)
 class CoordSubgroup:
     """Subgroup of a finite abelian group in invariant-factor coordinates.
 
@@ -60,14 +61,13 @@ class CoordSubgroup:
     the lattice index, the product of the basis diagonal.
     """
 
-    __slots__ = ("factors", "basis")
+    factors: Sequence[int]
+    basis: IntMat | None
 
-    def __init__(self, factors: Sequence[int],
-                 basis: IntMat | None) -> None:
-        self.factors = tuple(factors)
-        if (basis is None) != (len(self.factors) == 0):
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "factors", tuple(self.factors))
+        if (self.basis is None) != (len(self.factors) == 0):
             raise ValueError("basis must be present exactly for k > 0")
-        self.basis = basis
 
     @classmethod
     def full(cls, factors: Sequence[int]) -> "CoordSubgroup":
@@ -102,14 +102,6 @@ class CoordSubgroup:
         if len(vector) != len(self.factors):
             raise ValueError("vector length mismatch")
         return self.basis is None or _in_hnf_span(self.basis, vector)
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, CoordSubgroup)
-                and self.factors == other.factors
-                and self.basis == other.basis)
-
-    def __hash__(self) -> int:
-        return hash((self.factors, self.basis))
 
     def __repr__(self) -> str:
         return f"CoordSubgroup(index={self.index}, factors={self.factors})"
@@ -403,8 +395,7 @@ def h1_isomorphic(group: GroupLike, h1: GroupLike, h2: GroupLike) -> bool:
     return abelianization(h1).structure == abelianization(h2).structure
 
 
-def conjugation_sweep(named_groups, *, max_order: int = 120,
-                      include_gthm: bool = True) -> dict:
+def conjugation_sweep(named_groups, *, max_order: int = 120) -> dict:
     """Exhaustive diagram and core checks over conjugation
     correspondences.
 
@@ -449,8 +440,6 @@ def conjugation_sweep(named_groups, *, max_order: int = 120,
                     report["diagram_failures"].append(
                         {"group": name, "h1_order": h1.order,
                          "g": g.format(), "report": outcome})
-                if not include_gthm:
-                    continue
                 for t in t_values:
                     for cs in corresponding_subgroups(corr, t):
                         report["gthm_checks"] += 1

@@ -10,6 +10,7 @@ driven by the signature and by w_i with i = (n+1)/2.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import gcd, lcm
 
 from ._primes import is_prime, iter_primes
@@ -64,20 +65,19 @@ class FieldModel:
     def __post_init__(self) -> None:
         m = self.conductor
         _check_conductor(m)
-        units = set(_unit_residues(m))
         h = set(self.subgroup)
         if not h:
             h = {1 % m}
-        if not h <= units:
+        if not all(0 <= x < m and gcd(x, m) == 1 for x in h):
             raise ValueError(
                 f"subgroup elements must be units mod {m}: {sorted(h)}")
         closed = _multiplicative_closure(h, m)
         if closed != h:
             raise ValueError(
                 f"not closed under multiplication mod {m}: {sorted(h)}")
+        # a closed set of units is a subgroup, so Lagrange gives that
+        # its order divides phi(m)
         object.__setattr__(self, "subgroup", frozenset(h))
-        if len(units) % len(h):
-            raise ValueError("subgroup order does not divide phi(m)")
 
     @classmethod
     def rationals(cls) -> "FieldModel":
@@ -119,7 +119,7 @@ class FieldModel:
     def is_rational(self) -> bool:
         return self.conductor == 1
 
-    @property
+    @cached_property
     def degree(self) -> int:
         return len(_unit_residues(self.conductor)) // len(self.subgroup)
 

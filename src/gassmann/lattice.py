@@ -7,6 +7,8 @@ spans of nonsingular square matrices.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 from typing import Iterable, Iterator, Sequence
 
@@ -28,6 +30,7 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class IntMat:
     """Immutable integer matrix.
 
@@ -35,10 +38,11 @@ class IntMat:
     IntMat([[1, 2], [3, 4]])
     """
 
-    __slots__ = ("rows",)
+    rows: Iterable[Iterable[int]]
 
-    def __init__(self, rows: Iterable[Iterable[int]]) -> None:
-        materialized = tuple(tuple(entry for entry in row) for row in rows)
+    def __post_init__(self) -> None:
+        materialized = tuple(tuple(entry for entry in row)
+                             for row in self.rows)
         if not materialized or not materialized[0]:
             raise ValueError("matrix dimensions must be positive")
         width = len(materialized[0])
@@ -49,9 +53,6 @@ class IntMat:
                 if not isinstance(entry, int):
                     raise ValueError(f"non-integer entry {entry!r}")
         object.__setattr__(self, "rows", materialized)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("IntMat is immutable")
 
     @classmethod
     def identity(cls, n: int) -> "IntMat":
@@ -108,12 +109,6 @@ class IntMat:
             raise ValueError("vector length does not match column count")
         return tuple(sum(a * b for a, b in zip(row, vector))
                      for row in self.rows)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, IntMat) and self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash(self.rows)
 
     def __iter__(self) -> Iterator[tuple[int, ...]]:
         return iter(self.rows)
@@ -364,43 +359,39 @@ def _in_hnf_span(h: IntMat, vector: Sequence[int]) -> bool:
     return True
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class LocalNormLattice:
     """Full-rank sublattice of Z^r spanned by the columns of a basis matrix.
 
-    Its canonical HNF basis is computed on first use, then kept.
+    Its canonical HNF basis is computed on first use, then kept; equality
+    and hashing are those of the HNF basis.
 
     >>> lat = LocalNormLattice(IntMat([[2, 1], [0, 3]]))
     >>> lat.contains((1, 3)), lat.contains((1, 0))
     (True, False)
     """
 
-    __slots__ = ("basis", "_hnf")
+    basis: IntMat
 
-    def __init__(self, basis: IntMat) -> None:
-        if not basis.is_square:
+    def __post_init__(self) -> None:
+        if not self.basis.is_square:
             raise NonSquare("lattice basis must be square")
-        if det(basis) == 0:
+        if det(self.basis) == 0:
             raise SingularMatrix("lattice basis must be nonsingular")
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "_hnf", None)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("LocalNormLattice is immutable")
 
     @property
     def rank(self) -> int:
         return self.basis.nrows
 
+    @cached_property
     def _basis_hnf(self) -> IntMat:
-        if self._hnf is None:
-            object.__setattr__(self, "_hnf", hnf(self.basis))
-        return self._hnf
+        return hnf(self.basis)
 
     def contains(self, vector: Sequence[int]) -> bool:
         if len(vector) != self.rank:
             raise ValueError(
                 f"vector of length {len(vector)} against rank {self.rank}")
-        return _in_hnf_span(self._basis_hnf(), vector)
+        return _in_hnf_span(self._basis_hnf, vector)
 
     @property
     def index(self) -> int:
@@ -408,10 +399,10 @@ class LocalNormLattice:
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, LocalNormLattice)
-                and self._basis_hnf() == other._basis_hnf())
+                and self._basis_hnf == other._basis_hnf)
 
     def __hash__(self) -> int:
-        return hash(self._basis_hnf())
+        return hash(self._basis_hnf)
 
     def __repr__(self) -> str:
         return f"LocalNormLattice({self.basis!r})"

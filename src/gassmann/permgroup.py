@@ -10,6 +10,12 @@ those cached tables, and an abelianization reads its coordinates off
 the coset table of G/[G,G].  Neither the tables and maps nor a subgroup
 refer back to the group, so no cache makes a reference cycle.
 
+Two rules hold across the package.  A value type (`AbHom`, `FinAbGroup`,
+and `IntMat`, `LocalNormLattice`, `CoordSubgroup`, `NumericalSet`
+elsewhere) is a frozen dataclass.  A value derived from one object is a
+`functools.cached_property` of it, and a table of a (group, subgroup)
+pair is kept in the group's memo through `_per_subgroup`.
+
 Conventions: points are 0-indexed; composition is right-to-left,
 (p * q)(i) = p(q(i)); coset 0 of a coset space is the subgroup itself.
 """
@@ -17,6 +23,7 @@ Conventions: points are 0-indexed; composition is right-to-left,
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd, lcm
 from operator import itemgetter
 from typing import Iterable, Sequence, Union
@@ -301,43 +308,42 @@ class _GroupBase:
     def __contains__(self, perm: Permutation) -> bool:
         return perm in self.element_set
 
-    def _init_caches(self) -> None:
-        self._index = None
-        self._classes = None
-        self._subgroups = None
-        self._ab = None
-        # (kind, subgroup element set) -> "cosets": CosetSpace;
-        # "splitting": tuple of SplittingType, one per class;
-        # "transfer", "inclusion": (subgroup abelianization, AbHom)
-        self._memo: dict = {}
+    @cached_property
+    def _memo(self) -> dict:
+        """(kind, subgroup element set) -> "cosets": CosetSpace;
+        "splitting": tuple of SplittingType, one per class;
+        "transfer", "inclusion": (subgroup abelianization, AbHom)."""
+        return {}
 
+    @cached_property
     def _element_index(self) -> dict[Permutation, int]:
-        """Position of each element in `elements`; built once."""
-        if self._index is None:
-            self._index = {g: i for i, g in enumerate(self.elements)}
-        return self._index
+        """Position of each element in `elements`."""
+        return {g: i for i, g in enumerate(self.elements)}
+
+    @cached_property
+    def _class_map(self) -> tuple[tuple[ConjugacyClass, ...], list[int]]:
+        """(the classes, the class number of each element index): the
+        orbits of conjugation by the generators on element indices,
+        numbered and represented by their least index; the members are
+        the group's own elements."""
+        index = self._element_index
+        class_number, count = _orbits(
+            [[index[x.conjugate(g)] for x in self.elements]
+             for g in self.generators], self.order)
+        members: list[list[Permutation]] = [[] for _ in range(count)]
+        for x, number in zip(self.elements, class_number):
+            members[number].append(x)
+        return (tuple(ConjugacyClass(m[0], frozenset(m)) for m in members),
+                class_number)
 
     def conjugacy_classes(self) -> tuple[ConjugacyClass, ...]:
-        """Orbits of conjugation by the generators on element indices,
-        numbered and represented by their least index; the members are
-        the group's own elements.  Cached with each element's class."""
-        if self._classes is None:
-            index = self._element_index()
-            self._class_number, count = _orbits(
-                [[index[x.conjugate(g)] for x in self.elements]
-                 for g in self.generators], self.order)
-            members: list[list[Permutation]] = [[] for _ in range(count)]
-            for x, number in zip(self.elements, self._class_number):
-                members[number].append(x)
-            self._classes = tuple(ConjugacyClass(m[0], frozenset(m))
-                                  for m in members)
-        return self._classes
+        """The classes, in the order of their least element index."""
+        return self._class_map[0]
 
     def _class_index(self, perm: Permutation) -> int:
         """Position of the element's class in conjugacy_classes()."""
-        self.conjugacy_classes()
         try:
-            return self._class_number[self._element_index()[perm]]
+            return self._class_map[1][self._element_index[perm]]
         except KeyError:
             raise ValueError(
                 f"{perm!r} is not an element of this group") from None
@@ -354,20 +360,19 @@ class _GroupBase:
         elements = _closure(self.degree, gens, cap=self.order)
         return Subgroup(self, elements, generators=gens)
 
-    def subgroup_from_elements(self, elements: Iterable[Permutation], *,
-                               validate: bool = True) -> "Subgroup":
+    def subgroup_from_elements(
+            self, elements: Iterable[Permutation]) -> "Subgroup":
         elems = sorted(set(elements))
         if not elems:
             raise NotASubgroup("a subgroup needs at least the identity")
-        if validate:
-            element_set = set(elems)
-            if not element_set <= self.element_set:
-                raise NotASubgroup("elements lie outside the group")
-            for a in elems:
-                for b in elems:
-                    if a * b not in element_set:
-                        raise NotASubgroup(
-                            f"set not closed: {(a * b).format()} missing")
+        element_set = set(elems)
+        if not element_set <= self.element_set:
+            raise NotASubgroup("elements lie outside the group")
+        for a in elems:
+            for b in elems:
+                if a * b not in element_set:
+                    raise NotASubgroup(
+                        f"set not closed: {(a * b).format()} missing")
         return Subgroup(self, elems)
 
     def trivial_subgroup(self) -> "Subgroup":
@@ -386,43 +391,48 @@ class _GroupBase:
                    for g in self.generators for h in sub.generators)
 
     def all_subgroups(self) -> tuple["Subgroup", ...]:
+        return self._subgroup_lattice
+
+    @cached_property
+    def _subgroup_lattice(self) -> tuple["Subgroup", ...]:
         """Every subgroup, by joins <S, x> for each subgroup S found and
         one x per right coset Sx, on a Cayley table of |G|^2 entries
-        (hence the order cap); cached."""
-        if self._subgroups is None:
-            if self.order > _LATTICE_ORDER_CAP:
-                raise OrderCapExceeded(
-                    f"subgroup lattice needs group order at most "
-                    f"{_LATTICE_ORDER_CAP}, got {self.order}")
-            index = self._element_index()
-            table = [[index[a * b] for b in self.elements]
-                     for a in self.elements]
-            trivial = self.trivial_subgroup()
-            key = bytes([1]) + bytes(self.order - 1)  # membership by index
-            found = {key: trivial}
-            worklist = [(key, trivial)]
-            while worklist:
-                key, current = worklist.pop()
-                members = [i for i, inside in enumerate(key) if inside]
-                gens = [index[g] for g in current.generators]
-                tried = bytearray(key)
-                for x in range(self.order):
-                    if tried[x]:
-                        continue
-                    for s in members:  # <S, sx> = <S, x>
-                        tried[table[s][x]] = 1
-                    joined = _join(table, members, key, gens + [x])
-                    if joined not in found:
-                        found[joined] = Subgroup(
-                            self, [g for g, inside in zip(self.elements,
-                                                          joined) if inside],
-                            generators=current.generators
-                            + (self.elements[x],))
-                        worklist.append((joined, found[joined]))
-            ordered = sorted(found.values(),
-                             key=lambda s: (s.order, s.elements))
-            self._subgroups = tuple(ordered)
-        return self._subgroups
+        (hence the order cap)."""
+        if self.order > _LATTICE_ORDER_CAP:
+            raise OrderCapExceeded(
+                f"subgroup lattice needs group order at most "
+                f"{_LATTICE_ORDER_CAP}, got {self.order}")
+        index = self._element_index
+        table = [[index[a * b] for b in self.elements]
+                 for a in self.elements]
+        trivial = self.trivial_subgroup()
+        key = bytes([1]) + bytes(self.order - 1)  # membership by index
+        found = {key: trivial}
+        worklist = [(key, trivial)]
+        while worklist:
+            key, current = worklist.pop()
+            members = [i for i, inside in enumerate(key) if inside]
+            gens = [index[g] for g in current.generators]
+            tried = bytearray(key)
+            for x in range(self.order):
+                if tried[x]:
+                    continue
+                for s in members:  # <S, sx> = <S, x>
+                    tried[table[s][x]] = 1
+                joined = _join(table, members, key, gens + [x])
+                if joined not in found:
+                    found[joined] = Subgroup(
+                        self, [g for g, inside in zip(self.elements,
+                                                      joined) if inside],
+                        generators=current.generators
+                        + (self.elements[x],))
+                    worklist.append((joined, found[joined]))
+        return tuple(sorted(found.values(),
+                            key=lambda s: (s.order, s.elements)))
+
+    @cached_property
+    def _abelianization(self) -> "Abelianization":
+        return Abelianization(self)
 
 
 def _join(table: list[list[int]], members: list[int], key: bytes,
@@ -458,7 +468,6 @@ class PermGroup(_GroupBase):
         self.generators = tuple(g for g in gens if not g.is_identity())
         self.elements = tuple(_closure(degree, self.generators, order_cap))
         self.element_set = frozenset(self.elements)
-        self._init_caches()
 
     def __repr__(self) -> str:
         return (f"PermGroup(degree={self.degree}, order={self.order}, "
@@ -468,7 +477,8 @@ class PermGroup(_GroupBase):
 class Subgroup(_GroupBase):
     """Subgroup of the group `parent`, which may itself be a Subgroup;
     equality is element-set equality.  Only the index in `parent` is
-    kept, not `parent` itself."""
+    kept, not `parent` itself.  Without given generators, a small
+    generating set is found when `generators` is first read."""
 
     def __init__(self, parent: _GroupBase,
                  elements: Iterable[Permutation], *,
@@ -484,9 +494,10 @@ class Subgroup(_GroupBase):
                                     if not g.is_identity())
             if not self.generators and self.order > 1:
                 raise NotASubgroup("generators do not generate the elements")
-        else:
-            self.generators = _reduce_generators(self.elements, self.degree)
-        self._init_caches()
+
+    @cached_property
+    def generators(self) -> tuple[Permutation, ...]:
+        return _reduce_generators(self.elements, self.degree)
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Subgroup)
@@ -546,7 +557,7 @@ class CosetSpace:
         _require_subgroup(group, subgroup)
         sub_elements = subgroup.elements
         elements = group.elements
-        index = self._index = group._element_index()
+        index = self._index = group._element_index
         coset_of = [-1] * group.order
         for h in sub_elements:
             coset_of[index[h]] = 0
@@ -585,14 +596,21 @@ class CosetSpace:
         return out
 
 
+def _per_subgroup(group: GroupLike, kind: str, subgroup: GroupLike,
+                  build):
+    """The group's `kind` table for the subgroup: build(group, subgroup),
+    run once per subgroup element set and kept in the group's memo."""
+    key = (kind, subgroup.element_set)
+    table = group._memo.get(key)
+    if table is None:
+        table = group._memo[key] = build(group, subgroup)
+    return table
+
+
 def coset_action(group: GroupLike, subgroup: GroupLike) -> CosetSpace:
     """Action on G/H; its kernel is the normal core of H.  Built once per
     subgroup element set and kept on the group."""
-    key = ("cosets", subgroup.element_set)
-    cosets = group._memo.get(key)
-    if cosets is None:
-        cosets = group._memo[key] = CosetSpace(group, subgroup)
-    return cosets
+    return _per_subgroup(group, "cosets", subgroup, CosetSpace)
 
 
 def _orbits(moves: Sequence[Sequence[int]],
@@ -718,20 +736,21 @@ class FinAbGroup:
         return " x ".join(parts) if parts else "0"
 
 
+@dataclass(frozen=True, repr=False)
 class AbHom:
     """Homomorphism between finite abelian groups in invariant-factor
     coordinates; entries of row r are stored reduced mod the r-th target
     factor, so equal maps compare equal.
     """
 
-    __slots__ = ("source_factors", "target_factors", "entries")
+    source_factors: Sequence[int]
+    target_factors: Sequence[int]
+    entries: Sequence[Sequence[int]]
 
-    def __init__(self, source_factors: Sequence[int],
-                 target_factors: Sequence[int],
-                 entries: Sequence[Sequence[int]]) -> None:
-        src = tuple(source_factors)
-        tgt = tuple(target_factors)
-        rows = [tuple(row) for row in entries]
+    def __post_init__(self) -> None:
+        src = tuple(self.source_factors)
+        tgt = tuple(self.target_factors)
+        rows = [tuple(row) for row in self.entries]
         if len(rows) != len(tgt) or any(len(r) != len(src) for r in rows):
             raise ValueError("entry shape does not match the factor lists")
         normalized = tuple(tuple(entry % tgt[r] for entry in row)
@@ -745,15 +764,6 @@ class AbHom:
         object.__setattr__(self, "source_factors", src)
         object.__setattr__(self, "target_factors", tgt)
         object.__setattr__(self, "entries", normalized)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("AbHom is immutable")
-
-    @classmethod
-    def identity(cls, factors: Sequence[int]) -> "AbHom":
-        n = len(factors)
-        return cls(factors, factors,
-                   [[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @classmethod
     def scalar(cls, factors: Sequence[int], c: int) -> "AbHom":
@@ -799,15 +809,6 @@ class AbHom:
             [gcd(self.target_factors[r], k) for r in keep_tgt],
             [[self.entries[r][j] for j in keep_src] for r in keep_tgt])
 
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, AbHom)
-                and self.source_factors == other.source_factors
-                and self.target_factors == other.target_factors
-                and self.entries == other.entries)
-
-    def __hash__(self) -> int:
-        return hash((self.source_factors, self.target_factors, self.entries))
-
     def __repr__(self) -> str:
         return (f"AbHom({list(self.source_factors)} -> "
                 f"{list(self.target_factors)}, "
@@ -828,7 +829,7 @@ class Abelianization:
         for g in group.generators:
             if not g.is_identity() and g not in gens:
                 gens.append(g)
-        self._index = group._element_index()
+        self._index = group._element_index
         if not gens:
             self._coords = [()]
             self.structure = FinAbGroup(0, ())
@@ -934,9 +935,7 @@ def _normal_closure(group: GroupLike,
 
 def abelianization(group: GroupLike) -> Abelianization:
     """G/[G,G] with invariant factors, projection, and basis lifts; cached."""
-    if group._ab is None:
-        group._ab = Abelianization(group)
-    return group._ab
+    return group._abelianization
 
 
 def _memoized_hom(group: GroupLike, subgroup: GroupLike, kind: str,
@@ -953,9 +952,7 @@ def _memoized_hom(group: GroupLike, subgroup: GroupLike, kind: str,
     cached = group._memo.get(key)
     if cached is not None:
         ab_h, hom = cached
-        if subgroup._ab is None:
-            subgroup._ab = ab_h
-        if subgroup._ab is ab_h:
+        if vars(subgroup).setdefault("_abelianization", ab_h) is ab_h:
             return hom
     ab_h = abelianization(subgroup)
     hom = compute(abelianization(group), ab_h)

@@ -11,6 +11,7 @@ of unequal index may be compared under those relations.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from math import gcd, lcm
 from typing import Iterable, Union
 
@@ -19,6 +20,7 @@ from .permgroup import (
     ConjugacyClass,
     GroupLike,
     Permutation,
+    _per_subgroup,
     _require_equal_index,
     coset_action,
 )
@@ -79,6 +81,7 @@ class SplittingType(tuple):
         return "{{" + ", ".join(str(p) for p in self) + "}}"
 
 
+@dataclass(frozen=True, repr=False)
 class NumericalSet:
     """Truncated numerical semigroup generated by a splitting type.
 
@@ -86,26 +89,12 @@ class NumericalSet:
     generating the same semigroup compare equal.
     """
 
-    __slots__ = ("base", "cap", "members")
-
-    def __init__(self, base: SplittingType, cap: int,
-                 members: frozenset) -> None:
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "cap", cap)
-        object.__setattr__(self, "members", members)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("NumericalSet is immutable")
+    base: SplittingType = field(compare=False)
+    cap: int
+    members: frozenset
 
     def __contains__(self, value: int) -> bool:
         return value in self.members
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, NumericalSet)
-                and self.cap == other.cap and self.members == other.members)
-
-    def __hash__(self) -> int:
-        return hash((self.cap, self.members))
 
     def __repr__(self) -> str:
         return f"NumericalSet(cap={self.cap}, |members|={len(self.members)})"
@@ -130,14 +119,14 @@ def splitting_table(group: GroupLike,
     order: the cycle type of each class representative on the cached
     coset action of G/H.  Built once per subgroup element set and kept
     on the group beside that action; each call returns a fresh list."""
-    key = ("splitting", subgroup.element_set)
-    table = group._memo.get(key)
-    if table is None:
-        act = coset_action(group, subgroup).permutation_of
-        table = group._memo[key] = tuple(
-            SplittingType(act(cls.representative).cycle_type())
-            for cls in group.conjugacy_classes())
-    return list(table)
+    return list(_per_subgroup(group, "splitting", subgroup, _cycle_types))
+
+
+def _cycle_types(group: GroupLike,
+                 subgroup: GroupLike) -> tuple[SplittingType, ...]:
+    act = coset_action(group, subgroup).permutation_of
+    return tuple(SplittingType(act(cls.representative).cycle_type())
+                 for cls in group.conjugacy_classes())
 
 
 def arithmetically_equivalent(group: GroupLike, h1: GroupLike,

@@ -39,7 +39,6 @@ __all__ = [
     "intertwiner_basis",
     "integral_search",
     "verify_integral_triple",
-    "sign_normalize",
 ]
 
 
@@ -120,16 +119,14 @@ class CorrespondenceMatrix:
     without group context (the lattice pipeline accepts those).
     """
 
-    def __init__(self, a: IntMat, triple: GassmannTriple | None = None, *,
-                 sign: int | None = None) -> None:
+    def __init__(self, a: IntMat,
+                 triple: GassmannTriple | None = None) -> None:
         if not a.is_square:
             raise NonSquare("correspondence matrices are square")
         d = det(a)
         if d not in (1, -1):
             raise ValueError(f"not unimodular: det = {d}")
         eps = _ones_eigenvalue(a)
-        if sign is not None and sign != eps:
-            raise MixedSigns(f"declared sign {sign} but eigenvalue {eps}")
         if triple is not None:
             if a.nrows != triple.index:
                 raise NonSquare(
@@ -350,21 +347,3 @@ def verify_integral_triple(triple: GassmannTriple,
 
 def _rows_multi_support(a: IntMat) -> bool:
     return all(sum(1 for x in row if x) >= 2 for row in a.rows)
-
-
-def sign_normalize(
-        a: Union[IntMat, CorrespondenceMatrix]) -> CorrespondenceMatrix:
-    """Flip the overall sign so row sums are +1; idempotent.
-
-    MixedSigns when the sums are inconsistent (non-constant, non-unit,
-    or row/column eigenvalues disagree), the mark of a non-equivariant
-    input.
-    """
-    triple = None
-    if isinstance(a, CorrespondenceMatrix):
-        triple = a.triple
-        a = a.A
-    eps = _ones_eigenvalue(a)
-    if eps == -1:
-        a = -a
-    return CorrespondenceMatrix(a, triple)

@@ -2,10 +2,13 @@ import json
 
 import pytest
 
+from gassmann.abelext import choose_q
 from gassmann.catalog import fano_stabilizers
 from gassmann.cli import RunConfig, main, run
-from gassmann import kgroups
+from gassmann import kgroups, lattice
+from gassmann.errors import PreconditionViolated
 from gassmann.kgroups import _CONDUCTOR_CAP
+from gassmann.lattice import IntMat, format_matrix_file
 from gassmann.permgroup import _DEGREE_CAP, format_group_file
 
 S4_TEXT = "degree: 4\ngen: (0 1 2 3)\ngen: (0 1)\n"
@@ -187,6 +190,25 @@ def test_abelext_demo_chooses_q(capsys, tmp_path):
     assert report["S1"][0] == 1
 
 
+def test_abelext_demo_refuses_singular_before_any_cofactor(
+        capsys, tmp_path, monkeypatch):
+    # a singular matrix has no Gauss-Jordan adjugate; its cofactors would
+    # come from one determinant per entry, O(n^5) in all
+    calls = []
+    minor_det = lattice._minor_det
+    monkeypatch.setattr(lattice, "_minor_det",
+                        lambda *args: calls.append(args) or minor_det(*args))
+    singular = IntMat([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
+    with pytest.raises(PreconditionViolated, match="not unimodular: det = 0"):
+        choose_q(singular)
+    mat = tmp_path / "singular.mat"
+    mat.write_text(format_matrix_file(singular))
+    code, out, err = run_cli(capsys, ["abelext", "demo", "--matrix", str(mat)])
+    assert code == 2 and out == ""
+    assert "not unimodular" in err and "Traceback" not in err
+    assert calls == []
+
+
 def test_kgroups_command(capsys):
     report = run_json(capsys,
                       ["kgroups", "--field", "Q",
@@ -234,6 +256,21 @@ def test_kgroups_command_computes_each_w_once(capsys, monkeypatch):
         assert e["k_group"] == str(structure)
         assert e["free_rank"] == structure.free_rank
         assert e["torsion"] == list(structure.invariant_factors)
+
+
+def test_kgroups_command_lists_units_once(capsys, monkeypatch):
+    """The degree, the signature, every w and the report read one
+    listing of the units mod m."""
+    calls = []
+    unit_residues = kgroups._unit_residues
+    monkeypatch.setattr(kgroups, "_unit_residues",
+                        lambda m: calls.append(m) or unit_residues(m))
+    argv = ["kgroups", "--field", "abelian:m=5;H=1,4"]
+    for n in (3, 5, 7, 9, 11, 13):
+        argv += ["--n", str(n)]
+    report = run_json(capsys, argv)
+    assert report["degree"] == 2 and len(report["entries"]) == 6
+    assert calls == [5]
 
 
 def test_homology_sweep_command(capsys, tmp_path):

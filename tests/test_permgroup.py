@@ -9,14 +9,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gassmann.permgroup as permgroup_module
 from gassmann.catalog import alternating, symmetric
 from gassmann.errors import (InvalidPermutation, NotASubgroup,
                              OrderCapExceeded, ParseError)
+from gassmann.homology import CoordSubgroup
+from gassmann.lattice import IntMat, LocalNormLattice
 from gassmann.permgroup import (_DEGREE_CAP, AbHom, FinAbGroup, PermGroup,
                                 Permutation, Subgroup, abelianization,
                                 coset_action, double_cosets,
                                 format_group_file, inclusion_induced,
                                 normal_core, parse_group_file, transfer)
+from gassmann.splitting import SplittingType, numerical_set
 
 perms5 = st.permutations(range(5)).map(Permutation)
 
@@ -327,6 +331,21 @@ def brute_core(group, subgroup):
     return frozenset(core)
 
 
+def test_element_set_subgroup_finds_generators_on_first_read(
+        s4, monkeypatch):
+    calls = []
+    reduce = permgroup_module._reduce_generators
+    monkeypatch.setattr(permgroup_module, "_reduce_generators",
+                        lambda *args: calls.append(args) or reduce(*args))
+    d4 = s4.subgroup([Permutation.parse(4, "(0 1 2 3)"),
+                      Permutation.parse(4, "(0 2)")])
+    core = normal_core(s4, d4)
+    assert core.order == 4 and calls == []
+    generators = core.generators
+    assert core.generators is generators and len(calls) == 1
+    assert s4.subgroup(generators) == core
+
+
 def test_normal_core_matches_bruteforce(s4, d6):
     for group in (s4, d6):
         for sub in group.all_subgroups():
@@ -465,6 +484,19 @@ def test_finabgroup_tensor_mod():
     # each free slot contributes one Z/k
     assert FinAbGroup(1, (2, 12)).tensor_mod(4).invariant_factors == (2, 4, 4)
     assert FinAbGroup(1, (2, 12)).tensor_mod(4).free_rank == 0
+
+
+@pytest.mark.parametrize("value, name", [
+    (IntMat([[1, 2], [3, 4]]), "rows"),
+    (LocalNormLattice(IntMat([[2, 1], [0, 3]])), "basis"),
+    (AbHom((2,), (4,), [[2]]), "entries"),
+    (CoordSubgroup.full((2, 4)), "basis"),
+    (numerical_set(SplittingType([2, 3]), 10), "members"),
+], ids=["IntMat", "LocalNormLattice", "AbHom", "CoordSubgroup",
+        "NumericalSet"])
+def test_value_types_are_frozen(value, name):
+    with pytest.raises(AttributeError):
+        setattr(value, name, getattr(value, name))
 
 
 def test_abhom_rejects_ill_defined_entries():

@@ -171,6 +171,10 @@ def test_numerical_set_equality_is_capped():
     b = numerical_set(SplittingType([2, 3]), 11)
     assert a != b  # different caps are different observations
     assert a == numerical_set(SplittingType([3, 2]), 10)
+    # {{1}} and {{1, 2}} generate the same semigroup
+    c = numerical_set(SplittingType([1]), 10)
+    d = numerical_set(SplittingType([1, 2]), 10)
+    assert c.base != d.base and c == d and hash(c) == hash(d)
 
 
 def brute_norm_count(parts, k):

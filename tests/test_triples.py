@@ -19,7 +19,7 @@ from gassmann.triples import (CorrespondenceMatrix, GassmannTriple,
                               _box_in_l1_order, are_conjugate,
                               integral_search, intertwiner_basis,
                               is_gassmann, permutation_character,
-                              sign_normalize, verify_integral_triple)
+                              verify_integral_triple)
 
 
 def brute_character(group, subgroup):
@@ -296,24 +296,14 @@ def test_verify_multi_support_fields(s4):
     assert "inverse_rows_multi_support" not in report
 
 
-def test_sign_normalize(s4):
-    h = s4.point_stabilizer(0)
-    minus = IntMat.identity(4).scale(-1)
-    fixed = sign_normalize(minus)
-    assert fixed.sign == 1
-    assert fixed.A == IntMat.identity(4)
-    again = sign_normalize(fixed)
-    assert again.A == fixed.A
-    mixed = IntMat([[1, 0], [0, -1]])
-    with pytest.raises(MixedSigns):
-        sign_normalize(mixed)
-
-
 def test_correspondence_matrix_validation(fano):
     group, h1, h2 = fano
     triple = GassmannTriple(group, h1, h2)
     with pytest.raises(ValueError):
         CorrespondenceMatrix(IntMat.identity(3).scale(2))
+    assert CorrespondenceMatrix(IntMat.identity(4).scale(-1)).sign == -1
+    with pytest.raises(MixedSigns):
+        CorrespondenceMatrix(IntMat([[1, 0], [0, -1]]))
     with pytest.raises(PreconditionViolated):
         CorrespondenceMatrix(IntMat.identity(7), triple)  # not equivariant
 
