@@ -25,9 +25,7 @@ from .errors import (
 from .lattice import (
     IntMat,
     LocalNormLattice,
-    _det_adjugate,
     adjugate,  # unused here; perfbench/selftest.py reads abelext.adjugate
-    det,
     maximal_normal_sublattice,
 )
 from .permgroup import GroupLike, _require_subgroup
@@ -50,16 +48,15 @@ def _raw_matrix(a: MatrixLike) -> IntMat:
     return a.A if isinstance(a, CorrespondenceMatrix) else a
 
 
-def _require_unimodular(a: IntMat,
-                        with_adjugate: bool = False) -> IntMat | None:
-    """Check that A is square with det A = +-1; with_adjugate, return
-    adj A = +-A^-1 from the same elimination."""
+def _require_unimodular(a: IntMat) -> set[int]:
+    """Check that A is square with det A = +-1 and return its nonzero
+    |cofactors|, the |entries| of adj A = +-A^-1, from A's cached pass."""
     if not a.is_square:
         raise NonSquare("transport needs a square matrix")
-    d, adj = _det_adjugate(a) if with_adjugate else (det(a), None)
+    d, adj = a._elimination
     if d not in (1, -1):
         raise PreconditionViolated(f"not unimodular: det = {d}")
-    return adj
+    return {abs(entry) for row in adj.rows for entry in row} - {0}
 
 
 @dataclass(frozen=True)
@@ -119,13 +116,9 @@ def choose_q(a: MatrixLike) -> int:
     Cofactors are the adjugate's entries (transposed, which does not
     change the set).  PreconditionViolated when det A is not +-1.
     """
-    adj = _require_unimodular(_raw_matrix(a), with_adjugate=True)
-    cofactors = {abs(entry) for row in adj.rows for entry in row}
-    cofactors.discard(0)
-    for p in iter_primes():
-        if all(value % p for value in cofactors):
-            return p
-    raise AssertionError("unreachable: infinitely many primes")
+    cofactors = _require_unimodular(_raw_matrix(a))
+    return next(p for p in iter_primes()
+                if all(value % p for value in cofactors))
 
 
 def notwkeq_construct(
@@ -138,21 +131,16 @@ def notwkeq_construct(
     row of A^-1 has a nonzero entry outside the first column, S2 is
     {{q, ..., q}} with gcd q, separating the two sides under the gcd test.
     """
-    raw = _raw_matrix(a)
-    adj = _require_unimodular(raw, with_adjugate=True)
+    cofactors = _require_unimodular(_raw_matrix(a))
     if q < 2:
         raise ValueError(f"q must be at least 2: {q}")
-    # adj A = +-A^-1, so its entries are those of A^-1 up to sign
-    cofactors = {abs(entry) for row in adj.rows for entry in row}
-    cofactors.discard(0)
     offenders = sorted(v for v in cofactors if gcd(q, v) > 1)
     if offenders:
         raise CoprimalityViolated(
             f"q = {q} shares a factor with cofactor(s) {offenders}")
-    # LocalModel.standard and transport_lattice on bare bases, unchecked
-    l1_basis = IntMat.diagonal([1] + [q] * (raw.nrows - 1))
-    s1 = local_splitting_type(l1_basis)
-    s2 = local_splitting_type(raw.transpose() @ l1_basis)
+    l1_prime = LocalModel.standard(a, q).L1_prime
+    s1 = local_splitting_type(l1_prime)
+    s2 = local_splitting_type(transport_lattice(a, l1_prime))
     return s1, s2, s1.gcd(), s2.gcd()
 
 

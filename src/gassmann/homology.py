@@ -348,13 +348,10 @@ def corresponding_subgroups(corr: Correspondence,
             corr, 1,
             CoordSubgroup.full(ab1.factors), CoordSubgroup.full(ab2.factors),
             corr.h1, corr.h2)]
-    if ab2.structure.torsion_order() % t:
-        return []
+    # index_subgroups is [] unless t divides the order; phi keeps indices
     out = []
     for u1 in index_subgroups(ab1.factors, t):
         u2 = _image_subgroup(corr.phi, u1)
-        if u2.index != t:
-            continue
         out.append(CorrespondingSubgroups(
             corr, t, u1, u2,
             _lift(corr.h1, u1), _lift(corr.h2, u2)))

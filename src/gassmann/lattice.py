@@ -30,7 +30,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+# no slots: the cached eliminations live in the instance dict
+@dataclass(frozen=True, repr=False)
 class IntMat:
     """Immutable integer matrix.
 
@@ -119,6 +120,58 @@ class IntMat:
     def __repr__(self) -> str:
         return f"IntMat({self.to_lists()!r})"
 
+    @cached_property
+    def _det(self) -> int:
+        """Bareiss det, forward only: a third of the Gauss-Jordan pass."""
+        n = self.nrows
+        a = self.to_lists()
+        sign = 1
+        prev = 1
+        for k in range(n - 1):
+            if a[k][k] == 0:
+                pivot_row = next((i for i in range(k + 1, n) if a[i][k] != 0),
+                                 None)
+                if pivot_row is None:
+                    return 0
+                a[k], a[pivot_row] = a[pivot_row], a[k]
+                sign = -sign
+            for i in range(k + 1, n):
+                for j in range(k + 1, n):
+                    # exact division is guaranteed by the Bareiss identity
+                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+                a[i][k] = 0
+            prev = a[k][k]
+        return sign * a[n - 1][n - 1]
+
+    @cached_property
+    def _elimination(self) -> tuple[int, IntMat | None]:
+        """(det M, adj M) of a square matrix; adj M is None when det M = 0.
+
+        One fraction-free Gauss-Jordan pass (Bareiss 1968) turns [M | I] into
+        [d I | d M^-1], d = +-det M by the row swaps; every division is exact,
+        every entry being a minor of [M | I].  Pivot columns are dropped.
+        """
+        n = self.nrows
+        rows = [list(row) + [int(i == j) for j in range(n)]
+                for i, row in enumerate(self.rows)]
+        sign = prev = 1
+        for k in range(n):
+            pivot_row = next((i for i in range(k, n) if rows[i][0]), None)
+            if pivot_row is None:
+                return 0, None
+            if pivot_row != k:
+                rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
+                sign = -sign
+            pivot, *tail = rows[k]
+            for i, row in enumerate(rows):
+                if i != k:
+                    factor = row[0]
+                    rows[i] = [(pivot * x - factor * y) // prev
+                               for x, y in zip(row[1:], tail)]
+            rows[k] = tail
+            prev = pivot
+        return sign * prev, IntMat(rows).scale(sign)
+
 
 def _require_square(m: IntMat, op: str) -> None:
     if not m.is_square:
@@ -133,25 +186,7 @@ def det(m: IntMat) -> int:
     6
     """
     _require_square(m, "det")
-    n = m.nrows
-    a = m.to_lists()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            pivot_row = next((i for i in range(k + 1, n) if a[i][k] != 0),
-                             None)
-            if pivot_row is None:
-                return 0
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                # exact division is guaranteed by the Bareiss identity
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    return m._det
 
 
 def _minor_det(m: IntMat, drop_row: int, drop_col: int) -> int:
@@ -160,35 +195,6 @@ def _minor_det(m: IntMat, drop_row: int, drop_col: int) -> int:
     if not rows:
         return 1
     return det(IntMat(rows))
-
-
-def _det_adjugate(m: IntMat) -> tuple[int, IntMat | None]:
-    """(det M, adj M) of a square matrix; adj M is None when det M = 0.
-
-    One fraction-free Gauss-Jordan pass (Bareiss 1968) turns [M | I] into
-    [d I | d M^-1], d = +-det M by the row swaps; every division is exact,
-    every entry being a minor of [M | I].  Pivot columns are dropped.
-    """
-    n = m.nrows
-    rows = [list(row) + [int(i == j) for j in range(n)]
-            for i, row in enumerate(m.rows)]
-    sign = prev = 1
-    for k in range(n):
-        pivot_row = next((i for i in range(k, n) if rows[i][0]), None)
-        if pivot_row is None:
-            return 0, None
-        if pivot_row != k:
-            rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
-            sign = -sign
-        pivot, *tail = rows[k]
-        for i, row in enumerate(rows):
-            if i != k:
-                factor = row[0]
-                rows[i] = [(pivot * x - factor * y) // prev
-                           for x, y in zip(row[1:], tail)]
-        rows[k] = tail
-        prev = pivot
-    return sign * prev, IntMat(rows).scale(sign)
 
 
 def adjugate(m: IntMat) -> "IntMat":
@@ -201,7 +207,7 @@ def adjugate(m: IntMat) -> "IntMat":
     IntMat([[3, 0], [0, 2]])
     """
     _require_square(m, "adjugate")
-    _, adj = _det_adjugate(m)
+    _, adj = m._elimination
     if adj is not None:
         return adj
     n = m.nrows
@@ -341,7 +347,7 @@ def maximal_normal_sublattice(m: IntMat) -> tuple[int, ...]:
     (1, 2)
     """
     _require_square(m, "maximal_normal_sublattice")
-    d, adj = _det_adjugate(m)
+    d, adj = m._elimination
     if adj is None:
         raise SingularMatrix("lattice basis must be nonsingular")
     return tuple(abs(d) // gcd(d, *adj.column(i)) for i in range(m.nrows))
@@ -376,7 +382,7 @@ class LocalNormLattice:
     def __post_init__(self) -> None:
         if not self.basis.is_square:
             raise NonSquare("lattice basis must be square")
-        if det(self.basis) == 0:
+        if self.basis._elimination[0] == 0:
             raise SingularMatrix("lattice basis must be nonsingular")
 
     @property
@@ -395,7 +401,7 @@ class LocalNormLattice:
 
     @property
     def index(self) -> int:
-        return abs(det(self.basis))
+        return abs(self.basis._elimination[0])
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, LocalNormLattice)

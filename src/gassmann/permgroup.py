@@ -13,8 +13,9 @@ refer back to the group, so no cache makes a reference cycle.
 Two rules hold across the package.  A value type (`AbHom`, `FinAbGroup`,
 and `IntMat`, `LocalNormLattice`, `CoordSubgroup`, `NumericalSet`
 elsewhere) is a frozen dataclass.  A value derived from one object is a
-`functools.cached_property` of it, and a table of a (group, subgroup)
-pair is kept in the group's memo through `_per_subgroup`.
+`functools.cached_property` of it, such as an `IntMat`'s `_det` and
+`_elimination`, and a table of a (group, subgroup) pair is kept in the
+group's memo through `_per_subgroup`.
 
 Conventions: points are 0-indexed; composition is right-to-left,
 (p * q)(i) = p(q(i)); coset 0 of a coset space is the subgroup itself.
@@ -36,7 +37,7 @@ from .errors import (
     OrderCapExceeded,
     ParseError,
 )
-from .lattice import IntMat, _det_adjugate, smith_with_transforms
+from .lattice import IntMat, smith_with_transforms
 
 __all__ = [
     "DEFAULT_ORDER_CAP",
@@ -882,7 +883,7 @@ class Abelianization:
                   for word in words]
         # indexed like the group's elements
         self._coords = [coords[c] for c in cosets._coset_of]
-        d, adj = _det_adjugate(u)
+        d, adj = u._elimination
         u_inverse = adj.scale(d)  # d is +-1
         basis = []
         for i in kept:

@@ -19,7 +19,7 @@ from .errors import (
     NotFoundWithinBudget,
     PreconditionViolated,
 )
-from .lattice import IntMat, _det_adjugate, det
+from .lattice import IntMat, det
 from .permgroup import (
     GroupLike,
     Permutation,
@@ -229,16 +229,23 @@ def _conjugate_correspondence(triple: GassmannTriple,
     return CorrespondenceMatrix(IntMat(rows), triple)
 
 
-def _box_in_l1_order(k: int, bound: int) -> Iterator[tuple[int, ...]]:
-    """Every point of {-bound..bound}^k, by L1 norm, then by the tuple
-    of magnitudes, then by signs with + before -.
+def _compositions(total: int, k: int, cap: int) -> Iterator[tuple[int, ...]]:
+    """Every k-tuple of integers in [0, cap] summing to total <= k * cap,
+    in lexicographic order."""
+    if k == 0:
+        yield ()
+        return
+    for first in range(max(0, total - cap * (k - 1)), min(cap, total) + 1):
+        for rest in _compositions(total - first, k - 1, cap):
+            yield (first, *rest)
 
-    Only the (bound+1)^k magnitude tuples are sorted; the signs of each
-    are expanded lazily."""
-    magnitudes = sorted(itertools.product(range(bound + 1), repeat=k),
-                        key=lambda m: (sum(m), m))
-    for m in magnitudes:
-        yield from itertools.product(*[(x, -x) if x else (0,) for x in m])
+
+def _box_in_l1_order(k: int, bound: int) -> Iterator[tuple[int, ...]]:
+    """Every point of {-bound..bound}^k, lazily, by L1 norm, then by the
+    tuple of magnitudes, then by signs with + before -."""
+    for norm in range(k * bound + 1):
+        for m in _compositions(norm, k, bound):
+            yield from itertools.product(*[(x, -x) if x else (0,) for x in m])
 
 
 def integral_search(group: GroupLike, h1: GroupLike, h2: GroupLike,
@@ -313,7 +320,7 @@ def verify_integral_triple(triple: GassmannTriple,
             f"size {a.nrows} does not match index {triple.index}")
     conjugate = are_conjugate(triple.group, triple.h1, triple.h2)
     # A^-1 is only read for a non-conjugate pair
-    d, adj = (det(a), None) if conjugate else _det_adjugate(a)
+    d, adj = (det(a), None) if conjugate else a._elimination
     unimodular = d in (1, -1)
     failures = _equivariance_failures(a, triple)
 

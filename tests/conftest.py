@@ -1,8 +1,11 @@
+from functools import cached_property
+
 import pytest
 
 from gassmann.catalog import (alternating, cyclic, dihedral, fano_stabilizers,
                               frobenius20, quaternion, standard_corpus,
                               symmetric)
+from gassmann.lattice import IntMat
 
 ACCEPTANCE_LINES = []
 
@@ -20,6 +23,25 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def count_passes(monkeypatch):
+    """count_passes(name) wraps the function of the IntMat cached
+    property `name` (`_det` or `_elimination`) for the test and returns
+    the list of matrices it then runs on."""
+    def install(name):
+        computed = []
+        real = vars(IntMat)[name].func
+
+        def counted(m):
+            computed.append(m)
+            return real(m)
+        wrapped = cached_property(counted)
+        wrapped.__set_name__(IntMat, name)
+        monkeypatch.setattr(IntMat, name, wrapped)
+        return computed
+    return install
 
 
 @pytest.fixture(scope="session")

@@ -41,6 +41,16 @@ def test_choose_q_values():
     assert choose_q(IntMat([[1, 1], [0, 1]])) == 2
 
 
+def test_choose_q_and_construct_share_one_elimination(count_passes):
+    computed = count_passes("_elimination")
+    a = IntMat(A_PAPER.rows)  # a fresh matrix, nothing cached on it yet
+    s1, s2, _, _ = notwkeq_construct(a, choose_q(a))
+    assert (list(s1), list(s2)) == ([1, 3, 3], [3, 3, 3])
+    assert [m for m in computed if m is a] == [a]
+    # besides A, only the two lattice bases are eliminated, once each
+    assert len(computed) == 3
+
+
 def test_choose_q_skips_cofactor_primes():
     m = IntMat([[1, 0, 0], [0, 2, 3], [0, 1, 2]])  # det 1
     q = choose_q(m)

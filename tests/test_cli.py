@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gassmann.abelext import choose_q
 from gassmann.catalog import fano_stabilizers
@@ -190,6 +194,16 @@ def test_abelext_demo_chooses_q(capsys, tmp_path):
     assert report["S1"][0] == 1
 
 
+def test_abelext_demo_eliminates_a_once(capsys, tmp_path, count_passes):
+    # choose_q and notwkeq_construct both read A's one Gauss-Jordan pass
+    computed = count_passes("_elimination")
+    mat = tmp_path / "a.mat"
+    mat.write_text(A_TEXT)
+    run_json(capsys, ["abelext", "demo", "--matrix", str(mat)])
+    a = lattice.parse_matrix_file(A_TEXT)
+    assert sum(m == a for m in computed) == 1
+
+
 def test_abelext_demo_refuses_singular_before_any_cofactor(
         capsys, tmp_path, monkeypatch):
     # a singular matrix has no Gauss-Jordan adjugate; its cofactors would
@@ -346,3 +360,76 @@ def test_bad_arguments_exit_two(capsys):
 def test_run_rejects_unknown_command():
     with pytest.raises(ValueError):
         run(RunConfig(command="nope"))
+
+
+# Fuzzing the three text inputs through `main`: a group file, a matrix
+# file and a --field string.  Each run must end in exit 0, 1 or 2; an
+# exception escaping `main` would surface here as a test error.  Degrees,
+# sizes and conductors stay small so that every run is short.
+
+def _cycles(points):
+    return st.lists(st.lists(points, max_size=4).map(
+        lambda cycle: "(" + " ".join(map(str, cycle)) + ")"),
+        max_size=3).map("".join)
+
+
+group_texts = st.one_of(
+    st.text(alphabet="degre:gn()0123456 ,-#\n", max_size=60),
+    st.builds(lambda degree, gens: f"degree: {degree}\n" + "".join(
+        f"gen: {g}\n" for g in gens),
+        st.integers(-1, 6), st.lists(_cycles(st.integers(-1, 6)),
+                                     max_size=3)))
+matrix_texts_cli = st.one_of(
+    st.text(alphabet="size:0123456789 -#\n", max_size=60),
+    st.builds(lambda n, rows: f"size: {n}\n" + "".join(
+        " ".join(map(str, row)) + "\n" for row in rows),
+        st.integers(-1, 4), st.lists(st.lists(st.integers(-3, 3),
+                                              max_size=4), max_size=4)))
+field_texts = st.one_of(
+    st.text(alphabet="Qqabelin:mH=,;0123456789- ", max_size=30),
+    st.builds(lambda m, h: f"abelian:m={m};H=" + ",".join(map(str, h)),
+              st.integers(-2, 40), st.lists(st.integers(-3, 40),
+                                            max_size=3)))
+
+
+def _exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert "Traceback" not in err.getvalue()
+    return code
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("fuzz")
+    (directory / "s4.grp").write_text(S4_TEXT)
+    return directory
+
+
+@settings(max_examples=80, deadline=None)
+@given(text=group_texts)
+def test_fuzzed_group_files_exit_cleanly(fuzz_dir, text):
+    path = fuzz_dir / "fuzzed.grp"
+    path.write_text(text)
+    s4 = str(fuzz_dir / "s4.grp")
+    assert _exit_code(["group", "info", str(path)]) in (0, 2)
+    assert _exit_code(["gassmann", "check", s4, "--h1", str(path),
+                       "--h2", str(path)]) in (0, 1, 2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(text=matrix_texts_cli, q=st.one_of(st.none(), st.integers(-2, 12)))
+def test_fuzzed_matrix_files_exit_cleanly(fuzz_dir, text, q):
+    path = fuzz_dir / "fuzzed.mat"
+    path.write_text(text)
+    argv = ["abelext", "demo", "--matrix", str(path)]
+    if q is not None:
+        argv += ["--q", str(q)]
+    assert _exit_code(argv) in (0, 2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(text=field_texts, n=st.sampled_from([-1, 1, 2, 3, 5]))
+def test_fuzzed_fields_exit_cleanly(text, n):
+    assert _exit_code(["kgroups", "--field", text, "--n", str(n)]) in (0, 2)

@@ -4,13 +4,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gassmann.catalog import alternating, symmetric
 from gassmann.errors import (CoprimalityViolated, IndexMismatch, NotASubgroup,
                              NotCoprime, NotNormal)
 from gassmann.homology import (Correspondence, CoordSubgroup,
                                conjugation_sweep, corresponding_subgroups,
                                diagram_check, gthm_check, h1_isomorphic,
                                index_subgroups, modq_check, modq_legs)
-from gassmann.permgroup import AbHom, Permutation, abelianization, normal_core
+from gassmann.permgroup import (AbHom, Permutation, abelianization,
+                                coset_action, normal_core)
 
 FACTORS = (2, 4)
 VECTORS = [(a, b) for a in range(2) for b in range(4)]
@@ -257,6 +259,26 @@ def test_lifted_subgroups_are_conjugate(s4):
             moved = frozenset(x.conjugate(g)
                               for x in cs.gamma1p.element_set)
             assert moved == cs.gamma2p.element_set
+
+
+@pytest.mark.parametrize("name", ["s4", "a5"])
+def test_corresponding_subgroups_keep_the_index(name):
+    """phi is an isomorphism, so phi(U1) has the index t of U1, for every
+    conjugation correspondence over the group and every divisor t of the
+    homology order; a t that does not divide it gives no pairs."""
+    group = symmetric(4) if name == "s4" else alternating(5)
+    pairs = 0
+    for h1 in group.all_subgroups():
+        order = abelianization(h1).structure.torsion_order()
+        divisors = [t for t in range(1, order + 1) if order % t == 0]
+        for g in coset_action(group, h1).coset_reps:
+            corr = Correspondence.conjugation(group, h1, g)
+            for t in divisors:
+                for cs in corresponding_subgroups(corr, t):
+                    assert cs.u1.index == cs.u2.index == t
+                    pairs += 1
+            assert corresponding_subgroups(corr, order + 1) == []
+    assert pairs > 0
 
 
 def test_h1_isomorphic(s3, fano):

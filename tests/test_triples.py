@@ -1,9 +1,12 @@
 import itertools
+import operator
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
 
+from gassmann import triples
 from gassmann.abelext import decomposition_count_check
 from gassmann.catalog import fano_stabilizers
 from gassmann.errors import (IndexMismatch, MixedSigns, NotFoundWithinBudget,
@@ -220,6 +223,19 @@ def test_integral_search_identity_pair(s4):
     assert found.A == IntMat.identity(4)
 
 
+def test_integral_search_hit_runs_bareiss_once(s4, monkeypatch,
+                                               count_passes):
+    # without the conjugate short cut the identity pair goes through the
+    # candidate loop, whose first unimodular combination is I
+    monkeypatch.setattr(triples, "_conjugator", lambda *args: None)
+    computed = count_passes("_det")
+    h = s4.point_stabilizer(0)
+    found = integral_search(s4, h, h, 2, 100)
+    assert found.A == IntMat.identity(4) and found.det == 1
+    # the search and CorrespondenceMatrix share one Bareiss pass
+    assert computed == [found.A] and computed[0] is found.A
+
+
 def test_integral_search_rejects_non_gassmann(d4):
     c4 = d4.subgroup([Permutation.parse(4, "(0 1 2 3)")])
     klein = d4.subgroup([Permutation.parse(4, "(0 2)"),
@@ -256,6 +272,27 @@ def test_box_order_is_the_sorted_box():
                 sum(abs(x) for x in c), tuple(abs(x) for x in c),
                 tuple(x < 0 for x in c)))
             assert list(_box_in_l1_order(k, bound)) == expected
+    # the 390,625 points of (8, 2) are streamed, not listed: the reference
+    # sorts only the 3^8 magnitude tuples and expands each one's signs
+    magnitudes = sorted(itertools.product(range(3), repeat=8),
+                        key=lambda m: (sum(m), m))
+    expected = (c for m in magnitudes for c in itertools.product(
+        *[(x, -x) if x else (0,) for x in m]))
+    assert all(itertools.starmap(operator.eq, itertools.zip_longest(
+        _box_in_l1_order(8, 2), expected)))
+
+
+def test_box_first_points_need_no_whole_box():
+    """The first points of a large box come without listing its
+    (bound+1)^k magnitude tuples: 5^8 = 390,625 of them here."""
+    tracemalloc.start()
+    try:
+        first = list(itertools.islice(_box_in_l1_order(8, 4), 10))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert first[:2] == [(0,) * 8, (0,) * 7 + (1,)]
+    assert peak < 1 << 20
 
 
 def test_verify_report_flags_broken_candidates(fano):
