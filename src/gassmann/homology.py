@@ -210,9 +210,7 @@ class Correspondence:
         """
         conjugated = frozenset(x.conjugate(g) for x in h1.element_set)
         if h2 is None:
-            h2 = Subgroup(group, conjugated,
-                          generators=tuple(x.conjugate(g)
-                                           for x in h1.generators))
+            h2 = Subgroup(group, conjugated)
         elif h2.element_set != conjugated:
             raise ValueError("supplied h2 is not the conjugate of h1 by g")
         ab1 = abelianization(h1)

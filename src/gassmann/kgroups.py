@@ -35,6 +35,8 @@ _CONDUCTOR_CAP = 1_000
 
 # cyclo_exponent tests |H| * lcm(m, p^nu) / m residues
 _LIFT_CAP = 1_000_000
+# w_invariant's first layers test |H| * p residues per prime p at most
+_WALK_CAP = 10_000_000
 
 
 def _check_conductor(m: int) -> None:
@@ -206,7 +208,8 @@ def w_invariant(f: FieldModel, i: int) -> WInvariant:
     already has a group with index at most the degree in (Z/p)^x.  For
     each such p the level is raised while the exponent divides i; the
     exponents are nondecreasing in the level, so the first failure is
-    final.
+    final.  Above _WALK_CAP first-layer lifts, |H| * p per prime, it
+    raises OrderCapExceeded before testing any.
 
     >>> w_invariant(FieldModel.rationals(), 2).value
     24
@@ -214,11 +217,20 @@ def w_invariant(f: FieldModel, i: int) -> WInvariant:
     if i < 1:
         raise ValueError("i must be positive")
     bound = i * f.degree + 1
-    factorization = []
-    value = 1
+    primes = []
+    lifts = 0
     for p in iter_primes():
         if p > bound:
             break
+        lifts += len(f.subgroup) * p
+        if lifts > _WALK_CAP:
+            raise OrderCapExceeded(
+                f"w_{i} would test more than {_WALK_CAP} lifts over the "
+                f"primes up to {bound}")
+        primes.append(p)
+    factorization = []
+    value = 1
+    for p in primes:
         nu = 0
         while i % cyclo_exponent(f, p, nu + 1) == 0:
             nu += 1

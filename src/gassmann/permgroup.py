@@ -3,19 +3,22 @@
 Generation by full enumeration (with an order cap), conjugacy classes
 as orbits on element indices, coset and double-coset actions, normal
 cores, abelianizations with explicit coordinates, and the degree-one
-transfer and inclusion maps.  A group keeps one class map, and one
-coset action and one transfer and inclusion map per subgroup element
-set.  Conjugacy tests, double cosets and the intertwiner orbits read
-those cached tables, and an abelianization reads its coordinates off
-the coset table of G/[G,G].  Neither the tables and maps nor a subgroup
-refer back to the group, so no cache makes a reference cycle.
+transfer and inclusion maps.  Conjugacy tests, double cosets and the
+intertwiner orbits read the cached coset tables, and an abelianization
+reads its coordinates off the coset table of G/[G,G].  Neither the
+tables and maps nor a subgroup refer back to the group, so no cache
+makes a reference cycle.
 
-Two rules hold across the package.  A value type (`AbHom`, `FinAbGroup`,
-and `IntMat`, `LocalNormLattice`, `CoordSubgroup`, `NumericalSet`
-elsewhere) is a frozen dataclass.  A value derived from one object is a
-`functools.cached_property` of it, such as an `IntMat`'s `_det` and
-`_elimination`, and a table of a (group, subgroup) pair is kept in the
-group's memo through `_per_subgroup`.
+Three rules hold across the package.  A subgroup is its element set: a
+`Subgroup`'s generators, hence its abelianization coordinates, follow
+from its elements alone, so each table of a (group, subgroup) pair
+(coset action, splitting table, transfer, inclusion) is built once by
+`_per_subgroup` and kept in the group's memo keyed on the subgroup; a
+`PermGroup` passed as the subgroup compares by identity and keeps its
+own entry.  A value type (`AbHom`, `FinAbGroup`, and `IntMat`,
+`LocalNormLattice`, `CoordSubgroup`, `NumericalSet` elsewhere) is a
+frozen dataclass.  A value derived from one object is a
+`functools.cached_property` of it, such as an `IntMat`'s `_det`.
 
 Conventions: points are 0-indexed; composition is right-to-left,
 (p * q)(i) = p(q(i)); coset 0 of a coset space is the subgroup itself.
@@ -311,9 +314,9 @@ class _GroupBase:
 
     @cached_property
     def _memo(self) -> dict:
-        """(kind, subgroup element set) -> "cosets": CosetSpace;
-        "splitting": tuple of SplittingType, one per class;
-        "transfer", "inclusion": (subgroup abelianization, AbHom)."""
+        """(kind, subgroup) -> "cosets": CosetSpace; "splitting": tuple
+        of SplittingType, one per class; "transfer", "inclusion": AbHom;
+        filled by `_per_subgroup`, under which equal subgroups share."""
         return {}
 
     @cached_property
@@ -358,8 +361,7 @@ class _GroupBase:
             if g not in self.element_set:
                 raise NotASubgroup(
                     f"generator {g.format()} lies outside the group")
-        elements = _closure(self.degree, gens, cap=self.order)
-        return Subgroup(self, elements, generators=gens)
+        return Subgroup(self, _closure(self.degree, gens, cap=self.order))
 
     def subgroup_from_elements(
             self, elements: Iterable[Permutation]) -> "Subgroup":
@@ -380,7 +382,7 @@ class _GroupBase:
         return Subgroup(self, [Permutation.identity(self.degree)])
 
     def full_subgroup(self) -> "Subgroup":
-        return Subgroup(self, self.elements, generators=self.generators)
+        return Subgroup(self, self.elements)
 
     def point_stabilizer(self, point: int) -> "Subgroup":
         return Subgroup(self, [g for g in self.elements
@@ -409,11 +411,10 @@ class _GroupBase:
         trivial = self.trivial_subgroup()
         key = bytes([1]) + bytes(self.order - 1)  # membership by index
         found = {key: trivial}
-        worklist = [(key, trivial)]
-        while worklist:
-            key, current = worklist.pop()
+        worklist: list[tuple[bytes, list[int]]] = [(key, [])]
+        while worklist:  # each S with the indices of its join generators
+            key, gens = worklist.pop()
             members = [i for i, inside in enumerate(key) if inside]
-            gens = [index[g] for g in current.generators]
             tried = bytearray(key)
             for x in range(self.order):
                 if tried[x]:
@@ -424,10 +425,8 @@ class _GroupBase:
                 if joined not in found:
                     found[joined] = Subgroup(
                         self, [g for g, inside in zip(self.elements,
-                                                      joined) if inside],
-                        generators=current.generators
-                        + (self.elements[x],))
-                    worklist.append((joined, found[joined]))
+                                                      joined) if inside])
+                    worklist.append((joined, gens + [x]))
         return tuple(sorted(found.values(),
                             key=lambda s: (s.order, s.elements)))
 
@@ -454,10 +453,11 @@ def _join(table: list[list[int]], members: list[int], key: bytes,
 
 
 class PermGroup(_GroupBase):
-    """Group generated by permutations, fully enumerated at construction."""
+    """Group generated by permutations, fully enumerated at construction;
+    more than DEFAULT_ORDER_CAP elements raise OrderCapExceeded."""
 
-    def __init__(self, degree: int, generators: Iterable[Permutation], *,
-                 order_cap: int = DEFAULT_ORDER_CAP) -> None:
+    def __init__(self, degree: int,
+                 generators: Iterable[Permutation]) -> None:
         gens = tuple(generators)
         for g in gens:
             if not isinstance(g, Permutation):
@@ -467,7 +467,8 @@ class PermGroup(_GroupBase):
                     f"generator degree {g.degree} != group degree {degree}")
         self.degree = degree
         self.generators = tuple(g for g in gens if not g.is_identity())
-        self.elements = tuple(_closure(degree, self.generators, order_cap))
+        self.elements = tuple(_closure(degree, self.generators,
+                                       DEFAULT_ORDER_CAP))
         self.element_set = frozenset(self.elements)
 
     def __repr__(self) -> str:
@@ -476,25 +477,20 @@ class PermGroup(_GroupBase):
 
 
 class Subgroup(_GroupBase):
-    """Subgroup of the group `parent`, which may itself be a Subgroup;
-    equality is element-set equality.  Only the index in `parent` is
-    kept, not `parent` itself.  Without given generators, a small
-    generating set is found when `generators` is first read."""
+    """Subgroup of the group `parent`, which may itself be a Subgroup.
+    It is its element set: it compares and hashes by it, and its
+    generators, found from it when first read, fix its abelianization
+    coordinates, so equal subgroups share each `_per_subgroup` table.
+    Only its index in `parent` is kept, not `parent`."""
 
     def __init__(self, parent: _GroupBase,
-                 elements: Iterable[Permutation], *,
-                 generators: tuple[Permutation, ...] | None = None) -> None:
+                 elements: Iterable[Permutation]) -> None:
         self.degree = parent.degree
         self.elements = tuple(sorted(set(elements)))
         self.element_set = frozenset(self.elements)
         if not self.element_set <= parent.element_set:
             raise NotASubgroup("subgroup elements lie outside the parent")
         self.index = parent.order // self.order
-        if generators is not None:
-            self.generators = tuple(g for g in generators
-                                    if not g.is_identity())
-            if not self.generators and self.order > 1:
-                raise NotASubgroup("generators do not generate the elements")
 
     @cached_property
     def generators(self) -> tuple[Permutation, ...]:
@@ -533,10 +529,9 @@ def _require_equal_index(group: GroupLike, h1: GroupLike,
             f"{group.order // h2.order}")
 
 
-def generate(degree: int, generators: Iterable[Permutation],
-             order_cap: int = DEFAULT_ORDER_CAP) -> PermGroup:
+def generate(degree: int, generators: Iterable[Permutation]) -> PermGroup:
     """Closure of the generators as a PermGroup; order is exact."""
-    return PermGroup(degree, generators, order_cap=order_cap)
+    return PermGroup(degree, generators)
 
 
 def conjugacy_classes(group: GroupLike) -> tuple[ConjugacyClass, ...]:
@@ -600,17 +595,21 @@ class CosetSpace:
 def _per_subgroup(group: GroupLike, kind: str, subgroup: GroupLike,
                   build):
     """The group's `kind` table for the subgroup: build(group, subgroup),
-    run once per subgroup element set and kept in the group's memo."""
-    key = (kind, subgroup.element_set)
+    run once per subgroup and kept in the group's memo keyed on it.  A
+    `Subgroup`'s element set fixes its coordinates, so equal ones share
+    the entry; a `PermGroup` compares by identity and keeps its own (as
+    its own subgroup, the one key that refers back to the group)."""
+    key = (kind, subgroup)
     table = group._memo.get(key)
     if table is None:
+        _require_subgroup(group, subgroup)
         table = group._memo[key] = build(group, subgroup)
     return table
 
 
 def coset_action(group: GroupLike, subgroup: GroupLike) -> CosetSpace:
     """Action on G/H; its kernel is the normal core of H.  Built once per
-    subgroup element set and kept on the group."""
+    subgroup and kept on the group (`_per_subgroup`)."""
     return _per_subgroup(group, "cosets", subgroup, CosetSpace)
 
 
@@ -826,10 +825,7 @@ class Abelianization:
     """
 
     def __init__(self, group: GroupLike) -> None:
-        gens: list[Permutation] = []
-        for g in group.generators:
-            if not g.is_identity() and g not in gens:
-                gens.append(g)
+        gens = list(dict.fromkeys(group.generators))  # none is the identity
         self._index = group._element_index
         if not gens:
             self._coords = [()]
@@ -928,7 +924,7 @@ def _normal_closure(group: GroupLike,
                 if moved not in element_set and moved not in extra:
                     extra.append(moved)
         if not extra:
-            return Subgroup(group, elements, generators=tuple(gens))
+            return Subgroup(group, elements)
         gens.extend(extra)
         elements = _closure(group.degree, gens, cap=group.order)
         element_set = set(elements)
@@ -939,56 +935,39 @@ def abelianization(group: GroupLike) -> Abelianization:
     return group._abelianization
 
 
-def _memoized_hom(group: GroupLike, subgroup: GroupLike, kind: str,
-                  compute) -> AbHom:
-    """The `kind` map between H1(G) and H1(H), memoized on the group by
-    the subgroup's elements; compute(ab_g, ab_h) builds it on a miss.
-
-    A matrix holds only in the coordinates of the subgroup abelianization
-    it was computed against, so that is cached with it and adopted by an
-    equal-element instance that has none yet.
-    """
-    _require_subgroup(group, subgroup)
-    key = (kind, subgroup.element_set)
-    cached = group._memo.get(key)
-    if cached is not None:
-        ab_h, hom = cached
-        if vars(subgroup).setdefault("_abelianization", ab_h) is ab_h:
-            return hom
-    ab_h = abelianization(subgroup)
-    hom = compute(abelianization(group), ab_h)
-    group._memo[key] = (ab_h, hom)
-    return hom
-
-
 def transfer(group: GroupLike, subgroup: GroupLike) -> AbHom:
     """Matrix of the transfer map H1(G) -> H1(H) over the canonical
     transversal: g goes to the product of its H-components on the cosets.
-    Memoized on the group, keyed by the subgroup's elements.
+    Built once per subgroup and kept on the group (`_per_subgroup`).
     """
-    def compute(ab_g: Abelianization, ab_h: Abelianization) -> AbHom:
-        cosets = coset_action(group, subgroup)
-        columns = []
-        for rep in ab_g.basis_reps:
-            product = group.identity
-            for component in cosets.h_components(rep):
-                product = product * component
-            columns.append(ab_h.project(product))
-        return AbHom.from_columns(ab_g.factors, ab_h.factors, columns)
-    return _memoized_hom(group, subgroup, "transfer", compute)
+    return _per_subgroup(group, "transfer", subgroup, _transfer)
+
+
+def _transfer(group: GroupLike, subgroup: GroupLike) -> AbHom:
+    ab_g, ab_h = abelianization(group), abelianization(subgroup)
+    cosets = coset_action(group, subgroup)
+    columns = []
+    for rep in ab_g.basis_reps:
+        product = group.identity
+        for component in cosets.h_components(rep):
+            product = product * component
+        columns.append(ab_h.project(product))
+    return AbHom.from_columns(ab_g.factors, ab_h.factors, columns)
 
 
 def inclusion_induced(subgroup: GroupLike, group: GroupLike) -> AbHom:
     """Matrix of the map H1(H) -> H1(G) sending a class to its class;
-    memoized like transfer."""
-    def compute(ab_g: Abelianization, ab_h: Abelianization) -> AbHom:
-        columns = [ab_g.project(rep) for rep in ab_h.basis_reps]
-        return AbHom.from_columns(ab_h.factors, ab_g.factors, columns)
-    return _memoized_hom(group, subgroup, "inclusion", compute)
+    kept on the group like transfer."""
+    return _per_subgroup(group, "inclusion", subgroup, _inclusion)
 
 
-def parse_group_file(text: str, *, path: str | None = None,
-                     order_cap: int = DEFAULT_ORDER_CAP) -> PermGroup:
+def _inclusion(group: GroupLike, subgroup: GroupLike) -> AbHom:
+    ab_g, ab_h = abelianization(group), abelianization(subgroup)
+    columns = [ab_g.project(rep) for rep in ab_h.basis_reps]
+    return AbHom.from_columns(ab_h.factors, ab_g.factors, columns)
+
+
+def parse_group_file(text: str, *, path: str | None = None) -> PermGroup:
     """Parse the group file format: `degree: N`, then `gen: <cycles>` lines."""
     degree: int | None = None
     generators: list[Permutation] = []
@@ -1023,7 +1002,7 @@ def parse_group_file(text: str, *, path: str | None = None,
                              line=lineno, path=path)
     if degree is None:
         raise ParseError("missing `degree: N` line", path=path)
-    return PermGroup(degree, generators, order_cap=order_cap)
+    return PermGroup(degree, generators)
 
 
 def format_group_file(group: GroupLike) -> str:

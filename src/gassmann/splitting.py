@@ -117,8 +117,8 @@ def splitting_table(group: GroupLike,
                     subgroup: GroupLike) -> list[SplittingType]:
     """One splitting type per conjugacy class, in conjugacy_classes
     order: the cycle type of each class representative on the cached
-    coset action of G/H.  Built once per subgroup element set and kept
-    on the group beside that action; each call returns a fresh list."""
+    coset action of G/H.  Built once per subgroup and kept on the group
+    beside that action; each call returns a fresh list."""
     return list(_per_subgroup(group, "splitting", subgroup, _cycle_types))
 
 

@@ -244,6 +244,18 @@ def test_kgroups_command(capsys):
     assert "Traceback" not in err
 
 
+def test_kgroups_walk_cap_exits_two(capsys, monkeypatch):
+    """--n 200001 over Q would walk the primes up to 100,002; the walk
+    cap refuses it before any cyclotomic layer is tested."""
+    def tested(*args):
+        raise AssertionError("a layer was tested past the walk cap")
+
+    monkeypatch.setattr(kgroups, "cyclo_exponent", tested)
+    code, out, err = run_cli(capsys, ["kgroups", "--field", "Q",
+                                      "--n", "200001"])
+    assert code == 2 and not out and "OrderCapExceeded" in err
+
+
 def test_kgroups_command_computes_each_w_once(capsys, monkeypatch):
     spec = "abelian:m=5;H=1,4"
     ns = [3, 5, 7, 9, 11, 13]

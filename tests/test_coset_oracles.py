@@ -8,8 +8,9 @@ the two must agree on every subgroup pair of S4, A5, D6 and F20 and on
 the Fano triple.  The conjugacy classes, read off one orbit computation
 on element indices, must match a breadth-first search over conjugates,
 and every splitting type must match the cycle type of the element's own
-coset permutation.  Group orders and conjugacy-class sizes are checked
-against sympy where it is installed.
+coset permutation.  Group orders, conjugacy-class sizes and the
+abelianization of every subgroup are checked against sympy where it is
+installed.
 """
 
 from collections import Counter
@@ -17,9 +18,10 @@ from collections import Counter
 import pytest
 
 from gassmann.abelext import decomposition_count_check
-from gassmann.catalog import psl2, standard_corpus
+from gassmann.catalog import gl3f2, psl2, standard_corpus
 from gassmann.lattice import IntMat
-from gassmann.permgroup import Permutation, coset_action, double_cosets
+from gassmann.permgroup import (FinAbGroup, Permutation, abelianization,
+                                coset_action, double_cosets)
 from gassmann.splitting import splitting_type
 from gassmann.triples import (_conjugator, are_conjugate, intertwiner_basis,
                               is_gassmann)
@@ -189,6 +191,21 @@ def test_order_and_class_sizes_match_sympy(name, group):
     assert group.order == reference.order()
     assert Counter(c.size for c in group.conjugacy_classes()) == \
         Counter(len(c) for c in reference.conjugacy_classes())
+
+
+LATTICE_GROUPS = standard_corpus(120) + [("GL(3,2)", gl3f2())]
+
+
+@pytest.mark.parametrize("name,group", LATTICE_GROUPS,
+                         ids=[name for name, _ in LATTICE_GROUPS])
+def test_subgroup_abelianizations_match_sympy(name, group):
+    """The walk over each subgroup's derived generators gives the
+    abelian invariants sympy finds for the group they generate."""
+    for sub in group.all_subgroups():
+        reference = _sympy_group(sub)
+        assert reference.order() == sub.order
+        assert abelianization(sub).structure == \
+            FinAbGroup.from_cyclic_orders(reference.abelian_invariants())
 
 
 CLASS_GROUPS = standard_corpus(120) + [(f"PSL(2,{q})", psl2(q))

@@ -202,12 +202,32 @@ def test_lift_cap_rejects_before_enumerating(monkeypatch):
     monkeypatch.setattr(kgroups, "_LIFT_CAP", lifts - 1)
     with pytest.raises(OrderCapExceeded):
         cyclo_exponent(REAL_QUAD, 5, 3)
-    # w_invariant has no cap of its own: it stops at the first layer
-    # past the cyclo_exponent cap
+    # within its own cap, w_invariant stops at the first layer past the
+    # cyclo_exponent cap: w_64(Q) needs 2^8 lifts mod 2^8
     monkeypatch.setattr(kgroups, "gcd", gcd)
     monkeypatch.setattr(kgroups, "_LIFT_CAP", 64)
     with pytest.raises(OrderCapExceeded):
-        w_invariant(Q, 2 ** 18)
+        w_invariant(Q, 64)
+
+
+def test_walk_cap_counts_first_layer_lifts(monkeypatch):
+    # w_2(Q) walks the primes 2 and 3: 1 * (2 + 3) first-layer lifts
+    monkeypatch.setattr(kgroups, "_WALK_CAP", 5)
+    assert w_invariant(Q, 2).value == 24
+    monkeypatch.setattr(kgroups, "_WALK_CAP", 4)
+    with pytest.raises(OrderCapExceeded):
+        w_invariant(Q, 2)
+
+
+def test_walk_cap_rejects_before_any_layer(monkeypatch):
+    def tested(*args):
+        raise AssertionError("a layer was tested past the walk cap")
+
+    # w_100001(Q) would walk the primes up to 100,002, whose sum is
+    # about 4.5e8
+    monkeypatch.setattr(kgroups, "cyclo_exponent", tested)
+    with pytest.raises(OrderCapExceeded):
+        w_invariant(Q, 100_001)
 
 
 def test_degree_and_signature():

@@ -114,10 +114,9 @@ def symmetric_order(n):
 
 
 def test_order_cap_enforced():
-    gens = [Permutation.parse(6, "(0 1)"),
-            Permutation([(i + 1) % 6 for i in range(6)])]
+    # |S9| = 362,880: enumeration stops at DEFAULT_ORDER_CAP + 1 elements
     with pytest.raises(OrderCapExceeded):
-        PermGroup(6, gens, order_cap=100)
+        symmetric(9)
 
 
 def test_conjugacy_classes_partition(s4):
@@ -172,8 +171,9 @@ def reference_closure(identity, generators):
 
 
 def reference_subgroups(group):
-    """Every subgroup by closing <S, x> from scratch for each subgroup S
-    and each x outside it; generators are those of first discovery."""
+    """Element tuples of every subgroup, by closing <S, x> from scratch
+    for each subgroup S (from its generators of first discovery) and
+    each x outside it."""
     trivial = frozenset([group.identity])
     found = {trivial: ()}
     worklist = [trivial]
@@ -188,7 +188,7 @@ def reference_subgroups(group):
                 found[key] = gens
                 worklist.append(key)
     ordered = sorted(found, key=lambda k: (len(k), sorted(k)))
-    return [(tuple(sorted(k)), found[k]) for k in ordered]
+    return [tuple(sorted(k)) for k in ordered]
 
 
 def relabelled_s4(seed):
@@ -202,9 +202,12 @@ def relabelled_s4(seed):
 def test_all_subgroups_matches_reference(corpus60):
     groups = [group for _, group in corpus60] + [relabelled_s4(7)]
     for group in groups:
-        got = [(sub.elements, sub.generators)
-               for sub in group.all_subgroups()]
-        assert got == reference_subgroups(group)
+        subgroups = group.all_subgroups()
+        assert [sub.elements for sub in subgroups] == \
+            reference_subgroups(group)
+        for sub in subgroups:
+            assert reference_closure(sub.identity, sub.generators) == \
+                sub.element_set
 
 
 def test_all_subgroups_refuses_large_groups():
@@ -427,26 +430,45 @@ def test_transfer_conjugation_compatibility(s4):
     assert cg.compose(transfer(s4, h)) == transfer(s4, h2)
 
 
-def test_transfer_memo_keeps_each_instance_coordinates():
-    """Equal-element subgroup instances with different generators have
-    their own abelianization coordinates; each gets the maps in its own,
-    and an instance with none yet adopts the cached one's."""
+def _coordinates_and_maps(group, sub):
+    ab = abelianization(sub)
+    return ([ab.project(x) for x in sub.elements], ab.basis_reps,
+            transfer(group, sub), inclusion_induced(sub, group))
+
+
+def test_equal_subgroups_share_coordinates_and_maps():
+    """A subgroup's coordinates follow its element set alone, however it
+    was built, so equal instances share one memo entry per map."""
     group = symmetric(4)
     t, u = Permutation.parse(4, "(0 1)"), Permutation.parse(4, "(2 3)")
     a = group.subgroup([t, u])
     b = group.subgroup([t, t * u])
-    assert a == b and a.generators != b.generators
-    abelianization(a)
-    abelianization(b)
     c = Subgroup(group, a.elements)
-    maps = []
+    results = []
     for sub in (a, b, c):
-        uncached = PermGroup(group.degree, group.generators)
-        maps.append((transfer(group, sub), inclusion_induced(sub, group)))
-        assert maps[-1] == (transfer(uncached, sub),
-                            inclusion_induced(sub, uncached))
-    assert maps[0][0] != maps[1][0] and maps[0][1] != maps[1][1]
-    assert abelianization(c) is abelianization(b)
+        results.append(_coordinates_and_maps(group, sub))
+        fresh = PermGroup(group.degree, group.generators)
+        assert results[-1] == _coordinates_and_maps(
+            fresh, Subgroup(fresh, sub.elements))
+    assert results[0] == results[1] == results[2]
+    assert transfer(group, a) is transfer(group, c)
+    assert inclusion_induced(b, group) is inclusion_induced(c, group)
+
+
+def test_permgroup_subgroups_keep_their_own_coordinates():
+    """A PermGroup passed as the subgroup compares by identity, so two
+    with the same elements and different generators each get the maps
+    in the coordinates of their own generators."""
+    group = symmetric(4)
+    t, u = Permutation.parse(4, "(0 1)"), Permutation.parse(4, "(2 3)")
+    subs = [PermGroup(4, [t, u]), PermGroup(4, [t, t * u])]
+    assert subs[0].element_set == subs[1].element_set
+    assert abelianization(subs[0]).basis_reps != \
+        abelianization(subs[1]).basis_reps
+    for sub in subs:
+        got = (transfer(group, sub), inclusion_induced(sub, group))
+        fresh = PermGroup(group.degree, group.generators)
+        assert got == (transfer(fresh, sub), inclusion_induced(sub, fresh))
 
 
 def test_group_caches_make_no_reference_cycle():
