@@ -22,7 +22,6 @@ from .errors import (
     NotNormal,
     NotPrime,
     OrderCapExceeded,
-    OrderNotSupported,
     ParseError,
     PreconditionViolated,
     SingularMatrix,

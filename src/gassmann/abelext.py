@@ -19,7 +19,6 @@ from .errors import (
     CoprimalityViolated,
     DimensionMismatch,
     NonSquare,
-    OrderNotSupported,
     PreconditionViolated,
 )
 from .lattice import (
@@ -28,9 +27,9 @@ from .lattice import (
     adjugate,  # unused here; perfbench/selftest.py reads abelext.adjugate
     maximal_normal_sublattice,
 )
-from .permgroup import GroupLike, _require_subgroup
-from .splitting import SplittingType, splitting_type
-from .triples import CorrespondenceMatrix, is_gassmann
+from .permgroup import GroupLike, _require_subgroup, coset_action
+from .splitting import SplittingType
+from .triples import CorrespondenceMatrix, _fixed_cosets, is_gassmann
 
 __all__ = [
     "LocalModel",
@@ -147,19 +146,14 @@ def notwkeq_construct(
 def decomposition_count_check(group: GroupLike, h1: GroupLike,
                               h2: GroupLike, d: GroupLike) -> bool:
     """Whether the two subgroups absorb equally many conjugates of a
-    decomposition group D of order 1 or 2; counts group elements g with
-    gDg^-1 inside each side.  gDg^-1 lies in H exactly when D fixes the
-    coset g^-1 H, so with D = <d> the count is |H| * chi_H(d), read off
-    the cached splitting table.  A Gassmann triple has equal |H| and
-    equal characters, so once the preconditions hold this always passes:
-    a cross-check of that identity."""
+    decomposition group D; counts group elements g with gDg^-1 inside
+    each side.  gDg^-1 lies in H exactly when D fixes the coset g^-1 H,
+    so the count is |H| times the mark of D on G/H, the number of cosets
+    that D fixes on the cached coset action.  A Gassmann triple has
+    equal |H| and equal marks on cyclic D, so it can fail only for a
+    non-cyclic D."""
     _require_subgroup(group, d)
-    if d.order > 2:
-        raise OrderNotSupported(
-            f"decomposition groups here have order 1 or 2, got {d.order}")
     if not is_gassmann(group, h1, h2):
         raise PreconditionViolated("not a Gassmann triple")
-    x = d.generators[0] if d.generators else group.identity
-    count1, count2 = (h.order * splitting_type(group, h, x).count(1)
-                      for h in (h1, h2))
-    return count1 == count2
+    marks = [len(_fixed_cosets(coset_action(group, h), d)) for h in (h1, h2)]
+    return h1.order * marks[0] == h2.order * marks[1]

@@ -15,7 +15,6 @@ __all__ = [
     "PreconditionViolated",
     "DimensionMismatch",
     "CoprimalityViolated",
-    "OrderNotSupported",
     "NotPrime",
     "EvenIndex",
     "UnsupportedSignature",
@@ -82,10 +81,6 @@ class DimensionMismatch(GassmannError):
 
 class CoprimalityViolated(GassmannError):
     """A coprimality precondition fails."""
-
-
-class OrderNotSupported(GassmannError):
-    """Subgroup order outside the supported range."""
 
 
 class NotPrime(GassmannError):

@@ -23,7 +23,7 @@ from .errors import (
     NotCoprime,
     NotNormal,
 )
-from .lattice import IntMat, _in_hnf_span, hnf
+from .lattice import IntMat, _in_hnf_span, _square_hnf
 from .permgroup import (
     AbHom,
     GroupLike,
@@ -107,22 +107,6 @@ class CoordSubgroup:
         return f"CoordSubgroup(index={self.index}, factors={self.factors})"
 
 
-def _square_hnf(mat: IntMat) -> IntMat:
-    """HNF basis of the column span, cut down to its square leading part.
-
-    Valid for lattices of full row rank (ours contain diag(factors)).
-    """
-    reduced = hnf(mat)
-    k = reduced.nrows
-    rows = [row[:k] for row in reduced.rows]
-    for i, row in enumerate(reduced.rows):
-        if any(row[k:]):
-            raise ValueError("matrix does not have full row rank")
-        if rows[i][i] <= 0:
-            raise ValueError("rank-deficient lattice basis")
-    return IntMat(rows)
-
-
 def _ordered_factorizations(t: int, slots: int) -> list[tuple[int, ...]]:
     if slots == 0:
         return [()] if t == 1 else []
@@ -190,8 +174,9 @@ class Correspondence:
         if ab1.structure.torsion_order() != ab2.structure.torsion_order():
             raise ValueError("abelianization orders differ: phi cannot "
                              "be an isomorphism")
-        image = _image_subgroup(phi, CoordSubgroup.full(ab1.factors))
-        if image.index != 1:
+        columns = [phi.column(j) for j in range(len(phi.source_factors))]
+        if CoordSubgroup.from_generators(phi.target_factors,
+                                         columns).index != 1:
             raise ValueError("phi is not surjective")
         self.group = group
         self.h1 = h1

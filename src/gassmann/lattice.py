@@ -256,6 +256,23 @@ def hnf(m: IntMat) -> IntMat:
     return IntMat(rows).transpose()
 
 
+def _square_hnf(mat: IntMat) -> IntMat:
+    """HNF basis of the column span, cut down to its square leading part.
+
+    ValueError unless the lattice has full row rank, as a relation
+    lattice of a finite abelian group does.
+    """
+    reduced = hnf(mat)
+    k = reduced.nrows
+    rows = [row[:k] for row in reduced.rows]
+    for i, row in enumerate(reduced.rows):
+        if any(row[k:]):
+            raise ValueError("matrix does not have full row rank")
+        if rows[i][i] <= 0:
+            raise ValueError("rank-deficient lattice basis")
+    return IntMat(rows)
+
+
 def smith_with_transforms(m: IntMat) -> tuple[IntMat, IntMat, IntMat]:
     """Smith normal form with transforms: returns (D, U, V), U @ M @ V = D.
 

@@ -5,9 +5,9 @@ as orbits on element indices, coset and double-coset actions, normal
 cores, abelianizations with explicit coordinates, and the degree-one
 transfer and inclusion maps.  Conjugacy tests, double cosets and the
 intertwiner orbits read the cached coset tables, and an abelianization
-reads its coordinates off the coset table of G/[G,G].  Neither the
-tables and maps nor a subgroup refer back to the group, so no cache
-makes a reference cycle.
+reads its coordinates off one breadth-first walk of the group's Cayley
+graph.  Neither the tables and maps nor a subgroup refer back to the
+group, so no cache makes a reference cycle.
 
 Three rules hold across the package.  A subgroup is its element set: a
 `Subgroup`'s generators, hence its abelianization coordinates, follow
@@ -40,7 +40,7 @@ from .errors import (
     OrderCapExceeded,
     ParseError,
 )
-from .lattice import IntMat, smith_with_transforms
+from .lattice import IntMat, _square_hnf, smith_with_transforms
 
 __all__ = [
     "DEFAULT_ORDER_CAP",
@@ -820,75 +820,56 @@ class Abelianization:
 
     Carries the canonical structure as a FinAbGroup, a projection taking a
     group element to its coordinate vector, and for each invariant-factor
-    slot a representative element projecting to that basis vector.  The
-    projection is read off the coset table of G/[G,G].
+    slot a representative element projecting to that basis vector.  One
+    breadth-first walk of the Cayley graph finds them (Schreier's lemma):
+    a tree edge gives an element its word, an exponent vector over the
+    generators, and every other edge x -> xg the relation
+    word(x) + e_g - word(xg).  The relations span the relation lattice
+    of G/[G,G]; its square HNF basis goes through one Smith form
+    U @ B @ V = D, an element's coordinates are U @ word mod the
+    invariant factors, and the representative of slot i is the first
+    element of the walk with coordinates e_i.
     """
 
     def __init__(self, group: GroupLike) -> None:
         gens = list(dict.fromkeys(group.generators))  # none is the identity
-        self._index = group._element_index
-        if not gens:
-            self._coords = [()]
-            self.structure = FinAbGroup(0, ())
-            self.basis_reps = ()
-            return
-
-        derived = _normal_closure(
-            group,
-            [a * b * a.inverse() * b.inverse() for a in gens for b in gens])
-        cosets = CosetSpace(group, derived)
-        quotient_order = cosets.index
-
-        # the first step into a coset gives its word, every later one a
-        # relation; the quotient is abelian, so the walk meets the cosets
-        # in the order of their representatives
+        index = self._index = group._element_index
         k = len(gens)
+        walk = [0]  # the identity's index
         words: list[tuple[int, ...] | None] = [(0,) * k] + \
-            [None] * (quotient_order - 1)
-        relations: list[tuple[int, ...]] = []
-        for rep, word in zip(cosets.coset_reps, words):
-            for idx, g in enumerate(gens):
-                target = cosets.coset_index_of(rep * g)
-                stepped = tuple(w + (1 if t == idx else 0)
-                                for t, w in enumerate(word))
-                known = words[target]
-                if known is None:
-                    words[target] = stepped
-                else:
-                    relation = tuple(a - b for a, b in zip(stepped, known))
-                    if any(relation):
-                        relations.append(relation)
+            [None] * (group.order - 1)
+        relations: set[tuple[int, ...]] = set()  # the HNF is canonical
+        for x in walk:  # grows while it is walked
+            element, word = group.elements[x], words[x]
+            for t, g in enumerate(gens):
+                y = index[element * g]
+                stepped = word[:t] + (word[t] + 1,) + word[t + 1:]
+                if words[y] is None:
+                    words[y] = stepped
+                    walk.append(y)
+                elif stepped != words[y]:
+                    relations.add(tuple(
+                        a - b for a, b in zip(stepped, words[y])))
 
-        relation_matrix = IntMat([[rel[r] for rel in relations]
-                                  for r in range(k)])
-        diag, u, _ = smith_with_transforms(relation_matrix)
-        diag_entries = [diag[i, i] for i in range(k)]
-        if any(d == 0 for d in diag_entries):
-            raise AssertionError("finite quotient produced a zero factor")
-        total = 1
-        for d in diag_entries:
-            total *= d
-        if total != quotient_order:
-            raise AssertionError("invariant factors do not match the order")
-
-        kept = [i for i, d in enumerate(diag_entries) if d > 1]
-        self.structure = FinAbGroup(0, tuple(diag_entries[i] for i in kept))
-        proj_rows = [u.row(i) for i in kept]
-        coords = [tuple(sum(r * w for r, w in zip(row, word)) % d
-                        for row, d in zip(proj_rows, self.factors))
-                  for word in words]
-        # indexed like the group's elements
-        self._coords = [coords[c] for c in cosets._coset_of]
-        d, adj = u._elimination
-        u_inverse = adj.scale(d)  # d is +-1
-        basis = []
-        for i in kept:
-            word = u_inverse.column(i)
-            element = group.identity
-            for g, exponent in zip(gens, word):
-                element = element * g ** exponent
-            basis.append(element)
-        self.basis_reps = tuple(basis)
+        if k:
+            diag, u, _ = smith_with_transforms(_square_hnf(IntMat(
+                [[rel[r] for rel in relations] for r in range(k)])))
+            kept = [(u.row(i), diag[i, i]) for i in range(k)
+                    if diag[i, i] > 1]
+        else:
+            kept = []
+        self.structure = FinAbGroup(0, tuple(d for _, d in kept))
+        self._coords = [tuple(sum(r * w for r, w in zip(row, word)) % d
+                              for row, d in kept) for word in words]
+        first: dict[tuple[int, ...], Permutation] = {}
+        for x in walk:
+            first.setdefault(self._coords[x], group.elements[x])
+        if len(first) != self.structure.torsion_order():
+            raise AssertionError("coordinates do not fill the invariant "
+                                 "factors")
+        self.basis_reps = tuple(
+            first[tuple(int(i == j) for j in range(len(kept)))]
+            for i in range(len(kept)))
 
     @property
     def factors(self) -> tuple[int, ...]:
@@ -906,28 +887,6 @@ class Abelianization:
 
     def __repr__(self) -> str:
         return f"Abelianization({self.structure})"
-
-
-def _normal_closure(group: GroupLike,
-                    seeds: Iterable[Permutation]) -> Subgroup:
-    gens: list[Permutation] = []
-    for s in seeds:
-        if not s.is_identity() and s not in gens:
-            gens.append(s)
-    elements = _closure(group.degree, gens, cap=group.order)
-    element_set = set(elements)
-    while True:
-        extra = []
-        for g in group.generators:
-            for x in gens:
-                moved = x.conjugate(g)
-                if moved not in element_set and moved not in extra:
-                    extra.append(moved)
-        if not extra:
-            return Subgroup(group, elements)
-        gens.extend(extra)
-        elements = _closure(group.degree, gens, cap=group.order)
-        element_set = set(elements)
 
 
 def abelianization(group: GroupLike) -> Abelianization:

@@ -21,6 +21,7 @@ from .errors import (
 )
 from .lattice import IntMat, det
 from .permgroup import (
+    CosetSpace,
     GroupLike,
     Permutation,
     _orbits,
@@ -79,13 +80,19 @@ def _conjugator(group: GroupLike, h1: GroupLike,
     if h1.order != h2.order:
         return None
     cosets = coset_action(group, h1)
-    moves = [cosets.permutation_of(h) for h in h2.generators]
-    fixed = {c for c in range(cosets.index)
-             if all(move[c] == c for move in moves)}
+    fixed = _fixed_cosets(cosets, h2)
     if not fixed:
         return None
     return next(g for g in group.elements
                 if cosets.coset_index_of(g) in fixed)
+
+
+def _fixed_cosets(cosets: CosetSpace, d: GroupLike) -> set[int]:
+    """The cosets that every generator of D fixes; their number is the
+    mark of D on G/H."""
+    moves = [cosets.permutation_of(x) for x in d.generators]
+    return {c for c in range(cosets.index)
+            if all(move[c] == c for move in moves)}
 
 
 class GassmannTriple:

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from math import gcd
 
 import pytest
@@ -8,8 +9,7 @@ from gassmann.abelext import (LocalModel, choose_q,
                               local_splitting_type, notwkeq_construct,
                               transport_lattice)
 from gassmann.errors import (CoprimalityViolated, DimensionMismatch,
-                             NonSquare, OrderNotSupported,
-                             PreconditionViolated)
+                             NonSquare, PreconditionViolated)
 from gassmann.lattice import IntMat, LocalNormLattice, det
 from gassmann.permgroup import Permutation
 
@@ -146,12 +146,26 @@ def test_decomposition_count_check_trivial_and_involution(fano):
     assert decomposition_count_check(group, h1, h2, d)
 
 
-def test_decomposition_count_check_rejects_large_d(fano):
+def test_decomposition_count_check_reads_marks_on_fano(fano):
+    """Every subgroup D of GL(3,2) against the brute-force count of g
+    with gDg^-1 inside each side: the Klein four-groups and the
+    subgroups of order 12 and 24 absorb different numbers of conjugates
+    into the point and the hyperplane stabilizer."""
     group, h1, h2 = fano
-    big = group.subgroup([next(g for g in group.elements
-                               if g.order() == 7)])
-    with pytest.raises(OrderNotSupported):
-        decomposition_count_check(group, h1, h2, big)
+
+    def absorbed(h, d):
+        return sum(all(x.conjugate(g) in h for x in d.elements)
+                   for g in group.elements)
+
+    subgroups = group.all_subgroups()
+    assert len(subgroups) == 179
+    failing = Counter()
+    for d in subgroups:
+        expected = absorbed(h1, d) == absorbed(h2, d)
+        assert decomposition_count_check(group, h1, h2, d) == expected
+        if not expected:
+            failing[d.order] += 1
+    assert failing == {4: 14, 12: 14, 24: 14}
 
 
 def test_decomposition_count_check_requires_gassmann(d4):

@@ -133,15 +133,13 @@ def test_conjugators_and_double_cosets_match_scans(name):
 def test_intertwiner_orbits_and_decomposition_counts_match(name):
     group = GROUPS[name]
     subgroups = group.all_subgroups()
-    # conjugate D give equal counts: one D per class of subgroups of
-    # order 1 or 2
-    small = []
+    # conjugate D give equal counts: one D per class of subgroups
+    classes = []
     for d in subgroups:
-        if d.order <= 2 and all(conjugator_by_scan(group, e, d) is None
-                                for e in small):
-            small.append(d)
+        if all(conjugator_by_scan(group, e, d) is None for e in classes):
+            classes.append(d)
     # each subgroup's brute counts, computed once for all of its pairs
-    counts = {h: [absorbed_conjugates(group, h, d) for d in small]
+    counts = {h: [absorbed_conjugates(group, h, d) for d in classes]
               for h in subgroups}
     for h1 in subgroups:
         for h2 in subgroups:
@@ -151,7 +149,7 @@ def test_intertwiner_orbits_and_decomposition_counts_match(name):
                 intertwiner_basis_by_pairs(group, h1, h2)
             if not is_gassmann(group, h1, h2):
                 continue
-            for d, count1, count2 in zip(small, counts[h1], counts[h2]):
+            for d, count1, count2 in zip(classes, counts[h1], counts[h2]):
                 assert decomposition_count_check(group, h1, h2, d) == \
                     (count1 == count2)
 

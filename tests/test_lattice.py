@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from gassmann.errors import NonSquare, ParseError, SingularMatrix
 from gassmann.homology import CoordSubgroup
-from gassmann.lattice import (IntMat, LocalNormLattice, adjugate, det,
-                              format_matrix_file, hnf, lattice_index,
-                              maximal_normal_sublattice, parse_matrix_file,
-                              smith_with_transforms, snf)
+from gassmann.lattice import (IntMat, LocalNormLattice, _square_hnf,
+                              adjugate, det, format_matrix_file, hnf,
+                              lattice_index, maximal_normal_sublattice,
+                              parse_matrix_file, smith_with_transforms, snf)
 
 small = st.integers(min_value=-8, max_value=8)
 
@@ -93,6 +93,15 @@ def column_lattice_members(m, box):
         out.add(tuple(sum(m.rows[i][j] * coeffs[j] for j in range(n))
                       for i in range(n)))
     return out
+
+
+def test_square_hnf_cuts_to_the_square_basis_or_refuses():
+    """The relation lattice of Z/2 x Z/4 from redundant relations, and a
+    lattice of rank 1 in Z^2, which has no square basis."""
+    relations = IntMat([[2, 0, 4, 2], [0, 4, 4, 8]])
+    assert _square_hnf(relations) == IntMat([[2, 0], [0, 4]])
+    with pytest.raises(ValueError):
+        _square_hnf(IntMat([[1, 2], [2, 4]]))
 
 
 def test_hnf_preserves_column_lattice():

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gassmann.permgroup as permgroup_module
-from gassmann.catalog import alternating, symmetric
+from gassmann.catalog import alternating, gl3f2, standard_corpus, symmetric
 from gassmann.errors import (InvalidPermutation, NotASubgroup,
                              OrderCapExceeded, ParseError)
 from gassmann.homology import CoordSubgroup
@@ -375,29 +375,58 @@ def test_abelianization_known_values(s3, s4, a4, d4, q8, c6):
     assert str(abelianization(c6).structure) == "Z/6"
 
 
-def test_abelianization_projection_is_homomorphism(s4):
-    for group in (s4, alternating(5)):
-        for sub in group.all_subgroups():
-            ab = abelianization(sub)
-            factors = ab.factors
-            image = {x: ab.project(x) for x in sub.elements}
-            for a in sub.elements:
-                for b in sub.elements:
-                    assert image[a * b] == tuple(
-                        (x + y) % d
-                        for x, y, d in zip(image[a], image[b], factors))
-            assert set(image.values()) == set(
-                itertools.product(*(range(d) for d in factors)))
-            derived = reference_closure(
-                sub.identity, [a * b * a.inverse() * b.inverse()
-                               for a in sub.elements for b in sub.elements])
-            kernel = {x for x, v in image.items() if not any(v)}
-            assert kernel == derived
-            assert ab.derived_subgroup_order() == len(derived)
-            outside = [x for x in group.elements if x not in sub]
-            if outside:
-                with pytest.raises(ValueError):
-                    ab.project(outside[0])
+ABELIANIZATION_GROUPS = standard_corpus(120) + [("GL(3,2)", gl3f2())]
+
+
+@pytest.mark.parametrize("name,group", ABELIANIZATION_GROUPS,
+                         ids=[name for name, _ in ABELIANIZATION_GROUPS])
+def test_abelianization_projection_is_homomorphism(name, group):
+    """On every subgroup: the projection is a homomorphism onto the
+    invariant-factor group, its kernel is the derived subgroup closed
+    by brute force from all commutators, and each basis representative
+    projects to its basis vector."""
+    for sub in group.all_subgroups():
+        ab = abelianization(sub)
+        factors = ab.factors
+        image = {x: ab.project(x) for x in sub.elements}
+        for a in sub.elements:
+            for b in sub.elements:
+                assert image[a * b] == tuple(
+                    (x + y) % d
+                    for x, y, d in zip(image[a], image[b], factors))
+        assert len(set(image.values())) == ab.structure.torsion_order()
+        assert set(image.values()) == set(
+            itertools.product(*(range(d) for d in factors)))
+        derived = reference_closure(
+            sub.identity, {a * b * a.inverse() * b.inverse()
+                           for a in sub.elements for b in sub.elements})
+        kernel = {x for x, v in image.items() if not any(v)}
+        assert kernel == derived
+        assert ab.derived_subgroup_order() == len(derived)
+        assert [ab.project(rep) for rep in ab.basis_reps] == [
+            tuple(int(i == j) for j in range(len(factors)))
+            for i in range(len(factors))]
+        outside = [x for x in group.elements if x not in sub]
+        if outside:
+            with pytest.raises(ValueError):
+                ab.project(outside[0])
+
+
+def test_abelianization_builds_no_coset_space(monkeypatch):
+    """The coordinates come from one walk of the group's own Cayley
+    graph, with no coset space of the derived subgroup."""
+    built = []
+    init = permgroup_module.CosetSpace.__init__
+
+    def counting_init(self, group, subgroup):
+        built.append(subgroup.order)
+        init(self, group, subgroup)
+    monkeypatch.setattr(permgroup_module.CosetSpace, "__init__",
+                        counting_init)
+    group = symmetric(4)
+    for sub in (group, *group.all_subgroups()):
+        abelianization(sub)
+    assert built == []
 
 
 def test_abelianization_kills_commutators(a4):

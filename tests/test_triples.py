@@ -76,12 +76,13 @@ def test_coset_action_is_built_once_per_subgroup(monkeypatch):
     for equivalent in (arithmetically_equivalent, kronecker_equivalent,
                        weakly_kronecker_equivalent, ultra_coarse_equivalent):
         assert equivalent(group, h1, h2)
-    for d in (group.trivial_subgroup(), involution):
-        assert decomposition_count_check(group, h1, h2, d)
     # one splitting table per subgroup: each class representative is
     # sent through each coset action exactly once
     assert len(applied) == 2 * len(reps)
     assert set(applied.values()) == {1}
+    # the decomposition counts read the marks of D on the same actions
+    for d in (group.trivial_subgroup(), involution):
+        assert decomposition_count_check(group, h1, h2, d)
     intertwiner_basis(group, h1, h2)
     assert built == [h1.element_set, h2.element_set]
     same = Subgroup(group, h1.elements)
