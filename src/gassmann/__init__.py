@@ -17,7 +17,6 @@ from .errors import (
     MixedSigns,
     NonSquare,
     NotASubgroup,
-    NotCoprime,
     NotFoundWithinBudget,
     NotNormal,
     NotPrime,

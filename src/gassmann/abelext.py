@@ -67,10 +67,13 @@ class LocalModel:
     for any unimodular matrix.
     """
 
-    n: int
     L1_prime: LocalNormLattice
     A: MatrixLike
     q: int
+
+    @property
+    def n(self) -> int:
+        return self.L1_prime.rank
 
     @property
     def synthetic(self) -> bool:
@@ -82,9 +85,8 @@ class LocalModel:
         """The model with L1' = diag(1, q, ..., q)."""
         raw = _raw_matrix(a)
         _require_unimodular(raw)
-        n = raw.nrows
-        basis = IntMat.diagonal([1] + [q] * (n - 1))
-        return cls(n, LocalNormLattice(basis), a, q)
+        basis = IntMat.diagonal([1] + [q] * (raw.nrows - 1))
+        return cls(LocalNormLattice(basis), a, q)
 
 
 def transport_lattice(a: MatrixLike,

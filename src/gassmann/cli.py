@@ -2,8 +2,10 @@
 
 Exit codes: 0 success, 1 a check or search came back negative,
 2 bad input (unparseable files, violated preconditions, missing paths).
-Reports are deterministic for a fixed config and seed: no timestamps,
-multisets serialized sorted.
+Reports are deterministic for fixed arguments: no timestamps, multisets
+serialized sorted.  The handlers read the parsed arguments directly;
+each option's default is written once, in the parser, and `--help`
+shows it.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import abelext, catalog, homology, kgroups, splitting, triples
@@ -22,24 +23,7 @@ from .permgroup import (PermGroup, Subgroup, abelianization,
 
 SCHEMA = 1
 
-__all__ = ["RunConfig", "run", "main"]
-
-
-@dataclass
-class RunConfig:
-    command: str
-    group_path: str | None = None
-    h1_path: str | None = None
-    h2_path: str | None = None
-    matrix_path: str | None = None
-    fields: tuple[str, ...] = ()
-    ns: tuple[int, ...] = ()
-    q: int | None = None
-    coeff_bound: int = 2
-    budget: int = 20000
-    seed: int = 0
-    max_order: int = 120
-    out: str | None = None
+__all__ = ["run", "main"]
 
 
 def _read(path: str) -> str:
@@ -59,17 +43,15 @@ def _load_subgroup(group: PermGroup, path: str) -> Subgroup:
     return group.subgroup(candidate.generators)
 
 
-def _load_pair(config: RunConfig) -> tuple[PermGroup, Subgroup, Subgroup]:
-    for name in ("group_path", "h1_path", "h2_path"):
-        if getattr(config, name) is None:
-            raise ValueError(f"missing {name}")
-    group = _load_group(config.group_path)
-    return (group, _load_subgroup(group, config.h1_path),
-            _load_subgroup(group, config.h2_path))
+def _load_pair(
+        args: argparse.Namespace) -> tuple[PermGroup, Subgroup, Subgroup]:
+    group = _load_group(args.group)
+    return (group, _load_subgroup(group, args.h1),
+            _load_subgroup(group, args.h2))
 
 
-def _cmd_group_info(config: RunConfig) -> tuple[int, dict]:
-    group = _load_group(config.group_path)
+def _cmd_group_info(args: argparse.Namespace) -> tuple[int, dict]:
+    group = _load_group(args.group)
     ab = str(abelianization(group).structure)
     return 0, {
         "degree": group.degree,
@@ -81,8 +63,8 @@ def _cmd_group_info(config: RunConfig) -> tuple[int, dict]:
     }
 
 
-def _cmd_gassmann_check(config: RunConfig) -> tuple[int, dict]:
-    group, h1, h2 = _load_pair(config)
+def _cmd_gassmann_check(args: argparse.Namespace) -> tuple[int, dict]:
+    group, h1, h2 = _load_pair(args)
     gassmann = triples.is_gassmann(group, h1, h2)
     # read off the splitting tables that is_gassmann has cached
     character1 = triples.permutation_character(group, h1)
@@ -104,13 +86,13 @@ def _matrix_report(a) -> dict:
     return {"size": a.nrows, "rows": [list(row) for row in a.rows]}
 
 
-def _cmd_gassmann_search(config: RunConfig) -> tuple[int, dict]:
-    group, h1, h2 = _load_pair(config)
-    base = {"coeff_bound": config.coeff_bound, "budget": config.budget,
-            "seed": config.seed}
+def _cmd_gassmann_search(args: argparse.Namespace) -> tuple[int, dict]:
+    group, h1, h2 = _load_pair(args)
+    base = {"coeff_bound": args.bound, "budget": args.budget,
+            "seed": args.seed}
     try:
-        found = triples.integral_search(group, h1, h2, config.coeff_bound,
-                                        config.budget, seed=config.seed)
+        found = triples.integral_search(group, h1, h2, args.bound,
+                                        args.budget, seed=args.seed)
     except NotFoundWithinBudget as exc:
         base.update({
             "found": False,
@@ -127,18 +109,16 @@ def _cmd_gassmann_search(config: RunConfig) -> tuple[int, dict]:
     return 0, base
 
 
-def _cmd_gassmann_verify(config: RunConfig) -> tuple[int, dict]:
-    group, h1, h2 = _load_pair(config)
-    if config.matrix_path is None:
-        raise ValueError("missing matrix_path")
-    a = parse_matrix_file(_read(config.matrix_path), path=config.matrix_path)
+def _cmd_gassmann_verify(args: argparse.Namespace) -> tuple[int, dict]:
+    group, h1, h2 = _load_pair(args)
+    a = parse_matrix_file(_read(args.matrix), path=args.matrix)
     triple = triples.GassmannTriple(group, h1, h2)
     report = triples.verify_integral_triple(triple, a)
     return (0 if report["passed"] else 1), report
 
 
-def _cmd_splitting_report(config: RunConfig) -> tuple[int, dict]:
-    group, h1, h2 = _load_pair(config)
+def _cmd_splitting_report(args: argparse.Namespace) -> tuple[int, dict]:
+    group, h1, h2 = _load_pair(args)
     table1 = splitting.splitting_table(group, h1)
     table2 = splitting.splitting_table(group, h2)
     relations = splitting._RELATION_KEYS  # as the equivalence tests
@@ -170,16 +150,14 @@ def _cmd_splitting_report(config: RunConfig) -> tuple[int, dict]:
     return 0, report
 
 
-def _cmd_abelext_demo(config: RunConfig) -> tuple[int, dict]:
-    if config.matrix_path is None:
-        raise ValueError("missing matrix_path")
-    a = parse_matrix_file(_read(config.matrix_path), path=config.matrix_path)
-    q = config.q if config.q is not None else abelext.choose_q(a)
+def _cmd_abelext_demo(args: argparse.Namespace) -> tuple[int, dict]:
+    a = parse_matrix_file(_read(args.matrix), path=args.matrix)
+    q = args.q if args.q is not None else abelext.choose_q(a)
     s1, s2, gcd1, gcd2 = abelext.notwkeq_construct(a, q)
     return 0, {
         "size": a.nrows,
         "q": q,
-        "q_chosen": config.q is None,
+        "q_chosen": args.q is None,
         "S1": list(s1),
         "S2": list(s2),
         "gcd1": gcd1,
@@ -188,12 +166,12 @@ def _cmd_abelext_demo(config: RunConfig) -> tuple[int, dict]:
     }
 
 
-def _cmd_kgroups(config: RunConfig) -> tuple[int, dict]:
-    if len(config.fields) != 1:
+def _cmd_kgroups(args: argparse.Namespace) -> tuple[int, dict]:
+    if len(args.field) != 1:
         raise ValueError("exactly one --field is required")
-    model = kgroups.FieldModel.parse(config.fields[0])
+    model = kgroups.FieldModel.parse(args.field[0])
     entries = []
-    for n in sorted(set(config.ns)):
+    for n in sorted(set(args.n)):
         i = kgroups._odd_index(n)
         w = kgroups.w_invariant(model, i).value
         structure = kgroups._k_group_rule(model.signature, n, w)
@@ -208,16 +186,16 @@ def _cmd_kgroups(config: RunConfig) -> tuple[int, dict]:
                "entries": entries}
 
 
-def _cmd_homology_sweep(config: RunConfig) -> tuple[int, dict]:
-    corpus = catalog.standard_corpus(config.max_order)
-    report = homology.conjugation_sweep(corpus, max_order=config.max_order)
+def _cmd_homology_sweep(args: argparse.Namespace) -> tuple[int, dict]:
+    corpus = catalog.standard_corpus(args.max_order)
+    report = homology.conjugation_sweep(corpus, max_order=args.max_order)
     return (0 if report["passed"] else 1), report
 
 
-def _cmd_scott(config: RunConfig) -> tuple[int, dict]:
-    base = {"seed": config.seed, "budget": config.budget}
+def _cmd_scott(args: argparse.Namespace) -> tuple[int, dict]:
+    base = {"seed": args.seed, "budget": args.budget}
     try:
-        triple = catalog.scott_triple(seed=config.seed, budget=config.budget)
+        triple = catalog.scott_triple(seed=args.seed, budget=args.budget)
     except NotFoundWithinBudget as exc:
         base.update({"found": False, "trials": exc.trials})
         return 1, base
@@ -247,14 +225,15 @@ _COMMANDS = {
 }
 
 
-def run(config: RunConfig) -> tuple[int, dict]:
-    """Dispatch one subcommand; returns (exit code, report dict)."""
-    handler = _COMMANDS.get(config.command)
+def run(args: argparse.Namespace) -> tuple[int, dict]:
+    """Dispatch parsed arguments to the handler that `args.command`
+    names; returns (exit code, report dict)."""
+    handler = _COMMANDS.get(args.command)
     if handler is None:
-        raise ValueError(f"unknown command: {config.command}")
-    code, report = handler(config)
+        raise ValueError(f"unknown command: {args.command}")
+    code, report = handler(args)
     report["schema"] = SCHEMA
-    report["command"] = config.command
+    report["command"] = args.command
     return code, report
 
 
@@ -286,11 +265,15 @@ def _build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--h2", required=True, help="second subgroup file")
         if name == "search":
             sub.add_argument("--bound", type=int, default=2,
-                             help="coefficient box half-width (default 2)")
+                             help="coefficient box half-width "
+                                  "(default %(default)s)")
             sub.add_argument("--budget", type=int, default=20000,
                              help="candidate limit; the whole box is "
-                                  "searched when it fits (default 20000)")
-            sub.add_argument("--seed", type=int, default=0)
+                                  "searched when it fits "
+                                  "(default %(default)s)")
+            sub.add_argument("--seed", type=int, default=0,
+                             help="seed of the random draws made when the "
+                                  "box does not fit (default %(default)s)")
         if name == "verify":
             sub.add_argument("--matrix", required=True,
                              help="candidate matrix file")
@@ -307,7 +290,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ab_sub = ab.add_subparsers(dest="action", required=True)
     demo = ab_sub.add_parser("demo", help="S1, S2 and their gcds")
     demo.add_argument("--matrix", required=True, help="unimodular matrix file")
-    demo.add_argument("--q", type=int, default=None,
+    demo.add_argument("--q", type=int,
                       help="split prime; least valid prime when omitted")
 
     kg = top.add_parser("kgroups", help="odd K-groups of integer rings")
@@ -321,35 +304,27 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep = hm_sub.add_parser("sweep",
                               help="exhaustive conjugation-correspondence"
                                    " checks over the corpus")
-    sweep.add_argument("--max-order", type=int, default=120)
+    sweep.add_argument("--max-order", type=int, default=120,
+                       help="largest group order in the corpus "
+                            "(default %(default)s)")
 
     sc = top.add_parser("scott",
                         help="non-conjugate A5 pair inside PSL(2,29)")
-    sc.add_argument("--seed", type=int, default=0)
-    sc.add_argument("--budget", type=int, default=200)
+    sc.add_argument("--seed", type=int, default=0,
+                    help="seed of the random (2,3,5) draws "
+                         "(default %(default)s)")
+    sc.add_argument("--budget", type=int, default=200,
+                    help="limit on the number of draws (default %(default)s)")
 
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
+def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
+    """Name the command, e.g. "gassmann.search", on the parsed arguments."""
     topic = args.topic
-    command = topic if topic in ("kgroups", "scott") \
+    args.command = topic if topic in ("kgroups", "scott") \
         else f"{topic}.{args.action}"
-    return RunConfig(
-        command=command,
-        group_path=getattr(args, "group", None),
-        h1_path=getattr(args, "h1", None),
-        h2_path=getattr(args, "h2", None),
-        matrix_path=getattr(args, "matrix", None),
-        fields=tuple(getattr(args, "field", None) or ()),
-        ns=tuple(getattr(args, "n", None) or ()),
-        q=getattr(args, "q", None),
-        coeff_bound=getattr(args, "bound", 2),
-        budget=getattr(args, "budget", 20000),
-        seed=getattr(args, "seed", 0),
-        max_order=getattr(args, "max_order", 120),
-        out=args.out,
-    )
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -359,8 +334,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        config = _config_from_args(args)
-        code, report = run(config)
+        code, report = run(_config_from_args(args))
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -372,8 +346,8 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     text = _render(report)
     sys.stdout.write(text)
-    if config.out:
-        Path(config.out).write_text(text, encoding="utf-8")
+    if args.out:
+        Path(args.out).write_text(text, encoding="utf-8")
     return code
 
 

@@ -19,7 +19,6 @@ __all__ = [
     "EvenIndex",
     "UnsupportedSignature",
     "NotNormal",
-    "NotCoprime",
     "ParseError",
 ]
 
@@ -97,10 +96,6 @@ class UnsupportedSignature(GassmannError):
 
 class NotNormal(GassmannError):
     """Subgroup fails the required normality/containment condition."""
-
-
-class NotCoprime(GassmannError):
-    """Coefficient order shares a factor with the subgroup index."""
 
 
 class ParseError(GassmannError):

@@ -20,7 +20,6 @@ from typing import Iterable, Sequence
 from .errors import (
     CoprimalityViolated,
     IndexMismatch,
-    NotCoprime,
     NotNormal,
 )
 from .lattice import IntMat, _in_hnf_span, _square_hnf
@@ -159,8 +158,7 @@ class Correspondence:
     """
 
     def __init__(self, group: GroupLike, h1: GroupLike, h2: GroupLike,
-                 phi: AbHom, *, provenance: str = "user",
-                 conjugator: Permutation | None = None) -> None:
+                 phi: AbHom, *, provenance: str = "user") -> None:
         _require_subgroup(group, h1)
         _require_subgroup(group, h2)
         ab1 = abelianization(h1)
@@ -183,7 +181,6 @@ class Correspondence:
         self.h2 = h2
         self.phi = phi
         self.provenance = provenance
-        self.conjugator = conjugator
 
     @classmethod
     def conjugation(cls, group: GroupLike, h1: GroupLike, g: Permutation,
@@ -203,7 +200,7 @@ class Correspondence:
         columns = [ab2.project(rep.conjugate(g)) for rep in ab1.basis_reps]
         phi = AbHom.from_columns(ab1.factors, ab2.factors, columns)
         return cls(group, h1, h2, phi,
-                   provenance=f"conjugation({g.format()})", conjugator=g)
+                   provenance=f"conjugation({g.format()})")
 
     def __repr__(self) -> str:
         return (f"Correspondence(|H1|={self.h1.order}, "
@@ -279,7 +276,8 @@ def modq_check(corr: Correspondence, n_sub: GroupLike, k: int) -> dict:
     if corr.group.order // corr.h2.order != m:
         raise IndexMismatch("equal indices required")
     if gcd(k, m) != 1:
-        raise NotCoprime(f"k = {k} shares a factor with the index m = {m}")
+        raise CoprimalityViolated(
+            f"k = {k} shares a factor with the index m = {m}")
     legs = modq_legs(corr, n_sub, k)
     cor_leg = legs["phi_k"].compose(legs["cor1_k"]) == legs["cor2_k"]
     res_leg = legs["res1_k"] == legs["res2_k"].compose(legs["phi_k"])

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from gassmann.abelext import choose_q
 from gassmann.catalog import fano_stabilizers
-from gassmann.cli import RunConfig, main, run
+from gassmann.cli import _build_parser, main, run
 from gassmann import kgroups, lattice
 from gassmann.errors import PreconditionViolated
 from gassmann.kgroups import _CONDUCTOR_CAP
@@ -371,7 +372,38 @@ def test_bad_arguments_exit_two(capsys):
 
 def test_run_rejects_unknown_command():
     with pytest.raises(ValueError):
-        run(RunConfig(command="nope"))
+        run(argparse.Namespace(command="nope"))
+
+
+# every leaf subcommand, its required arguments, and the default of each
+# of its options that has one
+LEAF_COMMANDS = [
+    (["group", "info"], ["g"], {}),
+    (["gassmann", "check"], ["g", "--h1", "a", "--h2", "b"], {}),
+    (["gassmann", "search"], ["g", "--h1", "a", "--h2", "b"],
+     {"--bound": 2, "--budget": 20000, "--seed": 0}),
+    (["gassmann", "verify"], ["g", "--h1", "a", "--h2", "b", "--matrix", "m"],
+     {}),
+    (["splitting", "report"], ["g", "--h1", "a", "--h2", "b"], {}),
+    (["abelext", "demo"], ["--matrix", "m"], {}),
+    (["kgroups"], ["--field", "Q", "--n", "3"], {}),
+    (["homology", "sweep"], [], {"--max-order": 120}),
+    (["scott"], [], {"--seed": 0, "--budget": 200}),
+]
+
+
+@pytest.mark.parametrize("command, required, defaults", LEAF_COMMANDS,
+                         ids=[" ".join(leaf[0]) for leaf in LEAF_COMMANDS])
+def test_help_shows_each_default(capsys, command, required, defaults):
+    parsed = vars(_build_parser().parse_args(command + required))
+    code, out, err = run_cli(capsys, command + ["--help"])
+    assert code == 0 and not err
+    listing = " ".join(out.split("options:")[1].split())
+    for option, value in defaults.items():
+        assert parsed[option.lstrip("-").replace("-", "_")] == value
+        # the option's own help entry, up to the next option
+        entry = listing.split(f" {option} ")[1].split(" --")[0]
+        assert f"(default {value})" in entry, out
 
 
 # Fuzzing the three text inputs through `main`: a group file, a matrix

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from gassmann.catalog import alternating, symmetric
 from gassmann.errors import (CoprimalityViolated, IndexMismatch, NotASubgroup,
-                             NotCoprime, NotNormal)
+                             NotNormal)
 from gassmann.homology import (Correspondence, CoordSubgroup,
                                conjugation_sweep, corresponding_subgroups,
                                diagram_check, gthm_check, h1_isomorphic,
@@ -148,7 +148,7 @@ def test_modq_gates():
     d4 = dihedral(4)
     c4 = d4.subgroup([d4.generators[0]])
     corr = Correspondence.conjugation(d4, c4, d4.generators[1])
-    with pytest.raises(NotCoprime):
+    with pytest.raises(CoprimalityViolated):
         modq_check(corr, c4, 4)  # index 2, k = 4
     with pytest.raises(ValueError):
         modq_legs(corr, c4, 0)
