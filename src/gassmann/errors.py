@@ -50,11 +50,10 @@ class NotFoundWithinBudget(GassmannError):
     """
 
     def __init__(self, message: str, *, trials: int, exhausted: bool,
-                 coeff_bound: int = 0, basis_size: int = 0) -> None:
+                 basis_size: int = 0) -> None:
         super().__init__(message)
         self.trials = trials
         self.exhausted = exhausted
-        self.coeff_bound = coeff_bound
         self.basis_size = basis_size
 
 

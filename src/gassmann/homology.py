@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -55,24 +55,31 @@ __all__ = [
 class CoordSubgroup:
     """Subgroup of a finite abelian group in invariant-factor coordinates.
 
-    Stored as the canonical HNF basis of its preimage lattice in Z^k;
-    the lattice contains diag(factors) Z^k, and the subgroup index equals
-    the lattice index, the product of the basis diagonal.
+    Stored as the rows of the canonical square HNF basis of its preimage
+    lattice in Z^k, one row per invariant factor; the lattice contains
+    diag(factors) Z^k, and the subgroup index equals the lattice index,
+    the product of the basis diagonal.
+
+    >>> CoordSubgroup.from_generators((2, 4), [(0, 2)]).basis
+    ((2, 0), (0, 2))
+    >>> CoordSubgroup.full(()).basis
+    ()
     """
 
     factors: Sequence[int]
-    basis: IntMat | None
+    basis: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "factors", tuple(self.factors))
-        if (self.basis is None) != (len(self.factors) == 0):
-            raise ValueError("basis must be present exactly for k > 0")
+        object.__setattr__(self, "basis", tuple(map(tuple, self.basis)))
+        if len(self.basis) != len(self.factors):
+            raise ValueError("basis needs one row per invariant factor")
 
     @classmethod
     def full(cls, factors: Sequence[int]) -> "CoordSubgroup":
-        if not factors:
-            return cls((), None)
-        return cls(factors, IntMat.identity(len(factors)))
+        k = len(factors)
+        return cls(factors, tuple(tuple(int(i == j) for j in range(k))
+                                  for i in range(k)))
 
     @classmethod
     def from_generators(cls, factors: Sequence[int],
@@ -80,27 +87,22 @@ class CoordSubgroup:
         """Subgroup generated by the vectors (mod the factors)."""
         k = len(factors)
         if k == 0:
-            return cls((), None)
+            return cls((), ())
         columns = [list(v) for v in vectors]
         for i, d in enumerate(factors):
             columns.append([d if j == i else 0 for j in range(k)])
         rows = [[col[i] for col in columns] for i in range(k)]
-        return cls(factors, _square_hnf(IntMat(rows)))
+        return cls(factors, _square_hnf(IntMat(rows)).rows)
 
     @property
     def index(self) -> int:
-        if self.basis is None:
-            return 1
-        result = 1
-        for i in range(self.basis.nrows):
-            result *= self.basis[i, i]
-        return result
+        return prod(row[i] for i, row in enumerate(self.basis))
 
     def contains(self, vector: Sequence[int]) -> bool:
         """Solve the lower-triangular basis system over the integers."""
         if len(vector) != len(self.factors):
             raise ValueError("vector length mismatch")
-        return self.basis is None or _in_hnf_span(self.basis, vector)
+        return _in_hnf_span(self.basis, vector)
 
     def __repr__(self) -> str:
         return f"CoordSubgroup(index={self.index}, factors={self.factors})"
@@ -138,14 +140,15 @@ def index_subgroups(factors: Sequence[int], t: int) -> list[CoordSubgroup]:
         below = [range(h) for i, h in enumerate(diagonal) for _ in range(i)]
         for entries in itertools.product(*below):
             values = iter(entries)
-            rows = [[next(values) for _ in range(i)] + [h] + [0] * (k - i - 1)
-                    for i, h in enumerate(diagonal)]
-            candidate = CoordSubgroup(factors, IntMat(rows))
+            rows = tuple(tuple(next(values) for _ in range(i)) + (h,)
+                         + (0,) * (k - i - 1)
+                         for i, h in enumerate(diagonal))
+            candidate = CoordSubgroup(factors, rows)
             if all(candidate.contains(
                     [d if j == axis else 0 for j in range(k)])
                    for axis, d in enumerate(factors)):
                 found.append(candidate)
-    found.sort(key=lambda u: u.basis.rows)
+    found.sort(key=lambda u: u.basis)
     return found
 
 
@@ -172,9 +175,7 @@ class Correspondence:
         if ab1.structure.torsion_order() != ab2.structure.torsion_order():
             raise ValueError("abelianization orders differ: phi cannot "
                              "be an isomorphism")
-        columns = [phi.column(j) for j in range(len(phi.source_factors))]
-        if CoordSubgroup.from_generators(phi.target_factors,
-                                         columns).index != 1:
+        if _image_subgroup(phi, CoordSubgroup.full(ab1.factors)).index != 1:
             raise ValueError("phi is not surjective")
         self.group = group
         self.h1 = h1
@@ -183,18 +184,18 @@ class Correspondence:
         self.provenance = provenance
 
     @classmethod
-    def conjugation(cls, group: GroupLike, h1: GroupLike, g: Permutation,
-                    h2: GroupLike | None = None) -> "Correspondence":
-        """The map induced by x -> gxg^-1 from H1 onto gH1g^-1.
+    def conjugation(cls, group: GroupLike, h1: GroupLike,
+                    g: Permutation) -> "Correspondence":
+        """The map induced by x -> gxg^-1 from H1 onto gH1g^-1."""
+        h2 = Subgroup(group, [x.conjugate(g) for x in h1.elements])
+        return cls._conjugation(group, h1, h2, g)
 
-        A precomputed instance of the conjugate subgroup may be passed
-        to share cached abelianizations across a sweep.
-        """
-        conjugated = frozenset(x.conjugate(g) for x in h1.element_set)
-        if h2 is None:
-            h2 = Subgroup(group, conjugated)
-        elif h2.element_set != conjugated:
-            raise ValueError("supplied h2 is not the conjugate of h1 by g")
+    @classmethod
+    def _conjugation(cls, group: GroupLike, h1: GroupLike, h2: GroupLike,
+                     g: Permutation) -> "Correspondence":
+        """`conjugation` onto a given instance h2 of gH1g^-1, which must
+        be that conjugate: the sweep passes the lattice's own instance so
+        that its cached abelianization is shared."""
         ab1 = abelianization(h1)
         ab2 = abelianization(h2)
         columns = [ab2.project(rep.conjugate(g)) for rep in ab1.basis_reps]
@@ -211,12 +212,8 @@ def _image_subgroup(phi: AbHom, u: CoordSubgroup) -> CoordSubgroup:
     """phi(U) as a subgroup of the target group."""
     if u.factors != phi.source_factors:
         raise ValueError("subgroup lives in the wrong coordinates")
-    k1 = len(phi.source_factors)
-    vectors = []
-    if k1:
-        for j in range(k1):
-            vectors.append(phi.apply(u.basis.column(j)))
-    return CoordSubgroup.from_generators(phi.target_factors, vectors)
+    return CoordSubgroup.from_generators(
+        phi.target_factors, [phi.apply(column) for column in zip(*u.basis)])
 
 
 def diagram_check(corr: Correspondence) -> dict:
@@ -410,7 +407,7 @@ def conjugation_sweep(named_groups, *, max_order: int = 120) -> dict:
             for g in cosets.coset_reps:
                 h2 = canonical[frozenset(x.conjugate(g)
                                          for x in h1.element_set)]
-                corr = Correspondence.conjugation(group, h1, g, h2=h2)
+                corr = Correspondence._conjugation(group, h1, h2, g)
                 report["correspondences"] += 1
                 group_row["correspondences"] += 1
                 outcome = diagram_check(corr)

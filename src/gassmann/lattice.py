@@ -99,17 +99,8 @@ class IntMat:
         return IntMat([[sum(a * b for a, b in zip(row, col)) for col in cols]
                        for row in self.rows])
 
-    def __neg__(self) -> "IntMat":
-        return IntMat([[-entry for entry in row] for row in self.rows])
-
     def scale(self, c: int) -> "IntMat":
         return IntMat([[c * entry for entry in row] for row in self.rows])
-
-    def apply(self, vector: Sequence[int]) -> tuple[int, ...]:
-        if len(vector) != self.ncols:
-            raise ValueError("vector length does not match column count")
-        return tuple(sum(a * b for a, b in zip(row, vector))
-                     for row in self.rows)
 
     def __iter__(self) -> Iterator[tuple[int, ...]]:
         return iter(self.rows)
@@ -370,11 +361,12 @@ def maximal_normal_sublattice(m: IntMat) -> tuple[int, ...]:
     return tuple(abs(d) // gcd(d, *adj.column(i)) for i in range(m.nrows))
 
 
-def _in_hnf_span(h: IntMat, vector: Sequence[int]) -> bool:
-    """Whether the vector is in the column span of a square HNF basis h:
-    forward substitution, failing at the first residue h[i, i] leaves."""
+def _in_hnf_span(h: Iterable[Sequence[int]], vector: Sequence[int]) -> bool:
+    """Whether the vector is in the column span of a square HNF basis,
+    given by its rows h (an IntMat iterates its rows): forward
+    substitution, failing at the first residue h[i, i] leaves."""
     solution: list[int] = []
-    for i, row in enumerate(h.rows):
+    for i, row in enumerate(h):
         residue = vector[i] - sum(a * x for a, x in zip(row, solution))
         if residue % row[i]:
             return False

@@ -366,8 +366,6 @@ class _GroupBase:
     def subgroup_from_elements(
             self, elements: Iterable[Permutation]) -> "Subgroup":
         elems = sorted(set(elements))
-        if not elems:
-            raise NotASubgroup("a subgroup needs at least the identity")
         element_set = set(elems)
         if not element_set <= self.element_set:
             raise NotASubgroup("elements lie outside the group")
@@ -488,6 +486,8 @@ class Subgroup(_GroupBase):
         self.degree = parent.degree
         self.elements = tuple(sorted(set(elements)))
         self.element_set = frozenset(self.elements)
+        if not self.elements:
+            raise NotASubgroup("a subgroup needs at least the identity")
         if not self.element_set <= parent.element_set:
             raise NotASubgroup("subgroup elements lie outside the parent")
         self.index = parent.order // self.order

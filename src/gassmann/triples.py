@@ -305,8 +305,7 @@ def integral_search(group: GroupLike, h1: GroupLike, h2: GroupLike,
     raise NotFoundWithinBudget(
         "no unimodular combination in the coefficient box" if exhaustive
         else f"no unimodular combination in {budget} random samples",
-        trials=trials, exhausted=exhaustive, coeff_bound=coeff_bound,
-        basis_size=k)
+        trials=trials, exhausted=exhaustive, basis_size=k)
 
 
 def verify_integral_triple(triple: GassmannTriple,

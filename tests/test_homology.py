@@ -53,10 +53,34 @@ def test_coord_subgroup_basics():
     assert not u.contains([1, 0]) and not u.contains([0, 1])
     with pytest.raises(ValueError):
         u.contains([1])
-    with pytest.raises(ValueError):
-        CoordSubgroup(FACTORS, None)
-    empty = CoordSubgroup.full(())
-    assert empty.index == 1 and empty.contains([])
+    assert u.basis == ((2, 0), (0, 2))
+    with pytest.raises(ValueError):  # one row per invariant factor
+        CoordSubgroup(FACTORS, ((1, 0),))
+
+
+def test_coord_subgroup_of_the_trivial_group():
+    for trivial in (CoordSubgroup.from_generators((), []),
+                    CoordSubgroup.full(())):
+        assert trivial.basis == ()
+        assert trivial.index == 1 and trivial.contains([])
+    assert index_subgroups((), 1) == [CoordSubgroup.full(())]
+    assert index_subgroups((), 2) == []
+
+
+def test_conjugation_between_perfect_subgroups():
+    # A5 has trivial abelianization: phi is the empty map, and the one
+    # corresponding pair at t = 1 is (A5, A5)
+    s5 = symmetric(5)
+    a5 = s5.subgroup([Permutation.from_cycles(5, [(0, 1, 2)]),
+                      Permutation.from_cycles(5, [(0, 1, 2, 3, 4)])])
+    corr = Correspondence.conjugation(
+        s5, a5, Permutation.from_cycles(5, [(0, 1)]))
+    assert corr.phi.source_factors == corr.phi.target_factors == ()
+    assert diagram_check(corr)["commutes"]
+    [cs] = corresponding_subgroups(corr, 1)
+    assert cs.u1.basis == cs.u2.basis == ()
+    assert cs.gamma1p == cs.gamma2p == a5
+    assert gthm_check(cs)
 
 
 @pytest.mark.parametrize("factors", [(2, 4), (2, 2, 2), (3, 6), (2, 2, 4),
@@ -92,12 +116,18 @@ def test_conjugation_correspondence_diagram_commutes(d6):
             assert outcome["index"] == d6.order // h1.order
 
 
-def test_conjugation_rejects_wrong_h2(s4):
-    h1 = s4.subgroup([Permutation.from_cycles(4, [(0, 1)])])
-    wrong = s4.subgroup([Permutation.from_cycles(4, [(2, 3)])])
-    g = Permutation.identity(4)
-    with pytest.raises(ValueError):
-        Correspondence.conjugation(s4, h1, g, h2=wrong)
+def test_conjugation_onto_the_lattice_instance_agrees(s4):
+    # the sweep passes the lattice's own instance of gH1g^-1; the phi is
+    # the one the public constructor builds on a fresh instance
+    subgroups = s4.all_subgroups()
+    canonical = {s.element_set: s for s in subgroups}
+    for h1 in subgroups:
+        for g in coset_action(s4, h1).coset_reps:
+            h2 = canonical[frozenset(x.conjugate(g) for x in h1.elements)]
+            public = Correspondence.conjugation(s4, h1, g)
+            shared = Correspondence._conjugation(s4, h1, h2, g)
+            assert public.h2 == shared.h2
+            assert public.phi == shared.phi
 
 
 def test_correspondence_validates_phi(s4):
@@ -240,7 +270,7 @@ def test_gthm_uses_cores_of_the_lifted_pair(s3):
     # trivial here
     a3 = s3.subgroup([Permutation.from_cycles(3, [(0, 1, 2)])])
     g = Permutation.from_cycles(3, [(0, 1)])
-    corr = Correspondence.conjugation(s3, a3, g, h2=a3)
+    corr = Correspondence.conjugation(s3, a3, g)
     ab = abelianization(a3)
     rotation = Permutation.from_cycles(3, [(0, 1, 2)])
     assert corr.phi.apply(ab.project(rotation)) != ab.project(rotation)

@@ -146,6 +146,14 @@ def test_subgroup_requires_membership(s4, q8):
              Permutation.parse(4, "(0 2)")])
 
 
+def test_empty_subgroup_is_refused(s4):
+    # an empty element set is no subgroup, not an order to divide by
+    with pytest.raises(NotASubgroup, match="at least the identity"):
+        Subgroup(s4, [])
+    with pytest.raises(NotASubgroup, match="at least the identity"):
+        s4.subgroup_from_elements([])
+
+
 def test_all_subgroups_counts(s4, d4, q8):
     # classical subgroup counts
     assert len(s4.all_subgroups()) == 30
