@@ -53,7 +53,6 @@ from .lattice import (
     det,
     format_matrix_file,
     hnf,
-    lattice_index,
     maximal_normal_sublattice,
     parse_matrix_file,
     smith_with_transforms,

@@ -14,11 +14,12 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Union
 
-from ._primes import iter_primes
+from ._primes import is_prime, iter_primes
 from .errors import (
     CoprimalityViolated,
     DimensionMismatch,
     NonSquare,
+    NotPrime,
     PreconditionViolated,
 )
 from .lattice import (
@@ -131,10 +132,11 @@ def notwkeq_construct(
     with gcd 1.  S2 is the type of the transported lattice; when every
     row of A^-1 has a nonzero entry outside the first column, S2 is
     {{q, ..., q}} with gcd q, separating the two sides under the gcd test.
+    NotPrime unless q is a prime.
     """
     cofactors = _require_unimodular(_raw_matrix(a))
-    if q < 2:
-        raise ValueError(f"q must be at least 2: {q}")
+    if not is_prime(q):
+        raise NotPrime(f"q must be a prime: {q}")
     offenders = sorted(v for v in cofactors if gcd(q, v) > 1)
     if offenders:
         raise CoprimalityViolated(

@@ -72,8 +72,12 @@ class CoordSubgroup:
     def __post_init__(self) -> None:
         object.__setattr__(self, "factors", tuple(self.factors))
         object.__setattr__(self, "basis", tuple(map(tuple, self.basis)))
-        if len(self.basis) != len(self.factors):
+        k = len(self.factors)
+        if len(self.basis) != k:
             raise ValueError("basis needs one row per invariant factor")
+        for i, row in enumerate(self.basis):
+            if len(row) != k or row[i] <= 0 or any(row[i + 1:]):
+                raise ValueError("basis must be lower triangular, pivots > 0")
 
     @classmethod
     def full(cls, factors: Sequence[int]) -> "CoordSubgroup":
@@ -126,9 +130,7 @@ def index_subgroups(factors: Sequence[int], t: int) -> list[CoordSubgroup]:
     if t < 1:
         raise ValueError("index must be positive")
     k = len(factors)
-    order = 1
-    for d in factors:
-        order *= d
+    order = prod(factors)
     if order % t:
         return []
     if t == 1:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from ._primes import is_prime, iter_primes
 from .errors import (EvenIndex, NotPrime, OrderCapExceeded, ParseError,
@@ -229,7 +229,6 @@ def w_invariant(f: FieldModel, i: int) -> WInvariant:
                 f"primes up to {bound}")
         primes.append(p)
     factorization = []
-    value = 1
     for p in primes:
         nu = 0
         while i % cyclo_exponent(f, p, nu + 1) == 0:
@@ -239,7 +238,7 @@ def w_invariant(f: FieldModel, i: int) -> WInvariant:
                     "cyclotomic exponent failed to grow; bug")
         if nu:
             factorization.append((p, nu))
-            value *= p ** nu
+    value = prod(p ** nu for p, nu in factorization)
     return WInvariant(i, value, tuple(factorization))
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd
+from math import gcd, prod
 from typing import Iterable, Iterator, Sequence
 
 from .errors import NonSquare, ParseError, SingularMatrix
@@ -23,8 +23,6 @@ __all__ = [
     "snf",
     "smith_with_transforms",
     "maximal_normal_sublattice",
-    "contains",
-    "lattice_index",
     "parse_matrix_file",
     "format_matrix_file",
 ]
@@ -81,9 +79,6 @@ class IntMat:
         i, j = index
         return self.rows[i][j]
 
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.rows[i]
-
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.rows)
 
@@ -116,8 +111,7 @@ class IntMat:
         """Bareiss det, forward only: a third of the Gauss-Jordan pass."""
         n = self.nrows
         a = self.to_lists()
-        sign = 1
-        prev = 1
+        sign = prev = 1
         for k in range(n - 1):
             if a[k][k] == 0:
                 pivot_row = next((i for i in range(k + 1, n) if a[i][k] != 0),
@@ -162,6 +156,42 @@ class IntMat:
             rows[k] = tail
             prev = pivot
         return sign * prev, IntMat(rows).scale(sign)
+
+    @cached_property
+    def _hnf(self) -> IntMat:
+        """Column HNF by integer column operations: see `hnf`."""
+        # operate on columns via rows of the transpose
+        rows = [list(row) for row in self.transpose().rows]
+        nrows, ncols = self.ncols, self.nrows
+        pivot_row = 0
+        for col in range(ncols):
+            if pivot_row >= nrows:
+                break
+            while True:
+                nonzero = [i for i in range(pivot_row, nrows) if rows[i][col]]
+                if not nonzero:
+                    break
+                if len(nonzero) == 1:
+                    i = nonzero[0]
+                    rows[pivot_row], rows[i] = rows[i], rows[pivot_row]
+                    break
+                smallest = min(nonzero, key=lambda i: abs(rows[i][col]))
+                for i in nonzero:
+                    if i != smallest:
+                        q = rows[i][col] // rows[smallest][col]
+                        rows[i] = [a - q * b
+                                   for a, b in zip(rows[i], rows[smallest])]
+            if rows[pivot_row][col]:
+                if rows[pivot_row][col] < 0:
+                    rows[pivot_row] = [-entry for entry in rows[pivot_row]]
+                pivot = rows[pivot_row][col]
+                for i in range(pivot_row):
+                    q = rows[i][col] // pivot
+                    if q:
+                        rows[i] = [a - q * b
+                                   for a, b in zip(rows[i], rows[pivot_row])]
+                pivot_row += 1
+        return IntMat(rows).transpose()
 
 
 def _require_square(m: IntMat, op: str) -> None:
@@ -210,41 +240,9 @@ def hnf(m: IntMat) -> IntMat:
     """Canonical column Hermite normal form; column span is preserved.
 
     The result is lower triangular with positive pivots, and in each
-    pivot row the entries left of the pivot lie in [0, pivot).
+    pivot row the entries left of the pivot lie in [0, pivot).  Cached on m.
     """
-    # operate on columns via rows of the transpose
-    rows = [list(row) for row in m.transpose().rows]
-    nrows = len(rows)
-    ncols = len(rows[0])
-    pivot_row = 0
-    for col in range(ncols):
-        if pivot_row >= nrows:
-            break
-        while True:
-            nonzero = [i for i in range(pivot_row, nrows) if rows[i][col]]
-            if not nonzero:
-                break
-            if len(nonzero) == 1:
-                i = nonzero[0]
-                rows[pivot_row], rows[i] = rows[i], rows[pivot_row]
-                break
-            smallest = min(nonzero, key=lambda i: abs(rows[i][col]))
-            for i in nonzero:
-                if i == smallest:
-                    continue
-                q = rows[i][col] // rows[smallest][col]
-                rows[i] = [a - q * b for a, b in zip(rows[i], rows[smallest])]
-        if pivot_row < nrows and rows[pivot_row][col]:
-            if rows[pivot_row][col] < 0:
-                rows[pivot_row] = [-entry for entry in rows[pivot_row]]
-            pivot = rows[pivot_row][col]
-            for i in range(pivot_row):
-                q = rows[i][col] // pivot
-                if q:
-                    rows[i] = [a - q * b
-                               for a, b in zip(rows[i], rows[pivot_row])]
-            pivot_row += 1
-    return IntMat(rows).transpose()
+    return m._hnf
 
 
 def _square_hnf(mat: IntMat) -> IntMat:
@@ -345,20 +343,38 @@ def snf(m: IntMat) -> tuple[IntMat, tuple[int, ...]]:
 
 
 def maximal_normal_sublattice(m: IntMat) -> tuple[int, ...]:
-    """Least positive m_i with m_i * M^-1 e_i integral, for each i.
+    """Least positive m_i with m_i * e_i in the column span of M, for each i.
 
     The lattice spanned by the m_i * e_i is the largest sublattice of the
     column span of M that has a basis of integer multiples of the standard
-    basis vectors.
+    basis vectors.  Each m_i comes from a forward substitution of s * e_i
+    down the rows i, i+1, ... of the HNF basis H: where a residue r is not
+    a multiple of the pivot h_jj, the scale s and the partial solution are
+    multiplied by h_jj / gcd(r, h_jj), the least factor that makes it one.
 
     >>> maximal_normal_sublattice(IntMat([[1, 1], [0, 2]]))
     (1, 2)
+    >>> maximal_normal_sublattice(IntMat([[2, 1], [1, 2]]))
+    (3, 3)
     """
     _require_square(m, "maximal_normal_sublattice")
-    d, adj = m._elimination
-    if adj is None:
+    h = hnf(m).rows
+    if not all(row[i] for i, row in enumerate(h)):  # zero iff singular
         raise SingularMatrix("lattice basis must be nonsingular")
-    return tuple(abs(d) // gcd(d, *adj.column(i)) for i in range(m.nrows))
+    out = []
+    for i in range(len(h)):
+        scale, solution = h[i][i], [1]
+        for row in h[i + 1:]:
+            pivot = row[i + len(solution)]
+            residue = -sum(a * x for a, x in zip(row[i:], solution))
+            factor = pivot // gcd(residue, pivot)
+            if factor > 1:
+                scale *= factor
+                solution = [factor * x for x in solution]
+                residue *= factor
+            solution.append(residue // pivot)
+        out.append(scale)
+    return tuple(out)
 
 
 def _in_hnf_span(h: Iterable[Sequence[int]], vector: Sequence[int]) -> bool:
@@ -378,12 +394,13 @@ def _in_hnf_span(h: Iterable[Sequence[int]], vector: Sequence[int]) -> bool:
 class LocalNormLattice:
     """Full-rank sublattice of Z^r spanned by the columns of a basis matrix.
 
-    Its canonical HNF basis is computed on first use, then kept; equality
-    and hashing are those of the HNF basis.
+    Its nonsingularity check, index (the product of the HNF diagonal),
+    membership, equality and hash all read the basis's canonical HNF,
+    computed once at construction and cached on the basis.
 
     >>> lat = LocalNormLattice(IntMat([[2, 1], [0, 3]]))
-    >>> lat.contains((1, 3)), lat.contains((1, 0))
-    (True, False)
+    >>> lat.contains((1, 3)), lat.contains((1, 0)), lat.index
+    (True, False, 6)
     """
 
     basis: IntMat
@@ -391,46 +408,32 @@ class LocalNormLattice:
     def __post_init__(self) -> None:
         if not self.basis.is_square:
             raise NonSquare("lattice basis must be square")
-        if self.basis._elimination[0] == 0:
+        if not self.index:  # an HNF diagonal has a zero iff singular
             raise SingularMatrix("lattice basis must be nonsingular")
 
     @property
     def rank(self) -> int:
         return self.basis.nrows
 
-    @cached_property
-    def _basis_hnf(self) -> IntMat:
-        return hnf(self.basis)
-
     def contains(self, vector: Sequence[int]) -> bool:
         if len(vector) != self.rank:
             raise ValueError(
                 f"vector of length {len(vector)} against rank {self.rank}")
-        return _in_hnf_span(self._basis_hnf, vector)
+        return _in_hnf_span(hnf(self.basis), vector)
 
     @property
     def index(self) -> int:
-        return abs(self.basis._elimination[0])
+        return prod(row[i] for i, row in enumerate(hnf(self.basis)))
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, LocalNormLattice)
-                and self._basis_hnf == other._basis_hnf)
+                and hnf(self.basis) == hnf(other.basis))
 
     def __hash__(self) -> int:
-        return hash(self._basis_hnf)
+        return hash(hnf(self.basis))
 
     def __repr__(self) -> str:
         return f"LocalNormLattice({self.basis!r})"
-
-
-def contains(lattice: LocalNormLattice, vector: Sequence[int]) -> bool:
-    """Exact membership test: one triangular solve in the lattice's HNF."""
-    return lattice.contains(vector)
-
-
-def lattice_index(lattice: LocalNormLattice) -> int:
-    """Index of the lattice in Z^r, i.e. |det| of its basis."""
-    return lattice.index
 
 
 def parse_matrix_file(text: str, *, path: str | None = None) -> IntMat:

@@ -18,7 +18,8 @@ from its elements alone, so each table of a (group, subgroup) pair
 own entry.  A value type (`AbHom`, `FinAbGroup`, and `IntMat`,
 `LocalNormLattice`, `CoordSubgroup`, `NumericalSet` elsewhere) is a
 frozen dataclass.  A value derived from one object is a
-`functools.cached_property` of it, such as an `IntMat`'s `_det`.
+`functools.cached_property` of it, such as an `IntMat`'s `_det`,
+`_elimination` and `_hnf`.
 
 Conventions: points are 0-indexed; composition is right-to-left,
 (p * q)(i) = p(q(i)); coset 0 of a coset space is the subgroup itself.
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import itemgetter
 from typing import Iterable, Sequence, Union
 
@@ -708,15 +709,8 @@ class FinAbGroup:
                 slots[position] *= p ** e
         return cls(free_rank, tuple(reversed(slots)))
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.invariant_factors
-
     def torsion_order(self) -> int:
-        result = 1
-        for d in self.invariant_factors:
-            result *= d
-        return result
+        return prod(self.invariant_factors)
 
     def tensor_mod(self, k: int) -> "FinAbGroup":
         """Tensor with Z/k: each Z/d becomes Z/gcd(d,k), each Z becomes Z/k."""
@@ -854,7 +848,7 @@ class Abelianization:
         if k:
             diag, u, _ = smith_with_transforms(_square_hnf(IntMat(
                 [[rel[r] for rel in relations] for r in range(k)])))
-            kept = [(u.row(i), diag[i, i]) for i in range(k)
+            kept = [(u.rows[i], diag[i, i]) for i in range(k)
                     if diag[i, i] > 1]
         else:
             kept = []

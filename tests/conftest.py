@@ -28,8 +28,8 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 @pytest.fixture
 def count_passes(monkeypatch):
     """count_passes(name) wraps the function of the IntMat cached
-    property `name` (`_det` or `_elimination`) for the test and returns
-    the list of matrices it then runs on."""
+    property `name` (`_det`, `_elimination` or `_hnf`) for the test
+    and returns the list of matrices it then runs on."""
     def install(name):
         computed = []
         real = vars(IntMat)[name].func

@@ -9,7 +9,7 @@ from gassmann.abelext import (LocalModel, choose_q,
                               local_splitting_type, notwkeq_construct,
                               transport_lattice)
 from gassmann.errors import (CoprimalityViolated, DimensionMismatch,
-                             NonSquare, PreconditionViolated)
+                             NonSquare, NotPrime, PreconditionViolated)
 from gassmann.lattice import IntMat, LocalNormLattice, det
 from gassmann.permgroup import Permutation
 
@@ -26,8 +26,13 @@ def test_separation_pipeline_canonical_example():
 def test_pipeline_rejects_bad_q():
     with pytest.raises(CoprimalityViolated):
         notwkeq_construct(A_PAPER, 2)  # 2 divides a cofactor
-    with pytest.raises(ValueError):
+    with pytest.raises(NotPrime):
         notwkeq_construct(A_PAPER, 1)
+    # every cofactor of [[1, 1], [0, 1]] is +-1, so only primality stops
+    # a composite q from being reported as a split prime
+    for q in (4, 9, 15):
+        with pytest.raises(NotPrime, match=f"q must be a prime: {q}"):
+            notwkeq_construct(IntMat([[1, 1], [0, 1]]), q)
     with pytest.raises(PreconditionViolated, match="not unimodular: det = 2"):
         notwkeq_construct(IntMat([[2, 0], [0, 1]]), 5)
     with pytest.raises(NonSquare, match="transport needs a square matrix"):
@@ -46,9 +51,8 @@ def test_choose_q_and_construct_share_one_elimination(count_passes):
     a = IntMat(A_PAPER.rows)  # a fresh matrix, nothing cached on it yet
     s1, s2, _, _ = notwkeq_construct(a, choose_q(a))
     assert (list(s1), list(s2)) == ([1, 3, 3], [3, 3, 3])
-    assert [m for m in computed if m is a] == [a]
-    # besides A, only the two lattice bases are eliminated, once each
-    assert len(computed) == 3
+    # only A is eliminated; the two lattices read their HNFs instead
+    assert computed == [a]
 
 
 def test_choose_q_skips_cofactor_primes():

@@ -11,12 +11,12 @@ from fractions import Fraction
 
 import pytest
 
-from gassmann.abelext import notwkeq_construct
+from gassmann.abelext import choose_q, notwkeq_construct
 from gassmann.catalog import scott_triple, standard_corpus
 from gassmann.cli import main
 from gassmann.homology import conjugation_sweep
 from gassmann.kgroups import FieldModel, k_group
-from gassmann.lattice import (IntMat, LocalNormLattice, det,
+from gassmann.lattice import (IntMat, LocalNormLattice, adjugate, det,
                               maximal_normal_sublattice)
 from gassmann.permgroup import (AbHom, FinAbGroup, abelianization,
                                 coset_action, format_group_file,
@@ -293,6 +293,28 @@ def test_criterion_8_scott_intertwiner(acceptance, tmp_path, capsys):
                           brute_coset_actions(group, h2)):
             assert all(rows[s2[r]][s1[c]] == rows[r][c]
                        for r in range(n) for c in range(n))
+        # the separation on this matrix: adj A is +-A^-1, checked by a
+        # plain product, and predicts q (the least prime dividing no
+        # nonzero entry) and S2 (q where a row of A^-1 is nonzero outside
+        # its first column, else 1)
+        a = IntMat(rows)
+        inverse = adjugate(a).rows
+        columns = list(zip(*inverse))
+        product = [[sum(x * y for x, y in zip(row, col)) for col in columns]
+                   for row in rows]
+        assert product in ([[int(i == j) for j in range(n)]
+                            for i in range(n)],
+                           [[-int(i == j) for j in range(n)]
+                            for i in range(n)])
+        entries = {abs(x) for row in inverse for x in row} - {0}
+        q = next(p for p in (2, 3, 5, 7, 11, 13)
+                 if all(x % p for x in entries))
+        assert q == 2
+        s1, s2, gcd1, gcd2 = notwkeq_construct(a, choose_q(a))
+        assert list(s1) == [1] + [q] * (n - 1)
+        assert list(s2) == sorted(q if any(row[1:]) else 1
+                                  for row in inverse) == [q] * n
+        assert (gcd1, gcd2) == (1, q)
 
     run_criterion(acceptance, "criterion 8 (scott intertwiner)", body,
                   budget=120)

@@ -195,6 +195,18 @@ def test_abelext_demo_chooses_q(capsys, tmp_path):
     assert report["S1"][0] == 1
 
 
+def test_abelext_demo_refuses_a_composite_q(capsys, tmp_path):
+    # every cofactor of this matrix is +-1, so no coprimality check
+    # stands between a composite q and a report naming it a split prime
+    mat = tmp_path / "u.mat"
+    mat.write_text("size: 2\n1 1\n0 1\n")
+    for q in ("4", "9"):
+        code, out, err = run_cli(
+            capsys, ["abelext", "demo", "--matrix", str(mat), "--q", q])
+        assert code == 2 and out == ""
+        assert f"q must be a prime: {q}" in err and "Traceback" not in err
+
+
 def test_abelext_demo_eliminates_a_once(capsys, tmp_path, count_passes):
     # choose_q and notwkeq_construct both read A's one Gauss-Jordan pass
     computed = count_passes("_elimination")

@@ -56,6 +56,17 @@ def test_coord_subgroup_basics():
     assert u.basis == ((2, 0), (0, 2))
     with pytest.raises(ValueError):  # one row per invariant factor
         CoordSubgroup(FACTORS, ((1, 0),))
+    # a lower triangular basis with positive pivots: a zero pivot would
+    # read as index 0, and contains would divide by it
+    for factors, rows in (((2,), [(0,)]), ((2,), [(-2,)]),
+                          (FACTORS, [(1, 1), (0, 2)]),
+                          (FACTORS, [(2, 0), (1, 0)]),
+                          (FACTORS, [(1,), (0, 1)])):
+        with pytest.raises(ValueError, match="lower triangular"):
+            CoordSubgroup(factors, rows)
+    # the entries below the diagonal need not be reduced
+    u = CoordSubgroup(FACTORS, [(2, 0), (5, 2)])
+    assert u.index == 4 and u.contains([2, 5]) and not u.contains([0, 1])
 
 
 def test_coord_subgroup_of_the_trivial_group():

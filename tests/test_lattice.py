@@ -11,7 +11,7 @@ from gassmann.errors import NonSquare, ParseError, SingularMatrix
 from gassmann.homology import CoordSubgroup
 from gassmann.lattice import (IntMat, LocalNormLattice, _square_hnf,
                               adjugate, det, format_matrix_file, hnf,
-                              lattice_index, maximal_normal_sublattice,
+                              maximal_normal_sublattice,
                               parse_matrix_file, smith_with_transforms, snf)
 
 small = st.integers(min_value=-8, max_value=8)
@@ -186,6 +186,28 @@ def test_maximal_normal_sublattice_against_oracle():
         done += 1
 
 
+def test_maximal_normal_sublattice_against_the_adjugate():
+    # the reference: m_i = |d| / gcd(d, column i of adj M), read off
+    # M^-1 = adj M / d; sizes 1-6, unimodular and not
+    rng = random.Random(23)
+    dets = set()
+    for n in range(1, 7):
+        done = 0
+        while done < 12:
+            m = IntMat([[rng.randint(-6, 6) for _ in range(n)]
+                        for _ in range(n)])
+            d = det(m)
+            if d == 0:
+                continue
+            adj = adjugate(m)
+            assert maximal_normal_sublattice(m) == tuple(
+                abs(d) // gcd(d, *adj.column(i)) for i in range(n))
+            assert LocalNormLattice(m).index == abs(d)
+            dets.add(abs(d) == 1)
+            done += 1
+    assert dets == {True, False}
+
+
 def test_maximal_normal_sublattice_rejects_singular():
     with pytest.raises(SingularMatrix):
         maximal_normal_sublattice(IntMat([[1, 2], [2, 4]]))
@@ -193,7 +215,7 @@ def test_maximal_normal_sublattice_rejects_singular():
 
 def test_lattice_membership_and_index():
     lat = LocalNormLattice(IntMat([[2, 1], [0, 3]]))
-    assert lattice_index(lat) == 6
+    assert lat.index == 6
     assert lat.contains((2, 0))
     assert lat.contains((1, 3))
     assert not lat.contains((1, 0))
@@ -209,18 +231,34 @@ def test_lattice_equality_via_hnf():
     assert hash(a) == hash(b)
 
 
-def test_lattice_hnf_is_lazy_and_computed_once(monkeypatch):
-    import gassmann.lattice as lattice_module
-    calls = []
-    real_hnf = lattice_module.hnf
-    monkeypatch.setattr(lattice_module, "hnf",
-                        lambda m: calls.append(m) or real_hnf(m))
+def test_lattice_hnf_is_computed_once_per_basis(count_passes):
+    computed = count_passes("_hnf")
     a = LocalNormLattice(IntMat([[2, 1], [0, 3]]))
     b = LocalNormLattice(IntMat([[1, 2], [3, 0]]))
-    assert calls == []
+    # the constructor's nonsingularity check computes each basis's HNF
+    assert computed == [a.basis, b.basis]
     for _ in range(2):
         assert a.contains((1, 3)) and a == b and hash(a) == hash(b)
-    assert calls == [a.basis, b.basis]
+        assert a.index == b.index == 6
+        assert maximal_normal_sublattice(a.basis) == (2, 6)
+    assert computed == [a.basis, b.basis]
+    assert LocalNormLattice(a.basis) == a and computed == [a.basis, b.basis]
+
+
+def test_lattice_reads_run_no_gauss_jordan_pass(count_passes):
+    computed = count_passes("_elimination")
+    rng = random.Random(5)
+    for n in range(1, 7):
+        m = IntMat([[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)])
+        if det(m) == 0:
+            continue
+        lattice = LocalNormLattice(m)
+        assert lattice.index == abs(det(m))
+        lattice.contains([1] * n)
+        maximal_normal_sublattice(m)
+    with pytest.raises(SingularMatrix):
+        LocalNormLattice(IntMat([[1, 2], [2, 4]]))
+    assert computed == []
 
 
 def test_matrix_file_roundtrip():
@@ -367,6 +405,7 @@ def test_cached_eliminations_leave_the_value_alone():
     fresh = IntMat([[2, 1], [1, 1]])
     assert det(m) == 1 and adjugate(m) == IntMat([[1, -1], [-1, 2]])
     assert m == fresh and hash(m) == hash(fresh)
-    for name in ("rows", "_det", "_elimination"):
+    assert hnf(m) == IntMat.identity(2)
+    for name in ("rows", "_det", "_elimination", "_hnf"):
         with pytest.raises(AttributeError):
             setattr(m, name, getattr(m, name))
