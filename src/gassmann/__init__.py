@@ -40,7 +40,6 @@ from .permgroup import (
     coset_action,
     double_cosets,
     format_group_file,
-    generate,
     inclusion_induced,
     normal_core,
     parse_group_file,

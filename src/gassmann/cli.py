@@ -335,16 +335,16 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         code, report = run(_config_from_args(args))
+        text = _render(report)
+        if args.out:
+            Path(args.out).write_text(text, encoding="utf-8")
     except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (GassmannError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    text = _render(report)
     sys.stdout.write(text)
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
     return code
 
 

@@ -4,10 +4,11 @@ Everything runs on explicit matrices: a correspondence carries an
 isomorphism phi between the abelianizations of two finite-index
 subgroups, the two-leg diagram against the ambient group is checked by
 composing transfer and inclusion matrices, and the mod-k variant
-tensors all four maps with Z/k.  Corresponding index-t subgroups are
-enumerated as sublattices of the invariant-factor coordinates and
-lifted back to honest subgroups, where normal cores settle the
-coprime-index theorem.
+tensors all four maps with Z/k.  A subgroup of an abelianization is
+its set of coordinate tuples.  The index-t subgroups are enumerated
+once each through the HNF bases of their preimage lattices in Z^k,
+mapped through phi element by element, and lifted back to honest
+subgroups, where normal cores settle the coprime-index theorem.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import gcd, prod
+from operator import add, mod
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -22,7 +24,7 @@ from .errors import (
     IndexMismatch,
     NotNormal,
 )
-from .lattice import IntMat, _in_hnf_span, _square_hnf
+from .lattice import _in_hnf_span
 from .permgroup import (
     AbHom,
     GroupLike,
@@ -51,62 +53,69 @@ __all__ = [
 ]
 
 
+def _positive_factors(factors: Sequence[int]) -> tuple[int, ...]:
+    factors = tuple(factors)
+    if not all(isinstance(d, int) and d > 0 for d in factors):
+        raise ValueError(f"invariant factors must be positive ints, "
+                         f"got {factors}")
+    return factors
+
+
 @dataclass(frozen=True, repr=False)
 class CoordSubgroup:
     """Subgroup of a finite abelian group in invariant-factor coordinates.
 
-    Stored as the rows of the canonical square HNF basis of its preimage
-    lattice in Z^k, one row per invariant factor; the lattice contains
-    diag(factors) Z^k, and the subgroup index equals the lattice index,
-    the product of the basis diagonal.
+    Stored as its set of elements, each a coordinate tuple reduced mod
+    the factors.  The builders below make only subgroups; the
+    constructor trusts its caller, as `Subgroup(parent, elements)` does.
 
-    >>> CoordSubgroup.from_generators((2, 4), [(0, 2)]).basis
-    ((2, 0), (0, 2))
-    >>> CoordSubgroup.full(()).basis
-    ()
+    >>> sorted(CoordSubgroup.from_generators((2, 4), [(0, 2)]).elements)
+    [(0, 0), (0, 2)]
+    >>> CoordSubgroup.full(()).elements
+    frozenset({()})
     """
 
-    factors: Sequence[int]
-    basis: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "factors", tuple(self.factors))
-        object.__setattr__(self, "basis", tuple(map(tuple, self.basis)))
-        k = len(self.factors)
-        if len(self.basis) != k:
-            raise ValueError("basis needs one row per invariant factor")
-        for i, row in enumerate(self.basis):
-            if len(row) != k or row[i] <= 0 or any(row[i + 1:]):
-                raise ValueError("basis must be lower triangular, pivots > 0")
+    factors: tuple[int, ...]
+    elements: frozenset[tuple[int, ...]]
 
     @classmethod
     def full(cls, factors: Sequence[int]) -> "CoordSubgroup":
-        k = len(factors)
-        return cls(factors, tuple(tuple(int(i == j) for j in range(k))
-                                  for i in range(k)))
+        factors = _positive_factors(factors)
+        return cls(factors, frozenset(itertools.product(*map(range, factors))))
 
     @classmethod
     def from_generators(cls, factors: Sequence[int],
                         vectors: Iterable[Sequence[int]]) -> "CoordSubgroup":
-        """Subgroup generated by the vectors (mod the factors)."""
-        k = len(factors)
-        if k == 0:
-            return cls((), ())
-        columns = [list(v) for v in vectors]
-        for i, d in enumerate(factors):
-            columns.append([d if j == i else 0 for j in range(k)])
-        rows = [[col[i] for col in columns] for i in range(k)]
-        return cls(factors, _square_hnf(IntMat(rows)).rows)
+        """Subgroup generated by the vectors (mod the factors), closed by
+        cosets: <U, x> is the union of U + jx over j = 0, 1, ... until
+        jx lies in U."""
+        factors = _positive_factors(factors)
+
+        def plus(a, b):
+            return tuple(map(mod, map(add, a, b), factors))
+
+        zero = (0,) * len(factors)
+        elements = {zero}
+        for x in vectors:
+            if len(x) != len(factors):
+                raise ValueError("vector length mismatch")
+            multiples = [zero]
+            shift = plus(x, zero)
+            while shift not in elements:
+                multiples.append(shift)
+                shift = plus(shift, x)
+            elements = {plus(u, v) for u in elements for v in multiples}
+        return cls(factors, frozenset(elements))
 
     @property
     def index(self) -> int:
-        return prod(row[i] for i, row in enumerate(self.basis))
+        return prod(self.factors) // len(self.elements)
 
     def contains(self, vector: Sequence[int]) -> bool:
-        """Solve the lower-triangular basis system over the integers."""
         if len(vector) != len(self.factors):
             raise ValueError("vector length mismatch")
-        return _in_hnf_span(self.basis, vector)
+        return tuple(x % d for x, d in zip(vector, self.factors)) \
+            in self.elements
 
     def __repr__(self) -> str:
         return f"CoordSubgroup(index={self.index}, factors={self.factors})"
@@ -124,34 +133,32 @@ def _ordered_factorizations(t: int, slots: int) -> list[tuple[int, ...]]:
 
 
 def index_subgroups(factors: Sequence[int], t: int) -> list[CoordSubgroup]:
-    """All subgroups of index t, as canonical HNF sublattices of Z^k
-    containing diag(factors) Z^k.  Empty when t does not divide the
-    group order."""
+    """All subgroups of index t, empty when t does not divide the group
+    order.  Each is listed once, as the canonical HNF basis of its
+    preimage lattice in Z^k, a lattice that contains diag(factors) Z^k;
+    the subgroups come in the order of those bases' rows."""
+    factors = _positive_factors(factors)
     if t < 1:
         raise ValueError("index must be positive")
     k = len(factors)
-    order = prod(factors)
-    if order % t:
+    if prod(factors) % t:
         return []
-    if t == 1:
-        return [CoordSubgroup.full(factors)]
+    axes = [tuple(d if j == i else 0 for j in range(k))
+            for i, d in enumerate(factors)]
     found = []
     for diagonal in _ordered_factorizations(t, k):
+        if any(d % h for d, h in zip(factors, diagonal)):
+            continue  # factors[i] e_i needs the pivot to divide it
         # row i of the HNF basis: i entries below the diagonal, each
         # reduced modulo diagonal[i]
-        below = [range(h) for i, h in enumerate(diagonal) for _ in range(i)]
-        for entries in itertools.product(*below):
-            values = iter(entries)
-            rows = tuple(tuple(next(values) for _ in range(i)) + (h,)
-                         + (0,) * (k - i - 1)
-                         for i, h in enumerate(diagonal))
-            candidate = CoordSubgroup(factors, rows)
-            if all(candidate.contains(
-                    [d if j == axis else 0 for j in range(k)])
-                   for axis, d in enumerate(factors)):
-                found.append(candidate)
-    found.sort(key=lambda u: u.basis)
-    return found
+        choices = [[below + (h,) + (0,) * (k - i - 1)
+                    for below in itertools.product(range(h), repeat=i)]
+                   for i, h in enumerate(diagonal)]
+        found.extend(rows for rows in itertools.product(*choices)
+                     if all(_in_hnf_span(rows, axis) for axis in axes))
+    found.sort()
+    return [CoordSubgroup.from_generators(factors, zip(*rows))
+            for rows in found]
 
 
 class Correspondence:
@@ -214,8 +221,8 @@ def _image_subgroup(phi: AbHom, u: CoordSubgroup) -> CoordSubgroup:
     """phi(U) as a subgroup of the target group."""
     if u.factors != phi.source_factors:
         raise ValueError("subgroup lives in the wrong coordinates")
-    return CoordSubgroup.from_generators(
-        phi.target_factors, [phi.apply(column) for column in zip(*u.basis)])
+    return CoordSubgroup(phi.target_factors,
+                         frozenset(map(phi.apply, u.elements)))
 
 
 def diagram_check(corr: Correspondence) -> dict:
@@ -307,14 +314,8 @@ class CorrespondingSubgroups:
 
 
 def _lift(h: GroupLike, u: CoordSubgroup) -> Subgroup:
-    ab = abelianization(h)
-    classes: dict[tuple[int, ...], list[Permutation]] = {}
-    for x in h.elements:
-        classes.setdefault(ab.project(x), []).append(x)
-    # membership depends only on the class: one test per class
-    elements = [x for coords, members in classes.items()
-                if u.contains(coords) for x in members]
-    return Subgroup(h, elements)
+    project = abelianization(h).project
+    return Subgroup(h, [x for x in h.elements if project(x) in u.elements])
 
 
 def corresponding_subgroups(corr: Correspondence,

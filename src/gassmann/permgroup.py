@@ -53,7 +53,6 @@ __all__ = [
     "FinAbGroup",
     "AbHom",
     "Abelianization",
-    "generate",
     "conjugacy_classes",
     "coset_action",
     "double_cosets",
@@ -528,11 +527,6 @@ def _require_equal_index(group: GroupLike, h1: GroupLike,
         raise IndexMismatch(
             f"indices differ: {group.order // h1.order} vs "
             f"{group.order // h2.order}")
-
-
-def generate(degree: int, generators: Iterable[Permutation]) -> PermGroup:
-    """Closure of the generators as a PermGroup; order is exact."""
-    return PermGroup(degree, generators)
 
 
 def conjugacy_classes(group: GroupLike) -> tuple[ConjugacyClass, ...]:

@@ -68,6 +68,15 @@ def test_reports_are_deterministic_and_mirrored(capsys, tmp_path, s4_file):
     assert second == first
 
 
+def test_unwritable_out_exits_two(capsys, tmp_path, s4_file):
+    out_path = tmp_path / "no-such-dir" / "report.json"
+    code, out, err = run_cli(
+        capsys, ["--out", str(out_path), "group", "info", s4_file])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out_path.parent.exists()
+
+
 def test_gassmann_check_conjugate_pair(capsys, tmp_path, s4_file):
     h1 = sub_file(tmp_path, "h1.grp", 4, ["(0 1)"])
     h2 = sub_file(tmp_path, "h2.grp", 4, ["(2 3)"])

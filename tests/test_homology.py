@@ -4,15 +4,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gassmann.catalog import alternating, symmetric
+from gassmann.catalog import alternating, dihedral, symmetric
 from gassmann.errors import (CoprimalityViolated, IndexMismatch, NotASubgroup,
                              NotNormal)
 from gassmann.homology import (Correspondence, CoordSubgroup,
-                               conjugation_sweep, corresponding_subgroups,
+                               _image_subgroup, conjugation_sweep,
+                               corresponding_subgroups,
                                diagram_check, gthm_check, h1_isomorphic,
                                index_subgroups, modq_check, modq_legs)
-from gassmann.permgroup import (AbHom, Permutation, abelianization,
-                                coset_action, normal_core)
+from gassmann.permgroup import (AbHom, PermGroup, Permutation,
+                                abelianization, coset_action, normal_core)
 
 FACTORS = (2, 4)
 VECTORS = [(a, b) for a in range(2) for b in range(4)]
@@ -53,26 +54,27 @@ def test_coord_subgroup_basics():
     assert not u.contains([1, 0]) and not u.contains([0, 1])
     with pytest.raises(ValueError):
         u.contains([1])
-    assert u.basis == ((2, 0), (0, 2))
-    with pytest.raises(ValueError):  # one row per invariant factor
-        CoordSubgroup(FACTORS, ((1, 0),))
-    # a lower triangular basis with positive pivots: a zero pivot would
-    # read as index 0, and contains would divide by it
-    for factors, rows in (((2,), [(0,)]), ((2,), [(-2,)]),
-                          (FACTORS, [(1, 1), (0, 2)]),
-                          (FACTORS, [(2, 0), (1, 0)]),
-                          (FACTORS, [(1,), (0, 1)])):
-        with pytest.raises(ValueError, match="lower triangular"):
-            CoordSubgroup(factors, rows)
-    # the entries below the diagonal need not be reduced
-    u = CoordSubgroup(FACTORS, [(2, 0), (5, 2)])
-    assert u.index == 4 and u.contains([2, 5]) and not u.contains([0, 1])
+    assert u.elements == frozenset({(0, 0), (0, 2)})
+    assert u == CoordSubgroup.from_generators(FACTORS, [[2, 6], [0, -2]])
+    # non-chain factors are accepted
+    assert CoordSubgroup.full((4, 2)).index == 1
+    assert len(index_subgroups((4, 2), 2)) == 3
+
+
+@pytest.mark.parametrize("factors", [(0,), (-2,), (2, 0), (2.0,), ("2",)],
+                         ids=repr)
+def test_coord_subgroup_builders_need_positive_int_factors(factors):
+    for build in (CoordSubgroup.full,
+                  lambda f: CoordSubgroup.from_generators(f, []),
+                  lambda f: index_subgroups(f, 2)):
+        with pytest.raises(ValueError, match="positive ints"):
+            build(factors)
 
 
 def test_coord_subgroup_of_the_trivial_group():
     for trivial in (CoordSubgroup.from_generators((), []),
                     CoordSubgroup.full(())):
-        assert trivial.basis == ()
+        assert trivial.elements == frozenset({()})
         assert trivial.index == 1 and trivial.contains([])
     assert index_subgroups((), 1) == [CoordSubgroup.full(())]
     assert index_subgroups((), 2) == []
@@ -89,7 +91,7 @@ def test_conjugation_between_perfect_subgroups():
     assert corr.phi.source_factors == corr.phi.target_factors == ()
     assert diagram_check(corr)["commutes"]
     [cs] = corresponding_subgroups(corr, 1)
-    assert cs.u1.basis == cs.u2.basis == ()
+    assert cs.u1.elements == cs.u2.elements == frozenset({()})
     assert cs.gamma1p == cs.gamma2p == a5
     assert gthm_check(cs)
 
@@ -116,6 +118,45 @@ def test_index_subgroups_against_brute_enumeration(factors):
     assert index_subgroups(factors, 1) == [CoordSubgroup.full(factors)]
     with pytest.raises(ValueError):
         index_subgroups(factors, 0)
+
+
+HOMS_2X4 = st.builds(
+    lambda a, b, c, d: AbHom((2, 4), (2, 4), [[a, b], [c, d]]),
+    st.integers(0, 1), st.integers(0, 1), st.sampled_from([0, 2]),
+    st.integers(0, 3))
+
+
+@given(HOMS_2X4, st.lists(st.sampled_from(VECTORS), max_size=3))
+def test_image_subgroup_and_surjectivity_against_brute_images(phi, gens):
+    u = CoordSubgroup.from_generators(FACTORS, gens)
+    image = _image_subgroup(phi, u)
+    assert image.elements == {phi.apply(v) for v in brute_close(FACTORS,
+                                                                 gens)}
+    # C2 x C4 with abelianization (2, 4): phi is accepted exactly when
+    # it is a bijection
+    c2xc4 = PermGroup(6, [Permutation.from_cycles(6, [(0, 1)]),
+                          Permutation.from_cycles(6, [(2, 3, 4, 5)])])
+    assert abelianization(c2xc4).factors == FACTORS
+    if len({phi.apply(v) for v in VECTORS}) == len(VECTORS):
+        Correspondence(c2xc4, c2xc4, c2xc4, phi)
+    else:
+        with pytest.raises(ValueError, match="not surjective"):
+            Correspondence(c2xc4, c2xc4, c2xc4, phi)
+
+
+def test_sweep_runs_the_hnf_only_for_abelianizations(count_passes):
+    # fresh groups, so that no abelianization is cached yet
+    groups = [("S4", symmetric(4)), ("D6", dihedral(6))]
+    computed = count_passes("_hnf")
+    relation_lattices = 0
+    for _, group in groups:
+        for h in [group, *group.all_subgroups()]:
+            abelianization(h)
+            relation_lattices += bool(h.generators)
+    assert len(computed) == relation_lattices
+    report = conjugation_sweep(groups)
+    assert report["passed"] and report["gthm_checks"]
+    assert len(computed) == relation_lattices
 
 
 def test_conjugation_correspondence_diagram_commutes(d6):

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gassmann.errors import NonSquare, ParseError, SingularMatrix
-from gassmann.homology import CoordSubgroup
 from gassmann.lattice import (IntMat, LocalNormLattice, _square_hnf,
                               adjugate, det, format_matrix_file, hnf,
                               maximal_normal_sublattice,
@@ -375,27 +374,6 @@ def test_lattice_membership_against_sympy_solve():
             for vector in membership_probes(rng, rows):
                 expected = oracle(vector)
                 assert lattice.contains(vector) == expected
-                outcomes.add(expected)
-    assert outcomes == {True, False}
-
-
-def test_coord_subgroup_membership_against_sympy_solve():
-    pytest.importorskip("sympy")
-    rng = random.Random(17)
-    outcomes = set()
-    for k in range(1, 6):
-        for _ in range(8):
-            # a lower-triangular basis with positive pivots, the shape
-            # CoordSubgroup stores; its lattice contains det * Z^k
-            rows = [[rng.randint(1, 6) if i == j else
-                     (rng.randint(-5, 5) if j < i else 0)
-                     for j in range(k)] for i in range(k)]
-            basis = IntMat(rows)
-            subgroup = CoordSubgroup([det(basis)] * k, basis)
-            oracle = rational_membership(rows)
-            for vector in membership_probes(rng, rows):
-                expected = oracle(vector)
-                assert subgroup.contains(vector) == expected
                 outcomes.add(expected)
     assert outcomes == {True, False}
 

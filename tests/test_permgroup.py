@@ -549,7 +549,7 @@ def test_finabgroup_tensor_mod():
     (IntMat([[1, 2], [3, 4]]), "rows"),
     (LocalNormLattice(IntMat([[2, 1], [0, 3]])), "basis"),
     (AbHom((2,), (4,), [[2]]), "entries"),
-    (CoordSubgroup.full((2, 4)), "basis"),
+    (CoordSubgroup.full((2, 4)), "elements"),
     (numerical_set(SplittingType([2, 3]), 10), "members"),
 ], ids=["IntMat", "LocalNormLattice", "AbHom", "CoordSubgroup",
         "NumericalSet"])
