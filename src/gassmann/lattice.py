@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, prod
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from .errors import NonSquare, ParseError, SingularMatrix
@@ -91,7 +92,7 @@ class IntMat:
                 f"cannot multiply {self.nrows}x{self.ncols} by "
                 f"{other.nrows}x{other.ncols}")
         cols = other.transpose().rows
-        return IntMat([[sum(a * b for a, b in zip(row, col)) for col in cols]
+        return IntMat([[sum(map(mul, row, col)) for col in cols]
                        for row in self.rows])
 
     def scale(self, c: int) -> "IntMat":

@@ -220,6 +220,44 @@ def _orbit_structure(basis: Sequence[IntMat]) -> tuple[list[list[int]],
     return orbit_id, [sum(b.rows[0]) for b in basis]
 
 
+def _hecke_constants(triple: GassmannTriple,
+                     orbit_id: Sequence[Sequence[int]],
+                     k: int) -> list[list[list[int]]]:
+    """gamma[f][e][d]: M(c)[f][e] = sum(gamma[f][e][d] c_d) is the k x k
+    matrix of B -> B A, from Hom_G(Z[G/H2], Z[G/H1]) to End_G(Z[G/H1]),
+    for A = sum(c_d B_d).
+
+    The coefficient of T_f, the f-th orbit matrix of G on G/H1 x G/H1
+    (in intertwiner_basis(G, H1, H1) order), in B_e^T A is its entry at
+    (0, c_f), c_f the least point of the f-th orbit of H1 on G/H1: so
+    gamma[f][e][d] counts the rows j with orbit(j, 0) = e and
+    orbit(j, c_f) = d.  A is unimodular exactly when det M(c) = +-1
+    (B A = I forces det A = +-1; conversely A^-1 is equivariant), and
+    singular exactly when det M(c) = 0.  The Gassmann property makes
+    the H1-orbits k in number; PreconditionViolated otherwise.
+    """
+    cosets1 = triple.cosets1
+    h1_orbit, count = _orbits(
+        [cosets1.permutation_of(h) for h in triple.h1.generators],
+        cosets1.index)
+    if count != k:
+        raise PreconditionViolated(
+            f"H1 has {count} orbits on G/H1 but the intertwiner space "
+            f"has dimension {k}")
+    gamma = [[[0] * k for _ in range(k)] for _ in range(k)]
+    for gamma_f, c_f in zip(gamma, map(h1_orbit.index, range(k))):
+        for row in orbit_id:
+            gamma_f[row[0]][row[c_f]] += 1
+    return gamma
+
+
+def _hecke_matrix(gamma: Sequence[Sequence[Sequence[int]]],
+                  coeffs: Sequence[int]) -> IntMat:
+    """M(c) of `_hecke_constants`: row f, column e."""
+    return IntMat([[sum(map(mul, gamma_fe, coeffs)) for gamma_fe in gamma_f]
+                   for gamma_f in gamma])
+
+
 def _assemble(orbit_id: Sequence[Sequence[int]],
               coeffs: Sequence[int]) -> IntMat:
     return IntMat([[coeffs[oid] for oid in row] for row in orbit_id])
@@ -267,8 +305,12 @@ def integral_search(group: GroupLike, h1: GroupLike, h2: GroupLike,
     exhaustive and tries the box in order of L1 norm; beyond that it
     draws `budget` seeded-random points of the box.  Only combinations
     whose constant row sum is +-1 can be unimodular, which prunes most
-    candidates before any determinant is computed; a hit is scaled by
-    its row sum, so the matrix found has row sums +1.
+    candidates.
+
+    A survivor is decided by the k x k determinant of `_hecke_constants`
+    (Scott 1993; Curtis-Reiner, Methods of Representation Theory I, on
+    Hecke algebras).  Only a hit is assembled, scaled by its row sum to
+    row sums +1; CorrespondenceMatrix takes its n x n determinant once.
 
     Raises NotFoundWithinBudget with search statistics on failure; that
     is a report, not a nonexistence proof (except when `exhausted`).
@@ -294,14 +336,15 @@ def integral_search(group: GroupLike, h1: GroupLike, h2: GroupLike,
         rng = random.Random(seed)
         candidates = ([rng.randint(-coeff_bound, coeff_bound)
                        for _ in range(k)] for _ in range(budget))
+    gamma = _hecke_constants(triple, orbit_id, k)
     trials = 0
     for coeffs in candidates:
         trials += 1
         row_sum = sum(map(mul, coeffs, row_counts))
-        if row_sum in (1, -1):
-            a = _assemble(orbit_id, [row_sum * c for c in coeffs])
-            if det(a) in (1, -1):
-                return CorrespondenceMatrix(a, triple)
+        if row_sum in (1, -1) and \
+                det(_hecke_matrix(gamma, coeffs)) in (1, -1):
+            return CorrespondenceMatrix(
+                _assemble(orbit_id, [row_sum * c for c in coeffs]), triple)
     raise NotFoundWithinBudget(
         "no unimodular combination in the coefficient box" if exhaustive
         else f"no unimodular combination in {budget} random samples",

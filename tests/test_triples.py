@@ -8,7 +8,7 @@ import pytest
 
 from gassmann import triples
 from gassmann.abelext import decomposition_count_check
-from gassmann.catalog import fano_stabilizers
+from gassmann.catalog import fano_stabilizers, scott_triple
 from gassmann.errors import (IndexMismatch, MixedSigns, NotFoundWithinBudget,
                              PreconditionViolated)
 from gassmann.lattice import IntMat, adjugate, det
@@ -233,8 +233,73 @@ def test_integral_search_hit_runs_bareiss_once(s4, monkeypatch,
     h = s4.point_stabilizer(0)
     found = integral_search(s4, h, h, 2, 100)
     assert found.A == IntMat.identity(4) and found.det == 1
-    # the search and CorrespondenceMatrix share one Bareiss pass
-    assert computed == [found.A] and computed[0] is found.A
+    # the survivors are decided by 2x2 Hecke determinants; the hit is
+    # the one 4x4 matrix eliminated, and CorrespondenceMatrix shares it
+    full = [m for m in computed if m.nrows == 4]
+    assert full == [found.A] and full[0] is found.A
+    assert {m.nrows for m in computed} == {2, 4}
+
+
+def test_scott_search_miss_runs_no_full_determinant(count_passes):
+    triple = scott_triple(seed=0)
+    computed = count_passes("_det")
+    with pytest.raises(NotFoundWithinBudget) as err:
+        integral_search(triple.group, triple.h1, triple.h2, 2, 400,
+                        seed=103)
+    assert err.value.trials == 400 and not err.value.exhausted
+    # every row-sum survivor is decided by an 8x8 Hecke determinant
+    assert computed and {m.nrows for m in computed} == {8}
+
+
+def orbit_coordinates(basis, m):
+    """The coordinates of m in a 0/1 orbit basis, read at each basis
+    matrix's first cell; None when m is not their combination."""
+    n = m.nrows
+    coords = [next(m.rows[i][j] for i in range(n) for j in range(n)
+                   if b.rows[i][j]) for b in basis]
+    combination = [[sum(c * b.rows[i][j] for c, b in zip(coords, basis))
+                    for j in range(n)] for i in range(n)]
+    return coords if IntMat(combination) == m else None
+
+
+def test_hecke_criterion_matches_full_determinant(fano, s4):
+    """M(c) holds the T_f coordinates of the brute products B_e^T A, and
+    its determinant is a unit, or zero, exactly when det A is."""
+    rng = random.Random(5)
+    # the S4 self-pairs of H = S3, C4 and <(0 1)>
+    self_pairs = [(s4, h, h) for h in (
+        s4.point_stabilizer(0),
+        s4.subgroup([Permutation.parse(4, "(0 1 2 3)")]),
+        s4.subgroup([Permutation.parse(4, "(0 1)")]))]
+    for (group, h1, h2), k in zip([fano, *self_pairs], (2, 2, 3, 7)):
+        triple = GassmannTriple(group, h1, h2)
+        basis = intertwiner_basis(group, h1, h2)
+        hecke = intertwiner_basis(group, h1, h1)
+        assert len(basis) == len(hecke) == k
+        orbit_id, row_counts = triples._orbit_structure(basis)
+        gamma = triples._hecke_constants(triple, orbit_id, k)
+        with pytest.raises(PreconditionViolated):
+            triples._hecke_constants(triple, orbit_id, k + 1)
+        # a self-pair's row-count-1 basis matrices are permutation
+        # matrices, hence unimodular
+        units = [tuple(int(d == e) for d in range(k))
+                 for e in range(k) if row_counts[e] == 1]
+        assert bool(units) == (h1 is h2)
+        box = itertools.islice(_box_in_l1_order(k, 3 - k // 3), 150)
+        randoms = [tuple(rng.randint(-3, 3) for _ in range(k))
+                   for _ in range(20)]
+        found = Counter()
+        for coeffs in [*units, *box, *randoms]:
+            a = triples._assemble(orbit_id, coeffs)
+            m = triples._hecke_matrix(gamma, coeffs)
+            assert [orbit_coordinates(hecke, b.transpose() @ a)
+                    for b in basis] == [list(col) for col in zip(*m.rows)]
+            d_a, d_m = det(a), det(m)
+            assert (d_a in (1, -1)) == (d_m in (1, -1))
+            assert (d_a == 0) == (d_m == 0)
+            found[d_a in (1, -1), d_a == 0] += 1
+        assert found[False, True] and found[False, False]
+        assert bool(found[True, False]) == (h1 is h2)
 
 
 def test_integral_search_rejects_non_gassmann(d4):
