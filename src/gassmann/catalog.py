@@ -12,6 +12,7 @@ from typing import Sequence
 
 from ._primes import is_prime
 from .errors import NotFoundWithinBudget
+from .lattice import IntMat, adjugate
 from .permgroup import PermGroup, Permutation, Subgroup
 from .triples import GassmannTriple, are_conjugate
 
@@ -126,19 +127,6 @@ def _f2_vec_mat(v: Sequence[int], m: Sequence[Sequence[int]]) -> tuple:
     return tuple(sum(v[i] & m[i][j] for i in range(3)) & 1 for j in range(3))
 
 
-def _f2_inverse(m: Sequence[Sequence[int]]) -> list[list[int]]:
-    # 3x3 Gauss-Jordan over F2
-    rows = [list(m[i]) + [1 if i == j else 0 for j in range(3)]
-            for i in range(3)]
-    for col in range(3):
-        pivot = next(r for r in range(col, 3) if rows[r][col])
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        for r in range(3):
-            if r != col and rows[r][col]:
-                rows[r] = [(a ^ b) for a, b in zip(rows[r], rows[col])]
-    return [row[3:] for row in rows]
-
-
 _FANO_VECTORS = [((k >> 2) & 1, (k >> 1) & 1, k & 1) for k in range(1, 8)]
 _FANO_INDEX = {v: i for i, v in enumerate(_FANO_VECTORS)}
 
@@ -149,12 +137,13 @@ def gl3f2() -> PermGroup:
     Points 0..6 are the nonzero vectors of F2^3 and points 7..13 the
     nonzero functionals; a matrix moves vectors directly and
     functionals by composition with its inverse, so incidence
-    (functional vanishing on a vector) is preserved.
+    (functional vanishing on a vector) is preserved.  Each generator has
+    det 1, so its inverse over F2 is its adjugate mod 2.
     """
     gens = []
     for mat in ([[1, 1, 0], [0, 1, 0], [0, 0, 1]],
                 [[0, 0, 1], [1, 0, 0], [0, 1, 0]]):
-        inv = _f2_inverse(mat)
+        inv = [[x % 2 for x in row] for row in adjugate(IntMat(mat))]
         images = [0] * 14
         for idx, v in enumerate(_FANO_VECTORS):
             images[idx] = _FANO_INDEX[_f2_mat_vec(mat, v)]

@@ -18,8 +18,8 @@ from pathlib import Path
 from . import abelext, catalog, homology, kgroups, splitting, triples
 from .errors import GassmannError, NotFoundWithinBudget, ParseError
 from .lattice import parse_matrix_file
-from .permgroup import (PermGroup, Subgroup, abelianization,
-                        parse_group_file)
+from .permgroup import (PermGroup, Subgroup, _parse_generators,
+                        abelianization, parse_group_file)
 
 SCHEMA = 1
 
@@ -35,12 +35,14 @@ def _load_group(path: str) -> PermGroup:
 
 
 def _load_subgroup(group: PermGroup, path: str) -> Subgroup:
-    candidate = parse_group_file(_read(path), path=path)
-    if candidate.degree != group.degree:
+    # checked against the group before any closure: a file generating
+    # a large group outside it fails on membership, not the order cap
+    degree, generators = _parse_generators(_read(path), path=path)
+    if degree != group.degree:
         raise ParseError(
-            f"degree {candidate.degree} does not match "
+            f"degree {degree} does not match "
             f"the ambient group's degree {group.degree}", path=path)
-    return group.subgroup(candidate.generators)
+    return group.subgroup(generators)
 
 
 def _load_pair(

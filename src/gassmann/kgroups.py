@@ -113,9 +113,16 @@ class FieldModel:
                 raise ParseError(f"unrecognized field component {chunk!r}")
         if "m" not in given:
             raise ParseError(f"missing conductor in {text!r}")
-        return cls.abelian(int(given["m"]),
-                           [int(tok) for tok in given.get("H", "").split(",")
-                            if tok])
+        try:
+            conductor = int(given["m"])
+        except ValueError:
+            raise ParseError(f"bad conductor 'm={given['m']}'") from None
+        try:
+            generators = [int(tok) for tok in given.get("H", "").split(",")
+                          if tok]
+        except ValueError:
+            raise ParseError(f"bad subgroup 'H={given['H']}'") from None
+        return cls.abelian(conductor, generators)
 
     @property
     def is_rational(self) -> bool:

@@ -109,54 +109,14 @@ class IntMat:
 
     @cached_property
     def _det(self) -> int:
-        """Bareiss det, forward only: a third of the Gauss-Jordan pass."""
-        n = self.nrows
-        a = self.to_lists()
-        sign = prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                pivot_row = next((i for i in range(k + 1, n) if a[i][k] != 0),
-                                 None)
-                if pivot_row is None:
-                    return 0
-                a[k], a[pivot_row] = a[pivot_row], a[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    # exact division is guaranteed by the Bareiss identity
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
+        """det M by forward-only Bareiss elimination: see `_bareiss`."""
+        return _bareiss(self, full=False)[0]
 
     @cached_property
     def _elimination(self) -> tuple[int, IntMat | None]:
         """(det M, adj M) of a square matrix; adj M is None when det M = 0.
-
-        One fraction-free Gauss-Jordan pass (Bareiss 1968) turns [M | I] into
-        [d I | d M^-1], d = +-det M by the row swaps; every division is exact,
-        every entry being a minor of [M | I].  Pivot columns are dropped.
-        """
-        n = self.nrows
-        rows = [list(row) + [int(i == j) for j in range(n)]
-                for i, row in enumerate(self.rows)]
-        sign = prev = 1
-        for k in range(n):
-            pivot_row = next((i for i in range(k, n) if rows[i][0]), None)
-            if pivot_row is None:
-                return 0, None
-            if pivot_row != k:
-                rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
-                sign = -sign
-            pivot, *tail = rows[k]
-            for i, row in enumerate(rows):
-                if i != k:
-                    factor = row[0]
-                    rows[i] = [(pivot * x - factor * y) // prev
-                               for x, y in zip(row[1:], tail)]
-            rows[k] = tail
-            prev = pivot
-        return sign * prev, IntMat(rows).scale(sign)
+        One Gauss-Jordan pass: see `_bareiss`."""
+        return _bareiss(self, full=True)
 
     @cached_property
     def _hnf(self) -> IntMat:
@@ -193,6 +153,39 @@ class IntMat:
                                    for a, b in zip(rows[i], rows[pivot_row])]
                 pivot_row += 1
         return IntMat(rows).transpose()
+
+
+def _bareiss(m: IntMat, full: bool) -> tuple[int, IntMat | None]:
+    """Fraction-free elimination (Bareiss 1968) of a square matrix.
+
+    Each step takes the first nonzero pivot in the column, flips the sign
+    on a row swap and drops the pivot column; every division is exact,
+    every entry being a minor of the input.  Forward only (full=False),
+    the rows below each pivot are eliminated and the last pivot is
+    +-det M.  With full=True every other row of [M | I] is eliminated,
+    giving [d I | d M^-1] with d = +-det M, and the result is
+    (det M, adj M).  A zero pivot column gives (0, None).
+    """
+    n = m.nrows
+    rows = [list(row) + ([int(i == j) for j in range(n)] if full else [])
+            for i, row in enumerate(m.rows)]
+    sign = prev = 1
+    for k in range(n):
+        if not rows[k][0]:
+            pivot_row = next((i for i in range(k + 1, n) if rows[i][0]), None)
+            if pivot_row is None:
+                return 0, None
+            rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
+            sign = -sign
+        pivot, *tail = rows[k]
+        for i in range(n) if full else range(k + 1, n):
+            if i != k:
+                factor, *row = rows[i]
+                rows[i] = [(pivot * x - factor * y) // prev
+                           for x, y in zip(row, tail)]
+        rows[k] = tail
+        prev = pivot
+    return sign * prev, IntMat(rows).scale(sign) if full else None
 
 
 def _require_square(m: IntMat, op: str) -> None:

@@ -18,8 +18,9 @@ from its elements alone, so each table of a (group, subgroup) pair
 own entry.  A value type (`AbHom`, `FinAbGroup`, and `IntMat`,
 `LocalNormLattice`, `CoordSubgroup`, `NumericalSet` elsewhere) is a
 frozen dataclass.  A value derived from one object is a
-`functools.cached_property` of it, such as an `IntMat`'s `_det`,
-`_elimination` and `_hnf`.
+`functools.cached_property` of it, such as an `IntMat`'s `_det` and
+`_elimination` (one Bareiss loop, run forward or to the end) and its
+`_hnf`.
 
 Conventions: points are 0-indexed; composition is right-to-left,
 (p * q)(i) = p(q(i)); coset 0 of a coset space is the subgroup itself.
@@ -916,6 +917,13 @@ def _inclusion(group: GroupLike, subgroup: GroupLike) -> AbHom:
 
 def parse_group_file(text: str, *, path: str | None = None) -> PermGroup:
     """Parse the group file format: `degree: N`, then `gen: <cycles>` lines."""
+    return PermGroup(*_parse_generators(text, path=path))
+
+
+def _parse_generators(
+        text: str, *,
+        path: str | None = None) -> tuple[int, list[Permutation]]:
+    """(degree, generators) of a group file, without closing them."""
     degree: int | None = None
     generators: list[Permutation] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -949,7 +957,7 @@ def parse_group_file(text: str, *, path: str | None = None) -> PermGroup:
                              line=lineno, path=path)
     if degree is None:
         raise ParseError("missing `degree: N` line", path=path)
-    return PermGroup(degree, generators)
+    return degree, generators
 
 
 def format_group_file(group: GroupLike) -> str:

@@ -377,12 +377,28 @@ def test_bad_inputs_exit_two(capsys, tmp_path, s4_file, fano_search):
              "repeated 'm='"),
             (["kgroups", "--field", "abelian:m=5;H=1;H=4", "--n", "3"],
              "repeated 'H='"),
+            (["kgroups", "--field", "abelian:m=abc", "--n", "3"],
+             "bad conductor 'm=abc'"),
+            (["kgroups", "--field", "abelian:m=5;H=1,x", "--n", "3"],
+             "bad subgroup 'H=1,x'"),
             (["kgroups", "--field", f"abelian:m={_CONDUCTOR_CAP + 1}",
               "--n", "3"], "OrderCapExceeded"),
             (["group", "info", str(big)], ":1:")):
         code, out, err = run_cli(capsys, argv)
         assert code == 2 and not out and message in err, argv
         assert "Traceback" not in err
+
+
+def test_subgroup_file_is_checked_against_the_group_before_closing(
+        capsys, tmp_path):
+    # the file generates S12, past the order cap, inside G = <(0 1)>
+    group = sub_file(tmp_path, "g.grp", 12, ["(0 1)"])
+    big = sub_file(tmp_path, "s12.grp", 12,
+                   ["(0 1 2 3 4 5 6 7 8 9 10 11)", "(0 1)"])
+    code, out, err = run_cli(
+        capsys, ["gassmann", "check", group, "--h1", big, "--h2", group])
+    assert code == 2 and not out
+    assert "(0 1 2 3 4 5 6 7 8 9 10 11) lies outside the group" in err
 
 
 def test_bad_arguments_exit_two(capsys):

@@ -312,19 +312,48 @@ def matrix_of_rank(rng, n, rank):
             return rows
 
 
+def with_zero_pivot(rows):
+    """rows with a column moved first and the rows reordered so that the
+    (0, 0) entry is 0 and the (1, 0) entry is not, so that an elimination
+    must swap rows; None when no column holds both a zero and a nonzero."""
+    n = len(rows)
+    for j in range(n):
+        column = [row[j] for row in rows]
+        if 0 in column and any(column):
+            first = [column.index(0), next(i for i in range(n) if column[i])]
+            order = first + [i for i in range(n) if i not in first]
+            return [[rows[i][j]] + rows[i][:j] + rows[i][j + 1:]
+                    for i in order]
+    return None
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_det_and_adjugate_against_sympy(n):
+    # without sympy: n = 1, and a row swap forced at the first pivot
+    rng = random.Random(n)
+    forced = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+    if n > 1:
+        forced[0][0], forced[1][0] = 0, 1
+    m = IntMat(forced)
+    assert det(m) == m._elimination[0] == det_by_permutation_expansion(m)
+    assert m @ adjugate(m) == IntMat.identity(n).scale(det(m))
+
     sympy = pytest.importorskip("sympy")
     rng = random.Random(100 + n)
     ranks = [n] * 4 + [n - 1] * 3 + [rng.randint(0, max(0, n - 2))
                                       for _ in range(3)]
+    swapped = 0
     for rank in ranks:
         rows = matrix_of_rank(rng, n, rank)
-        expected = sympy.Matrix(rows)
-        m = IntMat(rows)
-        for _ in range(2):  # the second read comes from the cache
-            assert det(m) == expected.det()
-            assert adjugate(m).to_lists() == expected.adjugate().tolist()
+        permuted = with_zero_pivot(rows)
+        swapped += permuted is not None
+        for case in (rows, permuted) if permuted else (rows,):
+            expected = sympy.Matrix(case)
+            m = IntMat(case)
+            for _ in range(2):  # the second read comes from the cache
+                assert det(m) == m._elimination[0] == expected.det()
+                assert adjugate(m).to_lists() == expected.adjugate().tolist()
+    assert swapped or n == 1
 
 
 def test_snf_invariant_factors_against_sympy():

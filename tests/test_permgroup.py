@@ -4,13 +4,15 @@ import random
 import weakref
 from collections import Counter
 from math import gcd
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gassmann.permgroup as permgroup_module
-from gassmann.catalog import alternating, gl3f2, standard_corpus, symmetric
+from gassmann.catalog import (_FANO_VECTORS, alternating, gl3f2,
+                              standard_corpus, symmetric)
 from gassmann.errors import (InvalidPermutation, NotASubgroup,
                              OrderCapExceeded, ParseError)
 from gassmann.homology import CoordSubgroup
@@ -105,6 +107,23 @@ def test_cycle_type_includes_fixed_points():
 def test_closure_orders():
     assert symmetric_order(4) == 24
     assert PermGroup(5, [Permutation.parse(5, "(0 1 2 3 4)")]).order == 5
+
+
+def test_gl3f2_generators_preserve_point_hyperplane_incidence():
+    group = gl3f2()
+    assert group.generators == (
+        (0, 5, 6, 3, 4, 1, 2, 7, 8, 9, 12, 13, 10, 11),
+        (3, 0, 4, 1, 5, 2, 6, 10, 7, 11, 8, 12, 9, 13))
+
+    def vanishes(point, hyperplane):
+        return sum(map(mul, _FANO_VECTORS[point],
+                       _FANO_VECTORS[hyperplane - 7])) % 2 == 0
+    # g maps v to g.v and f to f o g^-1, and (f o g^-1)(g.v) = f(v)
+    for g in group.generators:
+        for point in range(7):
+            for hyperplane in range(7, 14):
+                assert (vanishes(g[point], g[hyperplane])
+                        == vanishes(point, hyperplane))
 
 
 def symmetric_order(n):
