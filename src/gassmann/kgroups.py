@@ -15,7 +15,7 @@ from math import gcd, lcm, prod
 
 from ._primes import is_prime, iter_primes
 from .errors import (EvenIndex, NotPrime, OrderCapExceeded, ParseError,
-                     UnsupportedSignature)
+                     UnsupportedSignature, parse_int)
 from .permgroup import FinAbGroup
 
 __all__ = [
@@ -114,11 +114,12 @@ class FieldModel:
         if "m" not in given:
             raise ParseError(f"missing conductor in {text!r}")
         try:
-            conductor = int(given["m"])
+            conductor = parse_int(given["m"])
         except ValueError:
             raise ParseError(f"bad conductor 'm={given['m']}'") from None
         try:
-            generators = [int(tok) for tok in given.get("H", "").split(",")
+            generators = [parse_int(tok)
+                          for tok in given.get("H", "").split(",")
                           if tok]
         except ValueError:
             raise ParseError(f"bad subgroup 'H={given['H']}'") from None

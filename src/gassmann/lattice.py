@@ -13,7 +13,8 @@ from math import gcd, prod
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
-from .errors import NonSquare, ParseError, SingularMatrix
+from .errors import (NonSquare, ParseError, SingularMatrix, parse_int,
+                     parse_ints)
 
 __all__ = [
     "IntMat",
@@ -444,7 +445,7 @@ def parse_matrix_file(text: str, *, path: str | None = None) -> IntMat:
                                  line=lineno, path=path)
             body = line[len("size:"):].strip()
             try:
-                size = int(body)
+                size = parse_int(body)
             except ValueError:
                 raise ParseError(f"bad size {body!r}",
                                  line=lineno, path=path) from None
@@ -453,7 +454,7 @@ def parse_matrix_file(text: str, *, path: str | None = None) -> IntMat:
                                  line=lineno, path=path)
             continue
         try:
-            row = [int(token) for token in line.split()]
+            row = parse_ints(line)
         except ValueError:
             raise ParseError(f"non-integer row {line!r}",
                              line=lineno, path=path) from None

@@ -1,13 +1,15 @@
 """Finite permutation group engine.
 
-Generation by full enumeration (with an order cap), conjugacy classes
-as orbits on element indices, coset and double-coset actions, normal
-cores, abelianizations with explicit coordinates, and the degree-one
-transfer and inclusion maps.  Conjugacy tests, double cosets and the
-intertwiner orbits read the cached coset tables, and an abelianization
-reads its coordinates off one breadth-first walk of the group's Cayley
-graph.  Neither the tables and maps nor a subgroup refer back to the
-group, so no cache makes a reference cycle.
+Generation by full enumeration (with an order cap) that keeps the
+Cayley graph of the generators as integer tables, conjugacy classes as
+orbits on element indices walked off those tables, coset and
+double-coset actions, normal cores, abelianizations with explicit
+coordinates, and the degree-one transfer and inclusion maps.
+Conjugacy tests, double cosets and the intertwiner orbits read the
+cached coset tables, and an abelianization reads its coordinates off
+one breadth-first walk of the group's Cayley graph.  Neither the
+tables and maps nor a subgroup refer back to the group, so no cache
+makes a reference cycle.
 
 Three rules hold across the package.  A subgroup is its element set: a
 `Subgroup`'s generators, hence its abelianization coordinates, follow
@@ -41,6 +43,7 @@ from .errors import (
     NotASubgroup,
     OrderCapExceeded,
     ParseError,
+    parse_int,
 )
 from .lattice import IntMat, _square_hnf, smith_with_transforms
 
@@ -142,7 +145,7 @@ class Permutation(tuple):
             points = []
             for token in inner.split():
                 try:
-                    points.append(int(token))
+                    points.append(parse_int(token))
                 except ValueError:
                     raise InvalidPermutation(
                         f"bad point {token!r} in {text!r}") from None
@@ -265,6 +268,55 @@ def _closure(degree: int, generators: Sequence[Permutation],
     return elements
 
 
+class _CayleyGraph:
+    """The breadth-first closure of a generating set, kept as integer
+    tables: `elements` in the order of `_closure`, `index` mapping each
+    element to its position, `right[k][i]` the index of
+    elements[i] * generators[k], and for each element j > 0 its tree
+    edge, elements[j] = elements[parent[j - 1]] * generators[via[j - 1]].
+    The closure forms these |G|·k products anyway; the tables keep what
+    they found, so conjugation walks them with no further products."""
+
+    __slots__ = ("generators", "elements", "index", "right", "parent",
+                 "via")
+
+    def __init__(self, degree: int, generators: Sequence[Permutation],
+                 cap: int) -> None:
+        identity = Permutation.identity(degree)
+        elements = self.elements = [identity]
+        index = self.index = {identity: 0}
+        right = self.right = [[] for _ in generators]
+        parent, via = self.parent, self.via = [], []
+        self.generators = generators
+        for f, current in enumerate(elements):  # grows while it is walked
+            for k, g in enumerate(generators):
+                candidate = current * g
+                j = index.get(candidate)
+                if j is None:
+                    j = index[candidate] = len(elements)
+                    elements.append(candidate)
+                    parent.append(f)
+                    via.append(k)
+                    if len(elements) > cap:
+                        raise OrderCapExceeded(
+                            f"group order exceeds cap {cap}")
+                right[k].append(j)
+
+    def conjugations(self) -> list[list[int]]:
+        """For each generator g, x -> g^-1 x g on element indices.  The
+        row left = index(g^-1 x) follows the tree, from left[0] =
+        index(g^-1) by left[j] = right[via][left[parent]]; right
+        multiplication by g then ends the walk."""
+        right, tree = self.right, list(zip(self.parent, self.via))
+        moves = []
+        for g, right_g in zip(self.generators, right):
+            left = [self.index[g.inverse()]]
+            for p, k in tree:
+                left.append(right[k][left[p]])
+            moves.append(list(map(right_g.__getitem__, left)))
+        return moves
+
+
 def _reduce_generators(elements: Sequence[Permutation],
                        degree: int) -> tuple[Permutation, ...]:
     """Greedy small generating set for an already-closed element list."""
@@ -301,6 +353,7 @@ class _GroupBase:
     generators: tuple
     elements: tuple
     element_set: frozenset
+    _cayley_graph: "_CayleyGraph"
 
     @property
     def order(self) -> int:
@@ -322,7 +375,8 @@ class _GroupBase:
 
     @cached_property
     def _element_index(self) -> dict[Permutation, int]:
-        """Position of each element in `elements`."""
+        """Position of each element in `elements`; a `PermGroup` takes
+        it from its closure."""
         return {g: i for i, g in enumerate(self.elements)}
 
     @cached_property
@@ -330,11 +384,21 @@ class _GroupBase:
         """(the classes, the class number of each element index): the
         orbits of conjugation by the generators on element indices,
         numbered and represented by their least index; the members are
-        the group's own elements."""
-        index = self._element_index
-        class_number, count = _orbits(
-            [[index[x.conjugate(g)] for x in self.elements]
-             for g in self.generators], self.order)
+        the group's own elements.  Conjugation by each generator is a
+        walk of the generators' Cayley-graph tables, with no permutation
+        products.  A `PermGroup`'s elements are in the graph's
+        breadth-first order already; a `Subgroup` builds its graph here
+        and relabels the walks onto its sorted element order."""
+        graph = self._cayley_graph
+        moves = graph.conjugations()
+        if graph.elements is not self.elements:
+            to_own = list(map(self._element_index.__getitem__,
+                              graph.elements))
+            from_own = list(map(graph.index.__getitem__, self.elements))
+            moves = [list(map(to_own.__getitem__,
+                              map(move.__getitem__, from_own)))
+                     for move in moves]
+        class_number, count = _orbits(moves, self.order)
         members: list[list[Permutation]] = [[] for _ in range(count)]
         for x, number in zip(self.elements, class_number):
             members[number].append(x)
@@ -466,9 +530,12 @@ class PermGroup(_GroupBase):
                     f"generator degree {g.degree} != group degree {degree}")
         self.degree = degree
         self.generators = tuple(g for g in gens if not g.is_identity())
-        self.elements = tuple(_closure(degree, self.generators,
-                                       DEFAULT_ORDER_CAP))
+        graph = self._cayley_graph = _CayleyGraph(
+            degree, self.generators, DEFAULT_ORDER_CAP)
+        # one tuple: the class map reads the graph's order as the group's
+        self.elements = graph.elements = tuple(graph.elements)
         self.element_set = frozenset(self.elements)
+        self._element_index = graph.index
 
     def __repr__(self) -> str:
         return (f"PermGroup(degree={self.degree}, order={self.order}, "
@@ -496,6 +563,12 @@ class Subgroup(_GroupBase):
     @cached_property
     def generators(self) -> tuple[Permutation, ...]:
         return _reduce_generators(self.elements, self.degree)
+
+    @property
+    def _cayley_graph(self) -> _CayleyGraph:
+        """Built when the class map needs it and not kept: a subgroup's
+        closures stay lean."""
+        return _CayleyGraph(self.degree, self.generators, self.order)
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Subgroup)
@@ -936,7 +1009,7 @@ def _parse_generators(
                                  line=lineno, path=path)
             body = line[len("degree:"):].strip()
             try:
-                degree = int(body)
+                degree = parse_int(body)
             except ValueError:
                 raise ParseError(f"bad degree {body!r}",
                                  line=lineno, path=path) from None

@@ -22,7 +22,6 @@ from .permgroup import (
     Permutation,
     _per_subgroup,
     _require_equal_index,
-    coset_action,
 )
 
 __all__ = [
@@ -116,17 +115,49 @@ def splitting_type(group: GroupLike, subgroup: GroupLike,
 def splitting_table(group: GroupLike,
                     subgroup: GroupLike) -> list[SplittingType]:
     """One splitting type per conjugacy class, in conjugacy_classes
-    order: the cycle type of each class representative on the cached
-    coset action of G/H.  Built once per subgroup and kept on the group
-    beside that action; each call returns a fresh list."""
+    order: the cycle type of each class on G/H, read from how many of
+    H's elements fall in each class, with no coset space.  Built once
+    per subgroup and kept on the group (`_per_subgroup`); each call
+    returns a fresh list."""
     return list(_per_subgroup(group, "splitting", subgroup, _cycle_types))
 
 
 def _cycle_types(group: GroupLike,
                  subgroup: GroupLike) -> tuple[SplittingType, ...]:
-    act = coset_action(group, subgroup).permutation_of
-    return tuple(SplittingType(act(cls.representative).cycle_type())
-                 for cls in group.conjugacy_classes())
+    """The cycle type of g on G/H is fixed by the permutation character
+    on the powers of g (Perlis 1977), and that character is the class
+    count fix(x) = [G:H]·|x^G ∩ H| / |x^G|.  A coset lies on a cycle of
+    g whose length divides d exactly when g^d fixes it, so fix(g^d) is
+    the sum of e·a_e over e | d, where a_e counts the e-cycles; solving
+    for a_d in increasing d is the Moebius inversion
+    d·a_d = sum over e | d of mu(d/e)·fix(g^e)."""
+    classes = group.conjugacy_classes()
+    class_number, index = group._class_map[1], group._element_index
+    inside = [0] * len(classes)
+    for h in subgroup.elements:
+        inside[class_number[index[h]]] += 1
+    cosets = group.order // subgroup.order
+    types = []
+    for cls in classes:
+        g, order = cls.representative, cls.element_order
+        cycles: dict[int, int] = {}
+        for d in range(1, order + 1):
+            if order % d:
+                continue
+            c = class_number[index[g ** d]]
+            fixed = _exact(cosets * inside[c], classes[c].size)
+            cycles[d] = _exact(fixed - sum(e * a for e, a in cycles.items()
+                                           if d % e == 0), d)
+        types.append(SplittingType(
+            d for d, a in cycles.items() for _ in range(a)))
+    return tuple(types)
+
+
+def _exact(total: int, divisor: int) -> int:
+    quotient, remainder = divmod(total, divisor)
+    if remainder:
+        raise AssertionError(f"{total} is not a multiple of {divisor}")
+    return quotient
 
 
 def arithmetically_equivalent(group: GroupLike, h1: GroupLike,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from functools import cached_property
 from operator import add, mul
 from typing import Iterator, Sequence, Union
 
@@ -107,9 +108,16 @@ class GassmannTriple:
         self.group = group
         self.h1 = h1
         self.h2 = h2
-        self.cosets1 = coset_action(group, h1)
-        self.cosets2 = coset_action(group, h2)
-        self.index = self.cosets1.index
+        self.index = group.order // h1.order
+
+    @cached_property
+    def cosets1(self) -> CosetSpace:
+        """G/H1, built when first read and shared with the group's memo."""
+        return coset_action(self.group, self.h1)
+
+    @cached_property
+    def cosets2(self) -> CosetSpace:
+        return coset_action(self.group, self.h2)
 
     def __repr__(self) -> str:
         return (f"GassmannTriple(|G|={self.group.order}, "

@@ -389,6 +389,43 @@ def test_bad_inputs_exit_two(capsys, tmp_path, s4_file, fano_search):
         assert "Traceback" not in err
 
 
+def test_input_integers_are_plain_decimals(capsys, tmp_path):
+    """Integers read from files and fields are an optional sign and ASCII
+    digits: what else int() accepts (underscores, padding, other
+    scripts' digits) is a parse error, not a silently different value."""
+    def written(name, text):
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        return str(path)
+
+    cases = [
+        (["group", "info", written("d.grp", "degree: 1_2\ngen: (0 1)\n")],
+         "bad degree '1_2'"),
+        (["group", "info", written("p.grp", "degree: 12\ngen: (0 1_1)\n")],
+         "bad point '1_1'"),
+        (["group", "info",
+          written("u.grp", "degree: \u0664\ngen: (0 1)\n")],
+         "bad degree"),
+        (["abelext", "demo", "--matrix", written("s.mat", "size: 0_1\n1\n")],
+         "bad size '0_1'"),
+        (["abelext", "demo", "--matrix",
+          written("r.mat", "size: 2\n1 0\n0 1_0\n")],
+         "non-integer row"),
+        (["kgroups", "--field", "abelian:m=1_3;H=1", "--n", "3"],
+         "bad conductor 'm=1_3'"),
+        (["kgroups", "--field", "abelian:m=13;H=1,1_2", "--n", "3"],
+         "bad subgroup 'H=1,1_2'"),
+    ]
+    for argv, message in cases:
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and not out and message in err, argv
+        assert "Traceback" not in err
+    # signs stay allowed where a value may carry one
+    matrix = written("signed.mat", "size: 2\n-1 +0\n0 1\n")
+    code, _, err = run_cli(capsys, ["abelext", "demo", "--matrix", matrix])
+    assert "non-integer" not in err
+
+
 def test_subgroup_file_is_checked_against_the_group_before_closing(
         capsys, tmp_path):
     # the file generates S12, past the order cap, inside G = <(0 1)>

@@ -6,11 +6,12 @@ counts all read a group's cached coset table.  Each reference below
 answers the same question by enumerating group elements instead, and
 the two must agree on every subgroup pair of S4, A5, D6 and F20 and on
 the Fano triple.  The conjugacy classes, read off one orbit computation
-on element indices, must match a breadth-first search over conjugates,
-and every splitting type must match the cycle type of the element's own
-coset permutation.  Group orders, conjugacy-class sizes and the
-abelianization of every subgroup are checked against sympy where it is
-installed.
+on walks of the Cayley-graph tables, must match a breadth-first search
+over conjugates, for groups and for subgroups taken as groups in their
+own right.  Every splitting type, read from class counts, must match
+the cycle type of a coset permutation.  Group orders, conjugacy-class
+sizes and the abelianization of every subgroup are checked against
+sympy where it is installed.
 """
 
 from collections import Counter
@@ -18,11 +19,11 @@ from collections import Counter
 import pytest
 
 from gassmann.abelext import decomposition_count_check
-from gassmann.catalog import gl3f2, psl2, standard_corpus
+from gassmann.catalog import gl3f2, psl2, scott_triple, standard_corpus
 from gassmann.lattice import IntMat
-from gassmann.permgroup import (FinAbGroup, Permutation, abelianization,
-                                coset_action, double_cosets)
-from gassmann.splitting import splitting_type
+from gassmann.permgroup import (FinAbGroup, Permutation, _closure,
+                                abelianization, coset_action, double_cosets)
+from gassmann.splitting import splitting_table, splitting_type
 from gassmann.triples import (_conjugator, are_conjugate, intertwiner_basis,
                               is_gassmann)
 
@@ -90,11 +91,12 @@ def conjugacy_classes_by_search(group):
     for seed in group.elements:
         if seed in assigned:
             continue
-        orbit = [seed]
+        orbit, members = [seed], {seed}
         for current in orbit:  # grows while it is walked
             for g in group.generators:
                 moved = current.conjugate(g)
-                if moved not in orbit:
+                if moved not in members:
+                    members.add(moved)
                     orbit.append(moved)
         assigned.update(orbit)
         classes.append((seed, frozenset(orbit)))
@@ -206,20 +208,112 @@ def test_subgroup_abelianizations_match_sympy(name, group):
             FinAbGroup.from_cyclic_orders(reference.abelian_invariants())
 
 
-CLASS_GROUPS = standard_corpus(120) + [(f"PSL(2,{q})", psl2(q))
-                                       for q in (7, 11)]
+CLASS_GROUPS = standard_corpus(120) + [("GL(3,2)", gl3f2())] + [
+    (f"PSL(2,{q})", psl2(q)) for q in (7, 11, 29)]
+
+
+def assert_class_map_matches_the_search(group):
+    """Classes, representatives, members and every element's class
+    number against the search, with the members the group's own
+    element objects."""
+    classes = group.conjugacy_classes()
+    reference = conjugacy_classes_by_search(group)
+    assert [(c.representative, c.members) for c in classes] == reference
+    number = {x: i for i, (_, members) in enumerate(reference)
+              for x in members}
+    for x in group.elements:
+        assert group._class_index(x) == number[x]
+        assert group.class_of(x) is classes[number[x]]
+    own = {x.images: x for x in group.elements}
+    assert all(own[x.images] is x for c in classes for x in c.members)
+    assert all(own[c.representative.images] is c.representative
+               for c in classes)
 
 
 @pytest.mark.parametrize("name,group", CLASS_GROUPS,
                          ids=[name for name, _ in CLASS_GROUPS])
 def test_class_map_matches_the_search(name, group):
-    classes = group.conjugacy_classes()
-    assert [(c.representative, c.members) for c in classes] == \
-        conjugacy_classes_by_search(group)
-    own = {x.images: x for x in group.elements}
-    assert all(own[x.images] is x for c in classes for x in c.members)
-    assert all(own[c.representative.images] is c.representative
-               for c in classes)
+    assert_class_map_matches_the_search(group)
+
+
+def test_cayley_graph_tables_hold_the_products():
+    """The closure's tables: right[k][i] indexes elements[i] * g_k, the
+    tree edges rebuild each element, and each conjugation walk is
+    x -> g^-1 x g on element indices."""
+    for group in (GROUPS["S4"], gl3f2(), psl2(11)):
+        graph = group._cayley_graph
+        index = group._element_index
+        assert graph.elements is group.elements and graph.index is index
+        assert list(group.elements) == _closure(
+            group.degree, group.generators, group.order)
+        for g, right in zip(group.generators, graph.right):
+            assert right == [index[x * g] for x in group.elements]
+        for j, (p, k) in enumerate(zip(graph.parent, graph.via), start=1):
+            assert group.elements[j] == \
+                group.elements[p] * group.generators[k]
+        for g, move in zip(group.generators, graph.conjugations()):
+            assert move == [index[x.conjugate(g.inverse())]
+                            for x in group.elements]
+
+
+def _subgroups_as_groups():
+    fano = gl3f2()
+    s5 = dict(standard_corpus(120))["S5"]
+    s4 = fano.point_stabilizer(0)
+    return [("S4 in GL(3,2)", s4),
+            ("A4 in S4 in GL(3,2)",
+             next(h for h in s4.all_subgroups() if h.order == 12)),
+            ("D4 in GL(3,2)",
+             next(h for h in fano.all_subgroups() if h.order == 8)),
+            ("F20 in S5",
+             next(h for h in s5.all_subgroups() if h.order == 20)),
+            ("A5 in S5",
+             next(h for h in s5.all_subgroups() if h.order == 60)),
+            ("C6 in S5",
+             next(h for h in s5.all_subgroups()
+                  if h.order == 6 and
+                  any(x.order() == 6 for x in h.elements)))]
+
+
+SUBGROUPS = _subgroups_as_groups()
+
+
+@pytest.mark.parametrize("name,sub", SUBGROUPS,
+                         ids=[name for name, _ in SUBGROUPS])
+def test_subgroup_class_map_matches_the_search(name, sub):
+    """A `Subgroup` relabels its own Cayley-graph walks onto its sorted
+    element order: the classes are those of the subgroup as a group in
+    its own right."""
+    assert list(sub.elements) == sorted(sub.elements)
+    assert_class_map_matches_the_search(sub)
+    for cls in sub.conjugacy_classes():
+        g = cls.representative
+        assert cls.members == frozenset(g.conjugate(x)
+                                        for x in sub.elements)
+
+
+def cycle_types_on_the_cosets(group, sub):
+    act = coset_action(group, sub).permutation_of
+    return [act(cls.representative).cycle_type()
+            for cls in group.conjugacy_classes()]
+
+
+SMALL_GROUPS = [(name, group) for name, group in standard_corpus(24)]
+
+
+@pytest.mark.parametrize("name,group", SMALL_GROUPS + [("GL(3,2)", gl3f2())],
+                         ids=[name for name, _ in SMALL_GROUPS] + ["GL(3,2)"])
+def test_class_count_splitting_tables_match_the_coset_action(name, group):
+    for sub in group.all_subgroups():
+        assert [s.parts for s in splitting_table(group, sub)] == \
+            cycle_types_on_the_cosets(group, sub)
+
+
+def test_scott_splitting_tables_match_the_coset_action():
+    triple = scott_triple(seed=0)
+    for sub in (triple.h1, triple.h2):
+        assert [s.parts for s in splitting_table(triple.group, sub)] == \
+            cycle_types_on_the_cosets(triple.group, sub)
 
 
 @pytest.mark.parametrize("name", ["S4", "A5"])

@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from gassmann import triples
+from gassmann import splitting, triples
 from gassmann.abelext import decomposition_count_check
 from gassmann.catalog import fano_stabilizers, scott_triple
 from gassmann.errors import (IndexMismatch, MixedSigns, NotFoundWithinBudget,
@@ -49,50 +49,51 @@ def test_permutation_character_matches_bruteforce(s4):
 
 def test_coset_action_is_built_once_per_subgroup(monkeypatch):
     group, h1, h2 = fano_stabilizers()
-    reps = {cls.representative for cls in group.conjugacy_classes()}
     involution = group.subgroup([next(g for g in group.elements
                                       if g.order() == 2)])
     built = []
-    applied = Counter()
+    tabled = []
     init = CosetSpace.__init__
-    permutation_of = CosetSpace.permutation_of
+    cycle_types = splitting._cycle_types
 
     def counting_init(self, group, subgroup):
         built.append(subgroup.element_set)
         init(self, group, subgroup)
 
-    def counting_permutation_of(self, g):
-        if g in reps:
-            applied[self, g] += 1
-        return permutation_of(self, g)
+    def counting_cycle_types(group, subgroup):
+        tabled.append(subgroup.element_set)
+        return cycle_types(group, subgroup)
 
     monkeypatch.setattr(CosetSpace, "__init__", counting_init)
-    monkeypatch.setattr(CosetSpace, "permutation_of",
-                        counting_permutation_of)
+    monkeypatch.setattr(splitting, "_cycle_types", counting_cycle_types)
     assert is_gassmann(group, h1, h2)
-    GassmannTriple(group, h1, h2)
+    triple = GassmannTriple(group, h1, h2)
     splitting_table(group, h1)
     splitting_table(group, h2)
     for equivalent in (arithmetically_equivalent, kronecker_equivalent,
                        weakly_kronecker_equivalent, ultra_coarse_equivalent):
         assert equivalent(group, h1, h2)
-    # one splitting table per subgroup: each class representative is
-    # sent through each coset action exactly once
-    assert len(applied) == 2 * len(reps)
-    assert set(applied.values()) == {1}
-    # the decomposition counts read the marks of D on the same actions
+    # one splitting table per subgroup, kept in the group's memo, and
+    # read from class counts: no coset space is built for it
+    assert tabled == [h1.element_set, h2.element_set]
+    assert built == []
+    # the decomposition counts read the marks of D on the coset actions,
+    # which the triple and the intertwiner basis then share
     for d in (group.trivial_subgroup(), involution):
         assert decomposition_count_check(group, h1, h2, d)
     intertwiner_basis(group, h1, h2)
+    assert triple.cosets1 is coset_action(group, h1)
+    assert triple.cosets2 is coset_action(group, h2)
     assert built == [h1.element_set, h2.element_set]
     same = Subgroup(group, h1.elements)
     assert same is not h1 and same == h1
     permutation_character(group, same)
-    assert len(built) == 2
+    coset_action(group, same)
+    assert len(tabled) == 2 and len(built) == 2
     other = group.point_stabilizer(1)
     assert other.order == h1.order and other != h1
     permutation_character(group, other)
-    assert len(built) == 3
+    assert tabled[2:] == [other.element_set] and len(built) == 2
 
 
 def test_conjugate_pairs_are_gassmann(s4):
