@@ -100,26 +100,16 @@ class NotNormal(GassmannError):
     """Subgroup fails the required normality/containment condition."""
 
 
-_INTEGER = r"[+-]?[0-9]+"
-_ONE = re.compile(_INTEGER)
-_ROW = re.compile(rf"{_INTEGER}(?:\s+{_INTEGER})*")
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 def parse_int(text: str) -> int:
     """int(text) for an optionally signed run of ASCII digits; ValueError
     for anything else that int() would take, such as "1_2", " 3" or
     non-ASCII digits."""
-    if not _ONE.fullmatch(text):
+    if not _INTEGER.fullmatch(text):
         raise ValueError(f"not an integer: {text!r}")
     return int(text)
-
-
-def parse_ints(text: str) -> list[int]:
-    """The whitespace-separated integers of a stripped line, each as
-    `parse_int` reads it, checked by one match over the line."""
-    if not _ROW.fullmatch(text):
-        raise ValueError(f"not a row of integers: {text!r}")
-    return list(map(int, text.split()))
 
 
 class ParseError(GassmannError):

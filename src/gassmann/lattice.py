@@ -13,8 +13,7 @@ from math import gcd, prod
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
-from .errors import (NonSquare, ParseError, SingularMatrix, parse_int,
-                     parse_ints)
+from .errors import NonSquare, ParseError, SingularMatrix, parse_int
 
 __all__ = [
     "IntMat",
@@ -454,7 +453,7 @@ def parse_matrix_file(text: str, *, path: str | None = None) -> IntMat:
                                  line=lineno, path=path)
             continue
         try:
-            row = parse_ints(line)
+            row = [parse_int(token) for token in line.split()]
         except ValueError:
             raise ParseError(f"non-integer row {line!r}",
                              line=lineno, path=path) from None

@@ -248,59 +248,49 @@ class Permutation(tuple):
 
 
 def _closure(degree: int, generators: Sequence[Permutation],
-             cap: int) -> list[Permutation]:
-    """BFS closure; deterministic order with the identity first."""
+             cap: int) -> "_CayleyGraph":
+    """BFS closure; deterministic order with the identity first.  The
+    |G|·k products it forms are kept as the generators' Cayley graph."""
     identity = Permutation.identity(degree)
     elements = [identity]
-    seen = {identity}
-    frontier = 0
-    while frontier < len(elements):
-        current = elements[frontier]
-        frontier += 1
-        for g in generators:
+    index = {identity: 0}
+    right: list[list[int]] = [[] for _ in generators]
+    parent: list[int] = []
+    via: list[int] = []
+    for f, current in enumerate(elements):  # grows while it is walked
+        for k, g in enumerate(generators):
             candidate = current * g
-            if candidate not in seen:
-                seen.add(candidate)
+            j = index.get(candidate)
+            if j is None:
+                j = index[candidate] = len(elements)
                 elements.append(candidate)
+                parent.append(f)
+                via.append(k)
                 if len(elements) > cap:
                     raise OrderCapExceeded(
                         f"group order exceeds cap {cap}")
-    return elements
+            right[k].append(j)
+    return _CayleyGraph(generators, tuple(elements), index, right,
+                        parent, via)
 
 
+@dataclass(frozen=True, eq=False)
 class _CayleyGraph:
-    """The breadth-first closure of a generating set, kept as integer
-    tables: `elements` in the order of `_closure`, `index` mapping each
-    element to its position, `right[k][i]` the index of
-    elements[i] * generators[k], and for each element j > 0 its tree
-    edge, elements[j] = elements[parent[j - 1]] * generators[via[j - 1]].
-    The closure forms these |G|·k products anyway; the tables keep what
-    they found, so conjugation walks them with no further products."""
+    """A closure's result as integer tables: `elements` in breadth-first
+    order, `index` mapping each element to its position, `right[k][i]`
+    the index of elements[i] * generators[k], and for each element
+    j > 0 its tree edge, elements[j] = elements[parent[j - 1]] *
+    generators[via[j - 1]].  Conjugation walks them with no products."""
 
-    __slots__ = ("generators", "elements", "index", "right", "parent",
-                 "via")
+    generators: Sequence[Permutation]
+    elements: tuple[Permutation, ...]
+    index: dict[Permutation, int]
+    right: list[list[int]]
+    parent: list[int]
+    via: list[int]
 
-    def __init__(self, degree: int, generators: Sequence[Permutation],
-                 cap: int) -> None:
-        identity = Permutation.identity(degree)
-        elements = self.elements = [identity]
-        index = self.index = {identity: 0}
-        right = self.right = [[] for _ in generators]
-        parent, via = self.parent, self.via = [], []
-        self.generators = generators
-        for f, current in enumerate(elements):  # grows while it is walked
-            for k, g in enumerate(generators):
-                candidate = current * g
-                j = index.get(candidate)
-                if j is None:
-                    j = index[candidate] = len(elements)
-                    elements.append(candidate)
-                    parent.append(f)
-                    via.append(k)
-                    if len(elements) > cap:
-                        raise OrderCapExceeded(
-                            f"group order exceeds cap {cap}")
-                right[k].append(j)
+    def __len__(self) -> int:
+        return len(self.elements)
 
     def conjugations(self) -> list[list[int]]:
         """For each generator g, x -> g^-1 x g on element indices.  The
@@ -326,7 +316,7 @@ def _reduce_generators(elements: Sequence[Permutation],
         if candidate in have:
             continue
         gens.append(candidate)
-        have = set(_closure(degree, gens, cap=len(elements)))
+        have = _closure(degree, gens, cap=len(elements)).index
         if len(have) == len(elements):
             break
     return tuple(gens)
@@ -387,8 +377,9 @@ class _GroupBase:
         the group's own elements.  Conjugation by each generator is a
         walk of the generators' Cayley-graph tables, with no permutation
         products.  A `PermGroup`'s elements are in the graph's
-        breadth-first order already; a `Subgroup` builds its graph here
-        and relabels the walks onto its sorted element order."""
+        breadth-first order already; a `Subgroup` closes its generators
+        again here and relabels the walks onto its sorted element
+        order."""
         graph = self._cayley_graph
         moves = graph.conjugations()
         if graph.elements is not self.elements:
@@ -426,7 +417,8 @@ class _GroupBase:
             if g not in self.element_set:
                 raise NotASubgroup(
                     f"generator {g.format()} lies outside the group")
-        return Subgroup(self, _closure(self.degree, gens, cap=self.order))
+        return Subgroup(self, _closure(self.degree, gens,
+                                       cap=self.order).elements)
 
     def subgroup_from_elements(
             self, elements: Iterable[Permutation]) -> "Subgroup":
@@ -530,10 +522,9 @@ class PermGroup(_GroupBase):
                     f"generator degree {g.degree} != group degree {degree}")
         self.degree = degree
         self.generators = tuple(g for g in gens if not g.is_identity())
-        graph = self._cayley_graph = _CayleyGraph(
+        graph = self._cayley_graph = _closure(
             degree, self.generators, DEFAULT_ORDER_CAP)
-        # one tuple: the class map reads the graph's order as the group's
-        self.elements = graph.elements = tuple(graph.elements)
+        self.elements = graph.elements
         self.element_set = frozenset(self.elements)
         self._element_index = graph.index
 
@@ -566,9 +557,9 @@ class Subgroup(_GroupBase):
 
     @property
     def _cayley_graph(self) -> _CayleyGraph:
-        """Built when the class map needs it and not kept: a subgroup's
-        closures stay lean."""
-        return _CayleyGraph(self.degree, self.generators, self.order)
+        """Closed again from the generators when the class map needs
+        it, and not kept."""
+        return _closure(self.degree, self.generators, self.order)
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Subgroup)

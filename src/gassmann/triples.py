@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from functools import cached_property
 from operator import add, mul
 from typing import Iterator, Sequence, Union
 
@@ -110,12 +109,12 @@ class GassmannTriple:
         self.h2 = h2
         self.index = group.order // h1.order
 
-    @cached_property
+    @property
     def cosets1(self) -> CosetSpace:
-        """G/H1, built when first read and shared with the group's memo."""
+        """G/H1: the group's cached coset action, built when first read."""
         return coset_action(self.group, self.h1)
 
-    @cached_property
+    @property
     def cosets2(self) -> CosetSpace:
         return coset_action(self.group, self.h2)
 
