@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import abelext, catalog, homology, kgroups, splitting, triples
-from .errors import GassmannError, NotFoundWithinBudget, ParseError
+from .errors import GassmannError, NotFoundWithinBudget, ParseError, parse_int
 from .lattice import parse_matrix_file
 from .permgroup import (PermGroup, Subgroup, _parse_generators,
                         abelianization, parse_group_file)
@@ -266,14 +266,14 @@ def _build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--h1", required=True, help="first subgroup file")
         sub.add_argument("--h2", required=True, help="second subgroup file")
         if name == "search":
-            sub.add_argument("--bound", type=int, default=2,
+            sub.add_argument("--bound", type=parse_int, default=2,
                              help="coefficient box half-width "
                                   "(default %(default)s)")
-            sub.add_argument("--budget", type=int, default=20000,
+            sub.add_argument("--budget", type=parse_int, default=20000,
                              help="candidate limit; the whole box is "
                                   "searched when it fits "
                                   "(default %(default)s)")
-            sub.add_argument("--seed", type=int, default=0,
+            sub.add_argument("--seed", type=parse_int, default=0,
                              help="seed of the random draws made when the "
                                   "box does not fit (default %(default)s)")
         if name == "verify":
@@ -292,13 +292,13 @@ def _build_parser() -> argparse.ArgumentParser:
     ab_sub = ab.add_subparsers(dest="action", required=True)
     demo = ab_sub.add_parser("demo", help="S1, S2 and their gcds")
     demo.add_argument("--matrix", required=True, help="unimodular matrix file")
-    demo.add_argument("--q", type=int,
+    demo.add_argument("--q", type=parse_int,
                       help="split prime; least valid prime when omitted")
 
     kg = top.add_parser("kgroups", help="odd K-groups of integer rings")
     kg.add_argument("--field", required=True, action="append",
                     help='"Q" or "abelian:m=5;H=1,4"')
-    kg.add_argument("--n", required=True, action="append", type=int,
+    kg.add_argument("--n", required=True, action="append", type=parse_int,
                     help="odd degree n >= 3; repeatable")
 
     hm = top.add_parser("homology", help="transfer diagram sweeps")
@@ -306,16 +306,16 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep = hm_sub.add_parser("sweep",
                               help="exhaustive conjugation-correspondence"
                                    " checks over the corpus")
-    sweep.add_argument("--max-order", type=int, default=120,
+    sweep.add_argument("--max-order", type=parse_int, default=120,
                        help="largest group order in the corpus "
                             "(default %(default)s)")
 
     sc = top.add_parser("scott",
                         help="non-conjugate A5 pair inside PSL(2,29)")
-    sc.add_argument("--seed", type=int, default=0,
+    sc.add_argument("--seed", type=parse_int, default=0,
                     help="seed of the random (2,3,5) draws "
                          "(default %(default)s)")
-    sc.add_argument("--budget", type=int, default=200,
+    sc.add_argument("--budget", type=parse_int, default=200,
                     help="limit on the number of draws (default %(default)s)")
 
     return parser

@@ -6,10 +6,11 @@ orbits on element indices walked off those tables, coset and
 double-coset actions, normal cores, abelianizations with explicit
 coordinates, and the degree-one transfer and inclusion maps.
 Conjugacy tests, double cosets and the intertwiner orbits read the
-cached coset tables, and an abelianization reads its coordinates off
-one breadth-first walk of the group's Cayley graph.  Neither the
-tables and maps nor a subgroup refer back to the group, so no cache
-makes a reference cycle.
+cached coset tables.  The classes, the subgroup lattice and the
+abelianization read the one Cayley graph of a group: its closure, or a
+subgroup's last closure while finding its generators, kept once they
+are read.  Neither the tables and maps nor a subgroup refer back to
+the group, so no cache makes a reference cycle.
 
 Three rules hold across the package.  A subgroup is its element set: a
 `Subgroup`'s generators, hence its abelianization coordinates, follow
@@ -270,7 +271,7 @@ def _closure(degree: int, generators: Sequence[Permutation],
                     raise OrderCapExceeded(
                         f"group order exceeds cap {cap}")
             right[k].append(j)
-    return _CayleyGraph(generators, tuple(elements), index, right,
+    return _CayleyGraph(tuple(generators), tuple(elements), index, right,
                         parent, via)
 
 
@@ -282,7 +283,7 @@ class _CayleyGraph:
     j > 0 its tree edge, elements[j] = elements[parent[j - 1]] *
     generators[via[j - 1]].  Conjugation walks them with no products."""
 
-    generators: Sequence[Permutation]
+    generators: tuple[Permutation, ...]
     elements: tuple[Permutation, ...]
     index: dict[Permutation, int]
     right: list[list[int]]
@@ -292,34 +293,34 @@ class _CayleyGraph:
     def __len__(self) -> int:
         return len(self.elements)
 
+    def left_multiples(self, i: int) -> list[int]:
+        """index(elements[i] * x) for each element x: left[0] = i, and
+        left[j] = right[via][left[parent]] along the tree."""
+        right, left = self.right, [i]
+        for p, k in zip(self.parent, self.via):
+            left.append(right[k][left[p]])
+        return left
+
     def conjugations(self) -> list[list[int]]:
-        """For each generator g, x -> g^-1 x g on element indices.  The
-        row left = index(g^-1 x) follows the tree, from left[0] =
-        index(g^-1) by left[j] = right[via][left[parent]]; right
-        multiplication by g then ends the walk."""
-        right, tree = self.right, list(zip(self.parent, self.via))
-        moves = []
-        for g, right_g in zip(self.generators, right):
-            left = [self.index[g.inverse()]]
-            for p, k in tree:
-                left.append(right[k][left[p]])
-            moves.append(list(map(right_g.__getitem__, left)))
-        return moves
+        """For each generator g, x -> g^-1 x g on element indices: the
+        left multiples of g^-1, then right multiplication by g."""
+        return [list(map(right_g.__getitem__,
+                         self.left_multiples(self.index[g.inverse()])))
+                for g, right_g in zip(self.generators, self.right)]
 
 
 def _reduce_generators(elements: Sequence[Permutation],
-                       degree: int) -> tuple[Permutation, ...]:
-    """Greedy small generating set for an already-closed element list."""
-    gens: list[Permutation] = []
-    have = {Permutation.identity(degree)}
+                       degree: int) -> _CayleyGraph:
+    """Greedy small generating set for an already-closed element list,
+    as the Cayley graph of its last closure."""
+    graph = _closure(degree, (), cap=1)
     for candidate in elements:
-        if candidate in have:
-            continue
-        gens.append(candidate)
-        have = _closure(degree, gens, cap=len(elements)).index
-        if len(have) == len(elements):
+        if len(graph) == len(elements):
             break
-    return tuple(gens)
+        if candidate not in graph.index:
+            graph = _closure(degree, graph.generators + (candidate,),
+                             cap=len(elements))
+    return graph
 
 
 @dataclass(frozen=True)
@@ -377,8 +378,8 @@ class _GroupBase:
         the group's own elements.  Conjugation by each generator is a
         walk of the generators' Cayley-graph tables, with no permutation
         products.  A `PermGroup`'s elements are in the graph's
-        breadth-first order already; a `Subgroup` closes its generators
-        again here and relabels the walks onto its sorted element
+        breadth-first order already; a `Subgroup` relabels the walks of
+        the graph its generators came from onto its sorted element
         order."""
         graph = self._cayley_graph
         moves = graph.conjugations()
@@ -455,14 +456,14 @@ class _GroupBase:
     def _subgroup_lattice(self) -> tuple["Subgroup", ...]:
         """Every subgroup, by joins <S, x> for each subgroup S found and
         one x per right coset Sx, on a Cayley table of |G|^2 entries
-        (hence the order cap)."""
+        (hence the order cap) in the order of the group's Cayley graph,
+        whose rows are its left multiples."""
         if self.order > _LATTICE_ORDER_CAP:
             raise OrderCapExceeded(
                 f"subgroup lattice needs group order at most "
                 f"{_LATTICE_ORDER_CAP}, got {self.order}")
-        index = self._element_index
-        table = [[index[a * b] for b in self.elements]
-                 for a in self.elements]
+        graph = self._cayley_graph
+        table = list(map(graph.left_multiples, range(self.order)))
         trivial = self.trivial_subgroup()
         key = bytes([1]) + bytes(self.order - 1)  # membership by index
         found = {key: trivial}
@@ -479,7 +480,7 @@ class _GroupBase:
                 joined = _join(table, members, key, gens + [x])
                 if joined not in found:
                     found[joined] = Subgroup(
-                        self, [g for g, inside in zip(self.elements,
+                        self, [g for g, inside in zip(graph.elements,
                                                       joined) if inside])
                     worklist.append((joined, gens + [x]))
         return tuple(sorted(found.values(),
@@ -538,7 +539,9 @@ class Subgroup(_GroupBase):
     It is its element set: it compares and hashes by it, and its
     generators, found from it when first read, fix its abelianization
     coordinates, so equal subgroups share each `_per_subgroup` table.
-    Only its index in `parent` is kept, not `parent`."""
+    Only its index in `parent` is kept, not `parent`.  The closure that
+    found the generators is kept as its Cayley graph, which its classes
+    and abelianization then read."""
 
     def __init__(self, parent: _GroupBase,
                  elements: Iterable[Permutation]) -> None:
@@ -552,14 +555,12 @@ class Subgroup(_GroupBase):
         self.index = parent.order // self.order
 
     @cached_property
-    def generators(self) -> tuple[Permutation, ...]:
+    def _cayley_graph(self) -> _CayleyGraph:
         return _reduce_generators(self.elements, self.degree)
 
     @property
-    def _cayley_graph(self) -> _CayleyGraph:
-        """Closed again from the generators when the class map needs
-        it, and not kept."""
-        return _closure(self.degree, self.generators, self.order)
+    def generators(self) -> tuple[Permutation, ...]:
+        return self._cayley_graph.generators
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Subgroup)
@@ -873,34 +874,33 @@ class Abelianization:
 
     Carries the canonical structure as a FinAbGroup, a projection taking a
     group element to its coordinate vector, and for each invariant-factor
-    slot a representative element projecting to that basis vector.  One
-    breadth-first walk of the Cayley graph finds them (Schreier's lemma):
+    slot a representative element projecting to that basis vector.  The
+    group's Cayley graph gives them with no products (Schreier's lemma):
     a tree edge gives an element its word, an exponent vector over the
-    generators, and every other edge x -> xg the relation
+    distinct generators, and every edge x -> xg the relation
     word(x) + e_g - word(xg).  The relations span the relation lattice
     of G/[G,G]; its square HNF basis goes through one Smith form
     U @ B @ V = D, an element's coordinates are U @ word mod the
     invariant factors, and the representative of slot i is the first
-    element of the walk with coordinates e_i.
+    element of the graph with coordinates e_i.
     """
 
     def __init__(self, group: GroupLike) -> None:
-        gens = list(dict.fromkeys(group.generators))  # none is the identity
-        index = self._index = group._element_index
-        k = len(gens)
-        walk = [0]  # the identity's index
-        words: list[tuple[int, ...] | None] = [(0,) * k] + \
-            [None] * (group.order - 1)
+        graph = group._cayley_graph
+        self._index = graph.index
+        # a repeated generator takes the slot of its first occurrence
+        first: dict[Permutation, int] = {}
+        slots = [first.setdefault(g, len(first)) for g in graph.generators]
+        k = len(first)
+        words = [(0,) * k]
+        for p, t in zip(graph.parent, graph.via):
+            word, s = words[p], slots[t]
+            words.append(word[:s] + (word[s] + 1,) + word[s + 1:])
         relations: set[tuple[int, ...]] = set()  # the HNF is canonical
-        for x in walk:  # grows while it is walked
-            element, word = group.elements[x], words[x]
-            for t, g in enumerate(gens):
-                y = index[element * g]
-                stepped = word[:t] + (word[t] + 1,) + word[t + 1:]
-                if words[y] is None:
-                    words[y] = stepped
-                    walk.append(y)
-                elif stepped != words[y]:
+        for s, row in zip(slots, graph.right):
+            for word, y in zip(words, row):
+                stepped = word[:s] + (word[s] + 1,) + word[s + 1:]
+                if stepped != words[y]:
                     relations.add(tuple(
                         a - b for a, b in zip(stepped, words[y])))
 
@@ -914,14 +914,13 @@ class Abelianization:
         self.structure = FinAbGroup(0, tuple(d for _, d in kept))
         self._coords = [tuple(sum(r * w for r, w in zip(row, word)) % d
                               for row, d in kept) for word in words]
-        first: dict[tuple[int, ...], Permutation] = {}
-        for x in walk:
-            first.setdefault(self._coords[x], group.elements[x])
-        if len(first) != self.structure.torsion_order():
+        # the first element with each coordinate vector
+        reps = dict(zip(reversed(self._coords), reversed(graph.elements)))
+        if len(reps) != self.structure.torsion_order():
             raise AssertionError("coordinates do not fill the invariant "
                                  "factors")
         self.basis_reps = tuple(
-            first[tuple(int(i == j) for j in range(len(kept)))]
+            reps[tuple(int(i == j) for j in range(len(kept)))]
             for i in range(len(kept)))
 
     @property

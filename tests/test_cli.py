@@ -444,6 +444,29 @@ def test_bad_arguments_exit_two(capsys):
     assert run_cli(capsys, ["gassmann", "check"])[0] == 2
 
 
+# every integer option, each with a spelling that int() takes and the
+# input files refuse: a digit separator, a full-width digit, padding
+INTEGER_OPTIONS = [
+    ["gassmann", "search", "g", "--h1", "a", "--h2", "b", "--bound"],
+    ["gassmann", "search", "g", "--h1", "a", "--h2", "b", "--budget"],
+    ["gassmann", "search", "g", "--h1", "a", "--h2", "b", "--seed"],
+    ["abelext", "demo", "--matrix", "m", "--q"],
+    ["kgroups", "--field", "Q", "--n"],
+    ["homology", "sweep", "--max-order"],
+    ["scott", "--seed"],
+    ["scott", "--budget"],
+]
+
+
+@pytest.mark.parametrize("token", ["1_2", "０", " 3", "2.0"])
+@pytest.mark.parametrize("argv", INTEGER_OPTIONS,
+                         ids=[f"{a[0]} {a[-1]}" for a in INTEGER_OPTIONS])
+def test_integer_options_take_ascii_digits_only(capsys, argv, token):
+    code, out, err = run_cli(capsys, argv + [token])
+    assert code == 2 and not out
+    assert f"argument {argv[-1]}:" in err and repr(token) in err
+
+
 def test_run_rejects_unknown_command():
     with pytest.raises(ValueError):
         run(argparse.Namespace(command="nope"))

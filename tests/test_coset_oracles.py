@@ -252,8 +252,9 @@ def breadth_first_order(generators):
 
 def test_cayley_graph_tables_hold_the_products():
     """The closure's tables: right[k][i] indexes elements[i] * g_k, the
-    tree edges rebuild each element, and each conjugation walk is
-    x -> g^-1 x g on element indices."""
+    tree edges rebuild each element, the left multiples of a are
+    a * x, and each conjugation walk is x -> g^-1 x g on element
+    indices."""
     for group in (GROUPS["S4"], gl3f2(), psl2(11)):
         graph = group._cayley_graph
         index = group._element_index
@@ -264,6 +265,9 @@ def test_cayley_graph_tables_hold_the_products():
         for j, (p, k) in enumerate(zip(graph.parent, graph.via), start=1):
             assert group.elements[j] == \
                 group.elements[p] * group.generators[k]
+        for a in (group.identity, group.elements[-1], *group.generators):
+            assert graph.left_multiples(index[a]) == \
+                [index[a * x] for x in group.elements]
         for g, move in zip(group.generators, graph.conjugations()):
             assert move == [index[x.conjugate(g.inverse())]
                             for x in group.elements]

@@ -16,7 +16,8 @@ from gassmann.catalog import (_FANO_VECTORS, alternating, gl3f2,
 from gassmann.errors import (InvalidPermutation, NotASubgroup,
                              OrderCapExceeded, ParseError)
 from gassmann.homology import CoordSubgroup
-from gassmann.lattice import IntMat, LocalNormLattice
+from gassmann.lattice import (IntMat, LocalNormLattice, _square_hnf,
+                              smith_with_transforms)
 from gassmann.permgroup import (_DEGREE_CAP, AbHom, FinAbGroup, PermGroup,
                                 Permutation, Subgroup, abelianization,
                                 coset_action, double_cosets,
@@ -440,8 +441,8 @@ def test_abelianization_projection_is_homomorphism(name, group):
 
 
 def test_abelianization_builds_no_coset_space(monkeypatch):
-    """The coordinates come from one walk of the group's own Cayley
-    graph, with no coset space of the derived subgroup."""
+    """The coordinates come from the tables of the group's Cayley graph,
+    with no coset space of the derived subgroup."""
     built = []
     init = permgroup_module.CosetSpace.__init__
 
@@ -454,6 +455,100 @@ def test_abelianization_builds_no_coset_space(monkeypatch):
     for sub in (group, *group.all_subgroups()):
         abelianization(sub)
     assert built == []
+
+
+def abelianization_by_walk(group):
+    """(factors, basis representatives, coordinates of each element) by
+    a breadth-first walk of the group's own, one product per element
+    and distinct generator, with a repeated generator dropped."""
+    gens = list(dict.fromkeys(group.generators))
+    k = len(gens)
+    words = {group.identity: (0,) * k}
+    walk = [group.identity]
+    relations = set()
+    for x in walk:
+        for t, g in enumerate(gens):
+            y, word = x * g, words[x]
+            stepped = word[:t] + (word[t] + 1,) + word[t + 1:]
+            if y not in words:
+                words[y] = stepped
+                walk.append(y)
+            elif stepped != words[y]:
+                relations.add(tuple(a - b for a, b in zip(stepped, words[y])))
+    kept = []
+    if k:
+        diag, u, _ = smith_with_transforms(_square_hnf(IntMat(
+            [[rel[r] for rel in relations] for r in range(k)])))
+        kept = [(u.rows[i], diag[i, i]) for i in range(k) if diag[i, i] > 1]
+    coords = {x: tuple(sum(r * w for r, w in zip(row, words[x])) % d
+                       for row, d in kept) for x in walk}
+    first = {}
+    for x in walk:
+        first.setdefault(coords[x], x)
+    reps = tuple(first[tuple(int(i == j) for j in range(len(kept)))]
+                 for i in range(len(kept)))
+    return tuple(d for _, d in kept), reps, coords
+
+
+def test_abelianization_matches_walk(corpus60):
+    """Factors, basis representatives and every element's coordinates
+    read off the Cayley-graph tables equal those of the walk, on every
+    subgroup of the corpus to order 60 and of GL(3,2), and on a group
+    whose generators repeat one and include the identity."""
+    s4 = symmetric(4)
+    a, b = s4.generators
+    repeated = PermGroup(4, [a, b, s4.identity, a])
+    assert repeated.generators == (a, b, a)
+    groups = [group for _, group in corpus60] + [gl3f2()]
+    for group in groups + [repeated]:
+        for sub in (group, *group.all_subgroups()):
+            ab = abelianization(sub)
+            factors, reps, coords = abelianization_by_walk(sub)
+            assert (ab.factors, ab.basis_reps) == (factors, reps)
+            assert [ab.project(x) for x in sub.elements] == \
+                [coords[x] for x in sub.elements]
+
+
+def test_subgroup_closes_its_elements_once(monkeypatch):
+    """Once its generators are read, a subgroup's classes and
+    abelianization read the closure that found them."""
+    group = PermGroup(5, symmetric(5).generators)
+    subgroups = group.all_subgroups()
+    closures = []
+    closure = permgroup_module._closure
+    monkeypatch.setattr(permgroup_module, "_closure",
+                        lambda *args, **kwargs: closures.append(args)
+                        or closure(*args, **kwargs))
+    for sub in subgroups:
+        assert sub.generators is sub._cayley_graph.generators
+        before = len(closures)
+        sub.conjugacy_classes()
+        abelianization(sub)
+        assert len(closures) == before
+
+
+def test_subgroup_lattice_forms_no_products(monkeypatch):
+    """The lattice's Cayley table is the graph's left multiples."""
+    groups = [PermGroup(g.degree, g.generators)
+              for g in (symmetric(4), gl3f2())]
+    products = []
+    mul = Permutation.__mul__
+    monkeypatch.setattr(Permutation, "__mul__",
+                        lambda p, q: products.append(p) or mul(p, q))
+    for group in groups:
+        assert group.all_subgroups()
+    assert products == []
+
+
+def test_subgroup_lattice_of_a_subgroup_is_its_own():
+    """A subgroup's lattice, built in the order of its Cayley graph,
+    equals that of the group its generators generate."""
+    s5 = symmetric(5)
+    for sub in (gl3f2().point_stabilizer(0),
+                s5.subgroup(alternating(5).generators)):
+        own = PermGroup(sub.degree, sub.generators).all_subgroups()
+        assert [h.elements for h in sub.all_subgroups()] == \
+            [h.elements for h in own]
 
 
 def test_abelianization_kills_commutators(a4):
