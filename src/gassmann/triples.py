@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import itertools
 import random
-from operator import add, mul
+from functools import cached_property
+from operator import mul
 from typing import Iterator, Sequence, Union
 
 from .errors import (
@@ -65,8 +66,6 @@ def are_conjugate(group: GroupLike, h1: GroupLike, h2: GroupLike) -> bool:
     """Whether gH1g^-1 = H2 for some g in the group."""
     _require_subgroup(group, h1)
     _require_subgroup(group, h2)
-    if h1.order != h2.order:
-        return False
     return _conjugator(group, h1, h2) is not None
 
 
@@ -117,6 +116,10 @@ class GassmannTriple:
     @property
     def cosets2(self) -> CosetSpace:
         return coset_action(self.group, self.h2)
+
+    @cached_property
+    def _space(self) -> _IntertwinerSpace:
+        return _IntertwinerSpace(self)
 
     def __repr__(self) -> str:
         return (f"GassmannTriple(|G|={self.group.order}, "
@@ -177,13 +180,11 @@ def _ones_eigenvalue(a: IntMat) -> int:
 
 def _equivariance_failures(a: IntMat, triple: GassmannTriple) -> list[str]:
     failures = []
-    n = a.nrows
     for g in triple.group.generators:
         s1 = triple.cosets1.permutation_of(g)
         s2 = triple.cosets2.permutation_of(g)
-        ok = all(a[s2[r], s1[c]] == a[r, c]
-                 for r in range(n) for c in range(n))
-        if not ok:
+        if any(a.rows[s2[r]][s1[c]] != x
+               for r, row in enumerate(a.rows) for c, x in enumerate(row)):
             failures.append(g.format())
     return failures
 
@@ -212,62 +213,62 @@ def intertwiner_basis(group: GroupLike, h1: GroupLike,
     return [IntMat(rows) for rows in basis]
 
 
-def _orbit_structure(basis: Sequence[IntMat]) -> tuple[list[list[int]],
-                                                       list[int]]:
-    """(orbit number of each cell, per-orbit count of cells in each row).
+class _IntertwinerSpace:
+    """The intertwiners A = sum(c_d B_d) over the k orbit matrices B_d.
 
-    The orbits are disjoint, so the orbit numbers are sum(d B_d).  Row
-    transitivity makes the per-row count constant, so the row sum of any
-    combination sum(c_d B_d) is sum(c_d k_d) independent of the row.
+    `grid[r][c]` is the orbit of the cell (r, c).  G is transitive on
+    rows and on columns, so orbit d has `counts[d]` cells in every row
+    and as many in every column, and it meets row 0.
+
+    M(c)[f][e] = sum(gamma[f][e][d] c_d) is the matrix of B -> B A,
+    Hom_G(Z[G/H2], Z[G/H1]) -> End_G(Z[G/H1]): the coefficient of T_f
+    (orbit f of G on G/H1 x G/H1) in B_e^T A is its entry at (0, c_f),
+    c_f the least point of the f-th H1-orbit on G/H1 (k of them by the
+    Gassmann property, else PreconditionViolated), so gamma[f][e][d]
+    counts the rows j with orbit(j, 0) = e and orbit(j, c_f) = d.  A is
+    unimodular exactly when det M(c) = +-1 (B A = I forces det A = +-1;
+    conversely A^-1 is equivariant), singular exactly when det M(c) = 0.
     """
-    orbit_id = [[0] * len(row) for row in basis[0].rows]
-    for d, b in enumerate(basis[1:], start=1):
-        for row, cells in zip(orbit_id, b.rows):
-            row[:] = map(add, row, map(d.__mul__, cells))
-    return orbit_id, [sum(b.rows[0]) for b in basis]
 
+    def __init__(self, triple: GassmannTriple) -> None:
+        basis = intertwiner_basis(triple.group, triple.h1, triple.h2)
+        self.grid = [[cell.index(1) for cell in zip(*rows)]
+                     for rows in zip(*(b.rows for b in basis))]
+        self.counts = [sum(b.rows[0]) for b in basis]
+        h1_orbit, k = _orbits(
+            [triple.cosets1.permutation_of(h) for h in triple.h1.generators],
+            triple.index)
+        if k != len(basis):
+            raise PreconditionViolated(
+                f"H1 has {k} orbits on G/H1 but k = {len(basis)}")
+        self.gamma = [[[0] * k for _ in range(k)] for _ in range(k)]
+        for gamma_f, c_f in zip(self.gamma, map(h1_orbit.index, range(k))):
+            for row in self.grid:
+                gamma_f[row[0]][row[c_f]] += 1
 
-def _hecke_constants(triple: GassmannTriple,
-                     orbit_id: Sequence[Sequence[int]],
-                     k: int) -> list[list[list[int]]]:
-    """gamma[f][e][d]: M(c)[f][e] = sum(gamma[f][e][d] c_d) is the k x k
-    matrix of B -> B A, from Hom_G(Z[G/H2], Z[G/H1]) to End_G(Z[G/H1]),
-    for A = sum(c_d B_d).
+    def assemble(self, coeffs: Sequence[int]) -> IntMat:
+        return IntMat([[coeffs[d] for d in row] for row in self.grid])
 
-    The coefficient of T_f, the f-th orbit matrix of G on G/H1 x G/H1
-    (in intertwiner_basis(G, H1, H1) order), in B_e^T A is its entry at
-    (0, c_f), c_f the least point of the f-th orbit of H1 on G/H1: so
-    gamma[f][e][d] counts the rows j with orbit(j, 0) = e and
-    orbit(j, c_f) = d.  A is unimodular exactly when det M(c) = +-1
-    (B A = I forces det A = +-1; conversely A^-1 is equivariant), and
-    singular exactly when det M(c) = 0.  The Gassmann property makes
-    the H1-orbits k in number; PreconditionViolated otherwise.
-    """
-    cosets1 = triple.cosets1
-    h1_orbit, count = _orbits(
-        [cosets1.permutation_of(h) for h in triple.h1.generators],
-        cosets1.index)
-    if count != k:
-        raise PreconditionViolated(
-            f"H1 has {count} orbits on G/H1 but the intertwiner space "
-            f"has dimension {k}")
-    gamma = [[[0] * k for _ in range(k)] for _ in range(k)]
-    for gamma_f, c_f in zip(gamma, map(h1_orbit.index, range(k))):
-        for row in orbit_id:
-            gamma_f[row[0]][row[c_f]] += 1
-    return gamma
+    def hecke(self, coeffs: Sequence[int]) -> IntMat:
+        """M(c): row f, column e."""
+        return IntMat([[sum(map(mul, gamma_fe, coeffs))
+                        for gamma_fe in gamma_f] for gamma_f in self.gamma])
 
+    def inverse(self, coeffs: Sequence[int]) -> list[int]:
+        """x with A^-1 = assemble(x)^T, for a unimodular A = assemble(c):
+        A^-1 = sum(x_e B_e^T) is equivariant and A^-1 A = I = T_0, so
+        M(c) x = e_0.  AssertionError when det M(c) is not a unit."""
+        d, adj = self.hecke(coeffs)._elimination
+        if d not in (1, -1):
+            raise AssertionError(f"det M(c) = {d} is not a unit")
+        return [d * row[0] for row in adj.rows]
 
-def _hecke_matrix(gamma: Sequence[Sequence[Sequence[int]]],
-                  coeffs: Sequence[int]) -> IntMat:
-    """M(c) of `_hecke_constants`: row f, column e."""
-    return IntMat([[sum(map(mul, gamma_fe, coeffs)) for gamma_fe in gamma_f]
-                   for gamma_f in gamma])
-
-
-def _assemble(orbit_id: Sequence[Sequence[int]],
-              coeffs: Sequence[int]) -> IntMat:
-    return IntMat([[coeffs[oid] for oid in row] for row in orbit_id])
+    def inverse_rows_multi_support(self, a: IntMat) -> bool:
+        """Whether each row of A^-1, for a unimodular equivariant A, has
+        two nonzero entries: it has counts[e] for each x_e != 0."""
+        x = self.inverse([a.rows[0][c] for c in map(
+            self.grid[0].index, range(len(self.counts)))])
+        return sum(n for n, x_e in zip(self.counts, x) if x_e) >= 2
 
 
 def _conjugate_correspondence(triple: GassmannTriple,
@@ -314,10 +315,11 @@ def integral_search(group: GroupLike, h1: GroupLike, h2: GroupLike,
     whose constant row sum is +-1 can be unimodular, which prunes most
     candidates.
 
-    A survivor is decided by the k x k determinant of `_hecke_constants`
-    (Scott 1993; Curtis-Reiner, Methods of Representation Theory I, on
-    Hecke algebras).  Only a hit is assembled, scaled by its row sum to
-    row sums +1; CorrespondenceMatrix takes its n x n determinant once.
+    A survivor is decided by the k x k determinant of M(c) on the
+    triple's `_IntertwinerSpace`, which a verification of the hit shares
+    (Scott 1993; Curtis-Reiner on Hecke algebras).  Only a hit is
+    assembled, scaled by its row sum to row sums +1; CorrespondenceMatrix
+    takes its n x n determinant once.
 
     Raises NotFoundWithinBudget with search statistics on failure; that
     is a report, not a nonexistence proof (except when `exhausted`).
@@ -331,11 +333,8 @@ def integral_search(group: GroupLike, h1: GroupLike, h2: GroupLike,
     if g is not None:
         return _conjugate_correspondence(triple, g)
 
-    # the grid stands in for the k dense 0/1 matrices, which then need
-    # not stay alive through the determinants
-    orbit_id, row_counts = _orbit_structure(
-        intertwiner_basis(group, h1, h2))
-    k = len(row_counts)
+    space = triple._space
+    k = len(space.counts)
     exhaustive = (2 * coeff_bound + 1) ** k <= budget
     if exhaustive:
         candidates = _box_in_l1_order(k, coeff_bound)
@@ -343,15 +342,13 @@ def integral_search(group: GroupLike, h1: GroupLike, h2: GroupLike,
         rng = random.Random(seed)
         candidates = ([rng.randint(-coeff_bound, coeff_bound)
                        for _ in range(k)] for _ in range(budget))
-    gamma = _hecke_constants(triple, orbit_id, k)
     trials = 0
     for coeffs in candidates:
         trials += 1
-        row_sum = sum(map(mul, coeffs, row_counts))
-        if row_sum in (1, -1) and \
-                det(_hecke_matrix(gamma, coeffs)) in (1, -1):
+        row_sum = sum(map(mul, coeffs, space.counts))
+        if row_sum in (1, -1) and det(space.hecke(coeffs)) in (1, -1):
             return CorrespondenceMatrix(
-                _assemble(orbit_id, [row_sum * c for c in coeffs]), triple)
+                space.assemble([row_sum * c for c in coeffs]), triple)
     raise NotFoundWithinBudget(
         "no unimodular combination in the coefficient box" if exhaustive
         else f"no unimodular combination in {budget} random samples",
@@ -366,6 +363,10 @@ def verify_integral_triple(triple: GassmannTriple,
     common +-1 eigenvalue on the all-ones vector, and, for non-conjugate
     subgroup pairs, that every row of A and of A^-1 has at least two
     nonzero entries.  Failures are reported, never raised.
+
+    A unimodular equivariant A is inverted in k dimensions on the
+    triple's `_IntertwinerSpace` (AssertionError if det M(c) is not a
+    unit); only a non-equivariant one takes the n x n Gauss-Jordan pass.
     """
     if isinstance(a, CorrespondenceMatrix):
         a = a.A
@@ -375,16 +376,14 @@ def verify_integral_triple(triple: GassmannTriple,
         raise NonSquare(
             f"size {a.nrows} does not match index {triple.index}")
     conjugate = are_conjugate(triple.group, triple.h1, triple.h2)
-    # A^-1 is only read for a non-conjugate pair
-    d, adj = (det(a), None) if conjugate else a._elimination
-    unimodular = d in (1, -1)
     failures = _equivariance_failures(a, triple)
+    d = a._elimination[0] if failures and not conjugate else det(a)
+    unimodular = d in (1, -1)
 
     try:
         sign = _ones_eigenvalue(a)
     except MixedSigns:
         sign = None
-    sign_consistent = sign is not None
 
     report = {
         "det": d,
@@ -392,18 +391,18 @@ def verify_integral_triple(triple: GassmannTriple,
         "equivariant": not failures,
         "equivariance_failures": failures,
         "sign": sign,
-        "sign_consistent": sign_consistent,
+        "sign_consistent": sign is not None,
         "conjugate_pair": conjugate,
     }
+    passed = unimodular and not failures and sign is not None
     if not conjugate:
+        # adj A = +-A^-1, with the same supports
+        inverse = None if not unimodular \
+            else _rows_multi_support(a._elimination[1]) if failures \
+            else triple._space.inverse_rows_multi_support(a)
         report["rows_multi_support"] = _rows_multi_support(a)
-        # adj A = +-A^-1 when A is unimodular, with the same supports
-        report["inverse_rows_multi_support"] = \
-            _rows_multi_support(adj) if unimodular else None
-    passed = unimodular and not failures and sign_consistent
-    if not conjugate:
-        passed = passed and report["rows_multi_support"] \
-            and bool(report["inverse_rows_multi_support"])
+        report["inverse_rows_multi_support"] = inverse
+        passed = passed and report["rows_multi_support"] and bool(inverse)
     report["passed"] = passed
     return report
 

@@ -3,6 +3,7 @@ line each, printed in the terminal summary.  Every numeric target is
 checked against an independent in-test oracle or a pinned exact value.
 """
 
+import hashlib
 import itertools
 import json
 import random
@@ -17,7 +18,7 @@ from gassmann.cli import main
 from gassmann.homology import conjugation_sweep
 from gassmann.kgroups import FieldModel, k_group
 from gassmann.lattice import (IntMat, LocalNormLattice, adjugate, det,
-                              maximal_normal_sublattice)
+                              format_matrix_file, maximal_normal_sublattice)
 from gassmann.permgroup import (AbHom, FinAbGroup, abelianization,
                                 coset_action, format_group_file,
                                 inclusion_induced, normal_core,
@@ -260,7 +261,14 @@ def brute_coset_actions(group, subgroup):
             for g in group.generators]
 
 
-def test_criterion_8_scott_intertwiner(acceptance, tmp_path, capsys):
+# SHA-256 of the `gassmann search --bound 1` report on Scott's triple at
+# seed 0: a change to how the search or the verifier works keeps its bytes
+SCOTT_SEARCH_SHA256 = \
+    "a64b5a9887e01e342585aa6718e4ad011352c550518c47c89906131fc31be4de"
+
+
+def test_criterion_8_scott_intertwiner(acceptance, tmp_path, capsys,
+                                       count_passes):
     pytest.importorskip("sympy")
     from sympy.polys.domains import ZZ
     from sympy.polys.matrices import DomainMatrix
@@ -273,15 +281,28 @@ def test_criterion_8_scott_intertwiner(acceptance, tmp_path, capsys):
             path = tmp_path / f"{name}.grp"
             path.write_text(format_group_file(g))
             paths.append(path)
-        code = main(["gassmann", "search", str(paths[0]),
-                     "--h1", str(paths[1]), "--h2", str(paths[2]),
-                     "--bound", "1"])
-        report = json.loads(capsys.readouterr().out)
+        pair = [str(paths[0]), "--h1", str(paths[1]), "--h2", str(paths[2])]
+        eliminated = count_passes("_elimination")
+        code = main(["gassmann", "search", *pair, "--bound", "1"])
+        out = capsys.readouterr().out
+        report = json.loads(out)
         assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == SCOTT_SEARCH_SHA256
         assert report["found"] and report["verification"]["passed"]
         rows = report["matrix"]["rows"]
         n = len(rows)
         assert n == 203
+        # the hit, read back from a matrix file, verifies as in the search
+        hit = tmp_path / "hit.mat"
+        hit.write_text(format_matrix_file(IntMat(rows)))
+        code = main(["gassmann", "verify", *pair, "--matrix", str(hit)])
+        verified = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert {key: value for key, value in verified.items()
+                if key not in ("command", "schema")} == report["verification"]
+        # the program inverts an equivariant candidate in k = 8 dimensions
+        # and eliminates no 203x203 matrix before the oracle below does
+        assert {m.nrows for m in eliminated} == {8}
         d = DomainMatrix([[ZZ(x) for x in row] for row in rows],
                          (n, n), ZZ).det()
         assert d in (1, -1)

@@ -192,16 +192,24 @@ def test_intertwiner_basis_spans_equivariants(fano, s4):
 
 
 def test_basis_matrices_partition_all_cells(fano):
-    group, h1, h2 = fano
-    basis = intertwiner_basis(group, h1, h2)
-    n = group.order // h1.order
-    coverage = [[0] * n for _ in range(n)]
-    for b in basis:
-        for i in range(n):
-            for j in range(n):
-                assert b.rows[i][j] in (0, 1)
-                coverage[i][j] += b.rows[i][j]
-    assert all(x == 1 for row in coverage for x in row)
+    """The orbit matrices partition the cells, and each has as many ones
+    in every row as in every column (G is transitive on both sides), one
+    or more of them in row 0: the facts `_IntertwinerSpace` reads."""
+    scott = scott_triple(seed=0)
+    for group, h1, h2 in (fano, (scott.group, scott.h1, scott.h2)):
+        basis = intertwiner_basis(group, h1, h2)
+        n = group.order // h1.order
+        coverage = [[0] * n for _ in range(n)]
+        for b in basis:
+            for i in range(n):
+                for j in range(n):
+                    assert b.rows[i][j] in (0, 1)
+                    coverage[i][j] += b.rows[i][j]
+            row_counts = {sum(row) for row in b.rows}
+            col_counts = {sum(b.column(j)) for j in range(n)}
+            assert row_counts == col_counts and len(row_counts) == 1
+            assert any(b.rows[0])
+        assert all(x == 1 for row in coverage for x in row)
 
 
 def test_integral_search_conjugate_fast_path(s4):
@@ -263,44 +271,87 @@ def orbit_coordinates(basis, m):
     return coords if IntMat(combination) == m else None
 
 
-def test_hecke_criterion_matches_full_determinant(fano, s4):
+def check_inverse(space, a):
+    """For a unimodular equivariant A: assemble(x)^T is A^-1 = det(A)
+    adj(A) of the n x n elimination, entry by entry, and the space's
+    row-support answer is that of A^-1."""
+    d, adj = a._elimination
+    assert d in (1, -1)
+    coeffs = [a.rows[0][space.grid[0].index(e)]
+              for e in range(len(space.counts))]
+    assert space.assemble(coeffs) == a
+    assert space.assemble(space.inverse(coeffs)).transpose() == adj.scale(d)
+    assert space.inverse_rows_multi_support(a) == \
+        triples._rows_multi_support(adj)
+
+
+def test_hecke_criterion_matches_full_determinant(fano, s4, monkeypatch):
     """M(c) holds the T_f coordinates of the brute products B_e^T A, and
-    its determinant is a unit, or zero, exactly when det A is."""
+    its determinant is a unit, or zero, exactly when det A is; x =
+    M(c)^-1 e_0 gives A^-1 of every unimodular combination met."""
     rng = random.Random(5)
     # the S4 self-pairs of H = S3, C4 and <(0 1)>
     self_pairs = [(s4, h, h) for h in (
         s4.point_stabilizer(0),
         s4.subgroup([Permutation.parse(4, "(0 1 2 3)")]),
         s4.subgroup([Permutation.parse(4, "(0 1)")]))]
+    supports = Counter()
     for (group, h1, h2), k in zip([fano, *self_pairs], (2, 2, 3, 7)):
-        triple = GassmannTriple(group, h1, h2)
         basis = intertwiner_basis(group, h1, h2)
         hecke = intertwiner_basis(group, h1, h1)
         assert len(basis) == len(hecke) == k
-        orbit_id, row_counts = triples._orbit_structure(basis)
-        gamma = triples._hecke_constants(triple, orbit_id, k)
-        with pytest.raises(PreconditionViolated):
-            triples._hecke_constants(triple, orbit_id, k + 1)
+        space = GassmannTriple(group, h1, h2)._space
+        assert len(space.counts) == k
         # a self-pair's row-count-1 basis matrices are permutation
         # matrices, hence unimodular
         units = [tuple(int(d == e) for d in range(k))
-                 for e in range(k) if row_counts[e] == 1]
+                 for e in range(k) if space.counts[e] == 1]
         assert bool(units) == (h1 is h2)
         box = itertools.islice(_box_in_l1_order(k, 3 - k // 3), 150)
         randoms = [tuple(rng.randint(-3, 3) for _ in range(k))
                    for _ in range(20)]
         found = Counter()
         for coeffs in [*units, *box, *randoms]:
-            a = triples._assemble(orbit_id, coeffs)
-            m = triples._hecke_matrix(gamma, coeffs)
+            a = space.assemble(coeffs)
+            m = space.hecke(coeffs)
             assert [orbit_coordinates(hecke, b.transpose() @ a)
                     for b in basis] == [list(col) for col in zip(*m.rows)]
             d_a, d_m = det(a), det(m)
             assert (d_a in (1, -1)) == (d_m in (1, -1))
             assert (d_a == 0) == (d_m == 0)
             found[d_a in (1, -1), d_a == 0] += 1
+            if d_a in (1, -1):
+                check_inverse(space, a)
+            else:
+                with pytest.raises(AssertionError):
+                    space.inverse(coeffs)
         assert found[False, True] and found[False, False]
         assert bool(found[True, False]) == (h1 is h2)
+        # and every unimodular point of the bound-1 box, found by M(c)
+        for coeffs in itertools.product((-1, 0, 1), repeat=k):
+            if det(space.hecke(coeffs)) in (1, -1):
+                a = space.assemble(coeffs)
+                check_inverse(space, a)
+                supports[k, space.inverse_rows_multi_support(a)] += 1
+        # a wrong k
+        monkeypatch.setattr(triples, "intertwiner_basis",
+                            lambda *args: [*basis, basis[0]])
+        with pytest.raises(PreconditionViolated):
+            triples._IntertwinerSpace(GassmannTriple(group, h1, h2))
+        monkeypatch.undo()
+    # units are +-1 times a permutation matrix but for k = 7, where 16
+    # have inverses with two or more nonzero entries in every row
+    assert supports == {(2, False): 2, (3, False): 4, (7, False): 4,
+                        (7, True): 16}
+
+
+def test_scott_hit_inverse_in_k_dimensions():
+    triple = scott_triple(seed=0)
+    found = integral_search(triple.group, triple.h1, triple.h2, 1, 20000)
+    space = found.triple._space
+    assert len(space.counts) == 8
+    check_inverse(space, found.A)
+    assert space.inverse_rows_multi_support(found.A)
 
 
 def test_integral_search_rejects_non_gassmann(d4):
