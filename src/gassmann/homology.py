@@ -8,7 +8,9 @@ tensors all four maps with Z/k.  A subgroup of an abelianization is
 its set of coordinate tuples.  The index-t subgroups are enumerated
 once each through the HNF bases of their preimage lattices in Z^k,
 mapped through phi element by element, and lifted back to honest
-subgroups, where normal cores settle the coprime-index theorem.
+subgroups, where normal cores settle the coprime-index theorem.  A
+subgroup's index-t subgroups and lifts, like the group's cores, are
+built once per subgroup and kept in its memo, not once per coset.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .permgroup import (
     GroupLike,
     Permutation,
     Subgroup,
+    _memoized,
     _require_subgroup,
     abelianization,
     coset_action,
@@ -121,6 +124,12 @@ class CoordSubgroup:
         return f"CoordSubgroup(index={self.index}, factors={self.factors})"
 
 
+def _positive_index(t: int) -> int:
+    if not isinstance(t, int) or t < 1:
+        raise ValueError(f"index must be a positive int, got {t!r}")
+    return t
+
+
 def _ordered_factorizations(t: int, slots: int) -> list[tuple[int, ...]]:
     if slots == 0:
         return [()] if t == 1 else []
@@ -138,8 +147,7 @@ def index_subgroups(factors: Sequence[int], t: int) -> list[CoordSubgroup]:
     preimage lattice in Z^k, a lattice that contains diag(factors) Z^k;
     the subgroups come in the order of those bases' rows."""
     factors = _positive_factors(factors)
-    if t < 1:
-        raise ValueError("index must be positive")
+    _positive_index(t)
     k = len(factors)
     if prod(factors) % t:
         return []
@@ -184,7 +192,7 @@ class Correspondence:
         if ab1.structure.torsion_order() != ab2.structure.torsion_order():
             raise ValueError("abelianization orders differ: phi cannot "
                              "be an isomorphism")
-        if _image_subgroup(phi, CoordSubgroup.full(ab1.factors)).index != 1:
+        if _image_subgroup(phi, _full(h1)).index != 1:
             raise ValueError("phi is not surjective")
         self.group = group
         self.h1 = h1
@@ -313,7 +321,25 @@ class CorrespondingSubgroups:
     gamma2p: GroupLike
 
 
+def _index_subgroups(h: GroupLike, t: int) -> tuple[CoordSubgroup, ...]:
+    """The index-t subgroups of H1(H), listed once per t and kept in H's
+    memo; the caller checks t before the lookup."""
+    return _memoized(h, "index", t, lambda h, t: tuple(
+        index_subgroups(abelianization(h).factors, t)))
+
+
+def _full(h: GroupLike) -> CoordSubgroup:
+    """H1(H) as a CoordSubgroup: its one subgroup of index 1."""
+    [full] = _index_subgroups(h, 1)
+    return full
+
+
 def _lift(h: GroupLike, u: CoordSubgroup) -> Subgroup:
+    """The preimage of U in H, built once per U and kept in H's memo."""
+    return _memoized(h, "lift", u, _preimage)
+
+
+def _preimage(h: GroupLike, u: CoordSubgroup) -> Subgroup:
     project = abelianization(h).project
     return Subgroup(h, [x for x in h.elements if project(x) in u.elements])
 
@@ -321,17 +347,15 @@ def _lift(h: GroupLike, u: CoordSubgroup) -> Subgroup:
 def corresponding_subgroups(corr: Correspondence,
                             t: int) -> list[CorrespondingSubgroups]:
     """All pairs (U1, phi(U1)) of index-t subgroups, lifted to subgroups
-    of H1 and H2.  Empty when t does not divide the homology order."""
-    ab1 = abelianization(corr.h1)
-    ab2 = abelianization(corr.h2)
-    if t == 1:
+    of H1 and H2.  Empty when t does not divide the homology order.
+    What depends on one subgroup alone (its index-t subgroups, the lift
+    of each U) is built once per subgroup and kept in its memo."""
+    if _positive_index(t) == 1:
         return [CorrespondingSubgroups(
-            corr, 1,
-            CoordSubgroup.full(ab1.factors), CoordSubgroup.full(ab2.factors),
-            corr.h1, corr.h2)]
-    # index_subgroups is [] unless t divides the order; phi keeps indices
+            corr, 1, _full(corr.h1), _full(corr.h2), corr.h1, corr.h2)]
+    # the list is empty unless t divides the order; phi keeps indices
     out = []
-    for u1 in index_subgroups(ab1.factors, t):
+    for u1 in _index_subgroups(corr.h1, t):
         u2 = _image_subgroup(corr.phi, u1)
         out.append(CorrespondingSubgroups(
             corr, t, u1, u2,

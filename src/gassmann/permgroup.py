@@ -15,10 +15,10 @@ the group, so no cache makes a reference cycle.
 Three rules hold across the package.  A subgroup is its element set: a
 `Subgroup`'s generators, hence its abelianization coordinates, follow
 from its elements alone, so each table of a (group, subgroup) pair
-(coset action, splitting table, transfer, inclusion) is built once by
-`_per_subgroup` and kept in the group's memo keyed on the subgroup; a
-`PermGroup` passed as the subgroup compares by identity and keeps its
-own entry.  A value type (`AbHom`, `FinAbGroup`, and `IntMat`,
+(coset action, splitting table, transfer, inclusion, normal core) is
+built once by `_per_subgroup` and kept in the group's memo keyed on
+the subgroup; a `PermGroup` passed as the subgroup compares by identity
+and keeps its own entry.  A value type (`AbHom`, `FinAbGroup`, and `IntMat`,
 `LocalNormLattice`, `CoordSubgroup`, `NumericalSet` elsewhere) is a
 frozen dataclass.  A value derived from one object is a
 `functools.cached_property` of it, such as an `IntMat`'s `_det` and
@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, lcm, prod
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Iterable, Sequence, Union
 
 from ._primes import factorize
@@ -359,9 +359,15 @@ class _GroupBase:
 
     @cached_property
     def _memo(self) -> dict:
-        """(kind, subgroup) -> "cosets": CosetSpace; "splitting": tuple
-        of SplittingType, one per class; "transfer", "inclusion": AbHom;
-        filled by `_per_subgroup`, under which equal subgroups share."""
+        """(kind, key) -> value, filled by `_memoized`.  Keyed on a
+        subgroup by `_per_subgroup`, under which equal subgroups share:
+        "cosets": CosetSpace; "splitting": tuple of SplittingType, one
+        per class; "transfer", "inclusion": AbHom; "core": the normal
+        core, a Subgroup.  Kept on a group for its own homology
+        (`gassmann.homology`): "index", keyed on t: the index-t subgroups
+        of its abelianization, a tuple of CoordSubgroups (t = 1 gives the
+        whole group); "lift", keyed on a CoordSubgroup U: the preimage of
+        U, a Subgroup."""
         return {}
 
     @cached_property
@@ -653,19 +659,31 @@ class CosetSpace:
         return out
 
 
+def _memoized(owner: GroupLike, kind: str, key, build):
+    """The owner's `kind` value for the key: build(owner, key), run once
+    per key and kept in the owner's memo under (kind, key).  A caller
+    checks its key before the lookup, where an unchecked key could equal
+    a checked one (2.0 == 2)."""
+    entry = (kind, key)
+    value = owner._memo.get(entry)
+    if value is None:
+        value = owner._memo[entry] = build(owner, key)
+    return value
+
+
 def _per_subgroup(group: GroupLike, kind: str, subgroup: GroupLike,
                   build):
     """The group's `kind` table for the subgroup: build(group, subgroup),
-    run once per subgroup and kept in the group's memo keyed on it.  A
-    `Subgroup`'s element set fixes its coordinates, so equal ones share
-    the entry; a `PermGroup` compares by identity and keeps its own (as
-    its own subgroup, the one key that refers back to the group)."""
-    key = (kind, subgroup)
-    table = group._memo.get(key)
-    if table is None:
+    run once per subgroup and kept in the group's memo keyed on it
+    (`_memoized`), the subgroup checked against the group when first
+    seen.  A `Subgroup`'s element set fixes its coordinates, so equal
+    ones share the entry; a `PermGroup` compares by identity and keeps
+    its own (as its own subgroup, the one key that refers back to the
+    group)."""
+    def checked(group: GroupLike, subgroup: GroupLike):
         _require_subgroup(group, subgroup)
-        table = group._memo[key] = build(group, subgroup)
-    return table
+        return build(group, subgroup)
+    return _memoized(group, kind, subgroup, checked)
 
 
 def coset_action(group: GroupLike, subgroup: GroupLike) -> CosetSpace:
@@ -716,11 +734,13 @@ def double_cosets(group: GroupLike, h1: GroupLike,
 
 
 def normal_core(group: GroupLike, subgroup: GroupLike) -> Subgroup:
-    """Largest normal subgroup of the group inside the subgroup.
+    """Largest normal subgroup of the group inside the subgroup.  Built
+    once per subgroup and kept on the group (`_per_subgroup`)."""
+    return _per_subgroup(group, "core", subgroup, _normal_core)
 
-    An element lies in the core iff its whole conjugacy class does.
-    """
-    _require_subgroup(group, subgroup)
+
+def _normal_core(group: GroupLike, subgroup: GroupLike) -> Subgroup:
+    """An element lies in the core iff its whole conjugacy class does."""
     keep = [cls.members for cls in group.conjugacy_classes()
             if cls.members <= subgroup.element_set]
     return Subgroup(group, [x for members in keep for x in members])
@@ -841,13 +861,18 @@ class AbHom:
             for row, d in zip(self.entries, self.target_factors))
 
     def compose(self, inner: "AbHom") -> "AbHom":
-        """self after inner."""
+        """self after inner.  A composite of homomorphisms is one, so the
+        reduced product is stored without the entry-by-entry check."""
         if inner.target_factors != self.source_factors:
             raise ValueError("composition factor mismatch")
-        columns = [self.apply(inner.column(j))
-                   for j in range(len(inner.source_factors))]
-        return AbHom.from_columns(inner.source_factors, self.target_factors,
-                                  columns)
+        columns = [inner.column(j) for j in range(len(inner.source_factors))]
+        product = object.__new__(AbHom)
+        object.__setattr__(product, "source_factors", inner.source_factors)
+        object.__setattr__(product, "target_factors", self.target_factors)
+        object.__setattr__(product, "entries", tuple(
+            tuple(sum(map(mul, row, column)) % d for column in columns)
+            for row, d in zip(self.entries, self.target_factors)))
+        return product
 
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.entries)

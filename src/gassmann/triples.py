@@ -367,8 +367,12 @@ def verify_integral_triple(triple: GassmannTriple,
     A unimodular equivariant A is inverted in k dimensions on the
     triple's `_IntertwinerSpace` (AssertionError if det M(c) is not a
     unit); only a non-equivariant one takes the n x n Gauss-Jordan pass.
+    A CorrespondenceMatrix built on this triple was found equivariant
+    when it was built, and is not scanned again.
     """
+    checked = False
     if isinstance(a, CorrespondenceMatrix):
+        checked = a.triple is triple
         a = a.A
     if not a.is_square:
         raise NonSquare("candidate must be square")
@@ -376,7 +380,7 @@ def verify_integral_triple(triple: GassmannTriple,
         raise NonSquare(
             f"size {a.nrows} does not match index {triple.index}")
     conjugate = are_conjugate(triple.group, triple.h1, triple.h2)
-    failures = _equivariance_failures(a, triple)
+    failures = [] if checked else _equivariance_failures(a, triple)
     d = a._elimination[0] if failures and not conjugate else det(a)
     unimodular = d in (1, -1)
 

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 
@@ -330,6 +331,18 @@ def test_homology_sweep_command(capsys, tmp_path):
     assert report["correspondences"] > 0
     mirrored = json.loads(report_path.read_text())
     assert mirrored["passed"] and mirrored["schema"] == 1
+
+
+# SHA-256 of the `gassmann homology sweep --max-order 60` report: a
+# change to how the sweep works keeps its bytes
+SWEEP_60_SHA256 = \
+    "d1e565575667f305bb8b8abacebf074ee49802cfe4a9fdc7af615df01e8da077"
+
+
+def test_homology_sweep_report_bytes_are_pinned(capsys):
+    code, out, _ = run_cli(capsys, ["homology", "sweep", "--max-order", "60"])
+    assert code == 0 and json.loads(out)["passed"]
+    assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_60_SHA256
 
 
 def test_scott_command(capsys):

@@ -1,9 +1,12 @@
+from collections import Counter
 from itertools import product
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import gassmann.homology as homology_module
+import gassmann.permgroup as permgroup_module
 from gassmann.catalog import alternating, dihedral, symmetric
 from gassmann.errors import (CoprimalityViolated, IndexMismatch, NotASubgroup,
                              NotNormal)
@@ -157,6 +160,65 @@ def test_sweep_runs_the_hnf_only_for_abelianizations(count_passes):
     report = conjugation_sweep(groups)
     assert report["passed"] and report["gthm_checks"]
     assert len(computed) == relation_lattices
+
+
+def test_sweep_builds_each_subgroups_work_once(monkeypatch):
+    """A normal core, the index-t subgroups of H1(H) and the lift of a U
+    depend on one subgroup alone: the sweep builds each once, not once
+    per coset gH, and its report is the same."""
+    groups = [("S4", symmetric(4)), ("D6", dihedral(6))]
+    asked = {"index": [], "lift": [], "core": []}
+    built = {"index": [], "lift": [], "core": []}
+
+    def spy(module, name, calls, key):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: calls.append(
+            key(*args)) or original(*args))
+
+    # what the sweep asks for: (subgroup object, t or U) and, through the
+    # checks, the lifted subgroups of each group
+    spy(homology_module, "_index_subgroups", asked["index"],
+        lambda h, t: (id(h), t))
+    spy(homology_module, "_lift", asked["lift"], lambda h, u: (id(h), u))
+    spy(homology_module, "gthm_check", asked["core"],
+        lambda cs: (id(cs.correspondence.group), cs.gamma1p))
+    spy(homology_module, "gthm_check", asked["core"],
+        lambda cs: (id(cs.correspondence.group), cs.gamma2p))
+    # what is built
+    spy(homology_module, "index_subgroups", built["index"],
+        lambda factors, t: t)
+    spy(homology_module, "_preimage", built["lift"], lambda h, u: (id(h), u))
+    spy(permgroup_module, "_normal_core", built["core"],
+        lambda group, sub: (id(group), sub))
+
+    report = conjugation_sweep(groups)
+    assert report == {
+        "max_order": 120, "correspondences": 308, "gthm_checks": 425,
+        "diagram_failures": [], "gthm_failures": [], "passed": True,
+        "groups": [
+            {"group": "S4", "order": 24, "subgroups": 30,
+             "correspondences": 234},
+            {"group": "D6", "order": 12, "subgroups": 16,
+             "correspondences": 74}]}
+    # one index_subgroups call per distinct (H, t) (it sees t, not H),
+    # one lift per (H, U) and one core per lifted subgroup of a group
+    assert Counter(built["index"]) == \
+        Counter(t for _, t in set(asked["index"]))
+    for kind in ("lift", "core"):
+        assert len(built[kind]) == len(set(built[kind]))
+        assert set(built[kind]) == set(asked[kind])
+
+
+def test_corresponding_subgroups_need_a_positive_int_index(d6):
+    c6 = d6.subgroup([d6.generators[0]])
+    corr = Correspondence.conjugation(d6, c6, d6.generators[1])
+    assert len(corresponding_subgroups(corr, 2)) == 1
+    # 2.0 == 2 would find the cached list of t = 2
+    for t in (0, -2, 2.0, 1.0, "2"):
+        with pytest.raises(ValueError, match="positive int"):
+            corresponding_subgroups(corr, t)
+        with pytest.raises(ValueError, match="positive int"):
+            index_subgroups((6,), t)
 
 
 def test_conjugation_correspondence_diagram_commutes(d6):

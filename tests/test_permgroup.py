@@ -15,7 +15,8 @@ from gassmann.catalog import (_FANO_VECTORS, alternating, gl3f2,
                               standard_corpus, symmetric)
 from gassmann.errors import (InvalidPermutation, NotASubgroup,
                              OrderCapExceeded, ParseError)
-from gassmann.homology import CoordSubgroup
+from gassmann.homology import (Correspondence, CoordSubgroup,
+                               corresponding_subgroups, gthm_check)
 from gassmann.lattice import (IntMat, LocalNormLattice, _square_hnf,
                               smith_with_transforms)
 from gassmann.permgroup import (_DEGREE_CAP, AbHom, FinAbGroup, PermGroup,
@@ -377,11 +378,25 @@ def test_element_set_subgroup_finds_generators_on_first_read(
     assert s4.subgroup(generators) == core
 
 
+def relabelled_a5(seed):
+    """A5 moved onto seven points by a random relabelling."""
+    sigma = Permutation(random.Random(seed).sample(range(7), 7))
+    gens = [Permutation(g.images + (5, 6)).conjugate(sigma)
+            for g in alternating(5).generators]
+    return PermGroup(7, gens)
+
+
 def test_normal_core_matches_bruteforce(s4, d6):
-    for group in (s4, d6):
+    for group in (s4, d6, relabelled_a5(3)):
         for sub in group.all_subgroups():
-            assert normal_core(group, sub).element_set == \
-                brute_core(group, sub)
+            expected = brute_core(group, sub)
+            core = normal_core(group, sub)
+            assert core.element_set == expected
+            # the second call reads the group's memo, and so does an
+            # equal subgroup built afresh
+            fresh = Subgroup(group, sub.elements)
+            assert normal_core(group, sub) is core
+            assert normal_core(group, fresh).element_set == expected
 
 
 def test_double_cosets_partition(fano):
@@ -636,8 +651,16 @@ def test_group_caches_make_no_reference_cycle():
         subgroups = group.all_subgroups()
         abelianization(group)
         normal_core(group, subgroups[-2])
+        # the homology memos: the whole abelianization, its index-t
+        # subgroups and their lifts on H1 and H2, the cores on the group
+        d4 = subgroups[-3]
+        assert abelianization(d4).factors == (2, 2)
+        corr = Correspondence.conjugation(group, d4,
+                                          Permutation.parse(4, "(0 1)"))
+        assert all(gthm_check(cs) for t in (1, 2, 4)
+                   for cs in corresponding_subgroups(corr, t))
         ref = weakref.ref(group)
-        del group, sub, subgroups
+        del group, sub, subgroups, d4, corr
         assert ref() is None
     finally:
         gc.enable()
@@ -684,6 +707,40 @@ def test_abhom_compose_associates_with_apply():
     g = AbHom((2, 4), (4,), [[2, 1]])
     for x in range(6):
         assert g.apply(f.apply((x,))) == g.compose(f).apply((x,))
+
+
+@st.composite
+def factor_chains(draw):
+    """Invariant factors d1 | d2 | ..., each at least 2; () is the
+    trivial group."""
+    factors = []
+    for step in draw(st.lists(st.sampled_from([1, 2, 3]), max_size=3)):
+        factors.append(factors[-1] * step if factors else step + 1)
+    return tuple(factors)
+
+
+@st.composite
+def homs(draw, source, target):
+    """A homomorphism: entry (r, c) is a multiple of t / gcd(s, t), for
+    the source factor s of column c and the target factor t of row r,
+    drawn unreduced."""
+    return AbHom(source, target, [
+        [draw(st.integers(0, 2 * gcd(s, t) - 1)) * (t // gcd(s, t))
+         for s in source] for t in target])
+
+
+@given(st.data())
+def test_abhom_compose_matches_the_checked_constructor(data):
+    a, b, c = (data.draw(factor_chains()) for _ in range(3))
+    f = data.draw(homs(a, b))
+    g = data.draw(homs(b, c))
+    composite = g.compose(f)
+    assert composite == AbHom.from_columns(
+        a, c, [g.apply(f.column(j)) for j in range(len(a))])
+    assert AbHom(composite.source_factors, composite.target_factors,
+                 composite.entries) == composite
+    with pytest.raises(ValueError, match="factor mismatch"):
+        g.compose(AbHom((), b + (2,), [[]] * (len(b) + 1)))
 
 
 def test_abhom_tensor_mod_drops_coprime_slots():

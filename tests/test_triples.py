@@ -227,6 +227,26 @@ def test_integral_search_conjugate_fast_path(s4):
     assert report["conjugate_pair"]
 
 
+def test_search_hit_is_scanned_for_equivariance_once(s4, monkeypatch):
+    h = s4.subgroup([Permutation.parse(4, "(0 1 2 3)")])
+    g = Permutation.parse(4, "(0 1)")
+    h2 = s4.subgroup_from_elements(x.conjugate(g) for x in h.elements)
+    scans = []
+    scan = triples._equivariance_failures
+    monkeypatch.setattr(triples, "_equivariance_failures",
+                        lambda a, triple: scans.append(a) or scan(a, triple))
+    found = integral_search(s4, h, h2, 2, 1000)
+    assert len(scans) == 1
+    # the hit's own triple reuses the scan made when the hit was built
+    report = verify_integral_triple(found.triple, found)
+    assert len(scans) == 1
+    # another triple, or the bare matrix, is scanned again, to the same
+    # report
+    assert verify_integral_triple(GassmannTriple(s4, h, h2), found) == \
+        report == verify_integral_triple(found.triple, found.A)
+    assert len(scans) == 3 and report["passed"]
+
+
 def test_integral_search_identity_pair(s4):
     h = s4.point_stabilizer(0)
     found = integral_search(s4, h, h, 2, 100)
