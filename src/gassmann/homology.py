@@ -10,7 +10,8 @@ once each through the HNF bases of their preimage lattices in Z^k,
 mapped through phi element by element, and lifted back to honest
 subgroups, where normal cores settle the coprime-index theorem.  A
 subgroup's index-t subgroups and lifts, like the group's cores, are
-built once per subgroup and kept in its memo, not once per coset.
+built once per subgroup and kept in its memo, not once per coset, and
+so is each image phi(U) of a correspondence into it, once per (phi, U).
 """
 
 from __future__ import annotations
@@ -18,12 +19,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import gcd, prod
-from operator import add, mod
+from operator import add, mod, sub
 from typing import Iterable, Sequence
 
 from .errors import (
     CoprimalityViolated,
     IndexMismatch,
+    NotASubgroup,
     NotNormal,
 )
 from .lattice import _in_hnf_span
@@ -174,7 +176,9 @@ class Correspondence:
 
     phi is a matrix in the invariant-factor coordinates of the two
     abelianizations; invertibility is checked at construction by
-    verifying equal orders and a full image.
+    verifying equal orders and a full image.  `provenance` is "user"
+    by default, and "conjugation(<g>)" for a conjugation, a string made
+    once per g and kept in the group's memo.
     """
 
     def __init__(self, group: GroupLike, h1: GroupLike, h2: GroupLike,
@@ -192,7 +196,7 @@ class Correspondence:
         if ab1.structure.torsion_order() != ab2.structure.torsion_order():
             raise ValueError("abelianization orders differ: phi cannot "
                              "be an isomorphism")
-        if _image_subgroup(phi, _full(h1)).index != 1:
+        if _image(h2, phi, _full(h1)).index != 1:
             raise ValueError("phi is not surjective")
         self.group = group
         self.h1 = h1
@@ -203,7 +207,9 @@ class Correspondence:
     @classmethod
     def conjugation(cls, group: GroupLike, h1: GroupLike,
                     g: Permutation) -> "Correspondence":
-        """The map induced by x -> gxg^-1 from H1 onto gH1g^-1."""
+        """The map induced by x -> gxg^-1 from H1 onto gH1g^-1, g in G."""
+        if g not in group:
+            raise NotASubgroup(f"conjugator {g.format()} not in the group")
         h2 = Subgroup(group, [x.conjugate(g) for x in h1.elements])
         return cls._conjugation(group, h1, h2, g)
 
@@ -212,25 +218,31 @@ class Correspondence:
                      g: Permutation) -> "Correspondence":
         """`conjugation` onto a given instance h2 of gH1g^-1, which must
         be that conjugate: the sweep passes the lattice's own instance so
-        that its cached abelianization is shared."""
+        that its cached abelianization is shared.  phi skips the entry
+        check: conjugation maps [H1, H1] onto [H2, H2]."""
         ab1 = abelianization(h1)
         ab2 = abelianization(h2)
-        columns = [ab2.project(rep.conjugate(g)) for rep in ab1.basis_reps]
-        phi = AbHom.from_columns(ab1.factors, ab2.factors, columns)
-        return cls(group, h1, h2, phi,
-                   provenance=f"conjugation({g.format()})")
+        # H1 and H2 share their invariant factors: the columns are square
+        phi = AbHom._reduced(ab1.factors, ab2.factors, tuple(zip(*(
+            ab2.project(rep.conjugate(g)) for rep in ab1.basis_reps))))
+        return cls(group, h1, h2, phi, provenance=_memoized(
+            group, "label", g, lambda _, g: f"conjugation({g.format()})"))
 
     def __repr__(self) -> str:
         return (f"Correspondence(|H1|={self.h1.order}, "
                 f"|H2|={self.h2.order}, {self.provenance})")
 
 
-def _image_subgroup(phi: AbHom, u: CoordSubgroup) -> CoordSubgroup:
-    """phi(U) as a subgroup of the target group."""
-    if u.factors != phi.source_factors:
-        raise ValueError("subgroup lives in the wrong coordinates")
-    return CoordSubgroup(phi.target_factors,
-                         frozenset(map(phi.apply, u.elements)))
+def _image(h2: GroupLike, phi: AbHom, u: CoordSubgroup) -> CoordSubgroup:
+    """phi(U) for phi into H1(H2), built once per (phi, U) and kept in
+    H2's memo: H2's own index-t instance when phi keeps U's index t, so
+    that the memo keeps no new set."""
+    def build(h2: GroupLike, key) -> CoordSubgroup:
+        image = frozenset(map(phi.apply, u.elements))
+        return next((v for v in _index_subgroups(h2, u.index)
+                     if v.elements == image),
+                    CoordSubgroup(phi.target_factors, image))
+    return _memoized(h2, "image", (phi, u), build)
 
 
 def diagram_check(corr: Correspondence) -> dict:
@@ -356,7 +368,7 @@ def corresponding_subgroups(corr: Correspondence,
     # the list is empty unless t divides the order; phi keeps indices
     out = []
     for u1 in _index_subgroups(corr.h1, t):
-        u2 = _image_subgroup(corr.phi, u1)
+        u2 = _image(corr.h2, corr.phi, u1)
         out.append(CorrespondingSubgroups(
             corr, t, u1, u2,
             _lift(corr.h1, u1), _lift(corr.h2, u2)))
@@ -379,15 +391,11 @@ def gthm_check(cs: CorrespondingSubgroups) -> bool:
     core1 = normal_core(group, cs.gamma1p)
     if core1 != normal_core(group, cs.gamma2p):
         return False
-    ab1 = abelianization(corr.h1)
-    ab2 = abelianization(corr.h2)
-    for x in core1.elements:
-        moved = corr.phi.apply(ab1.project(x))
-        direct = ab2.project(x)
-        difference = [a - b for a, b in zip(moved, direct)]
-        if not cs.u2.contains(difference):
-            return False
-    return True
+    project1 = abelianization(corr.h1).project
+    project2 = abelianization(corr.h2).project
+    return all(cs.u2.contains(list(map(sub, corr.phi.apply(project1(x)),
+                                       project2(x))))
+               for x in core1.elements)
 
 
 def h1_isomorphic(group: GroupLike, h1: GroupLike, h2: GroupLike) -> bool:
@@ -395,6 +403,19 @@ def h1_isomorphic(group: GroupLike, h1: GroupLike, h2: GroupLike) -> bool:
     _require_subgroup(group, h1)
     _require_subgroup(group, h2)
     return abelianization(h1).structure == abelianization(h2).structure
+
+
+def _conjugation_tables(group: GroupLike) -> list[list[int]]:
+    """For each index j of the group's Cayley graph, i -> index(g_j x_i
+    g_j^-1), built along the graph's tree with no products: g_j = g_p s
+    gives c_j = c_p . c_s, c_s the inverse of the move x -> s^-1 x s."""
+    graph = group._cayley_graph
+    inverses = [sorted(range(len(graph)), key=move.__getitem__)
+                for move in graph.conjugations()]
+    tables = [list(range(len(graph)))]
+    for p, k in zip(graph.parent, graph.via):
+        tables.append(list(map(tables[p].__getitem__, inverses[k])))
+    return tables
 
 
 def conjugation_sweep(named_groups, *, max_order: int = 120) -> dict:
@@ -405,8 +426,10 @@ def conjugation_sweep(named_groups, *, max_order: int = 120) -> dict:
     every coset gH (the induced map on homology depends on g only
     through its coset), the sweep runs diagram_check, and, for each
     divisor t of |H1(H)| coprime to the index, gthm_check on every
-    corresponding pair.  Returns a failure-listing report.
-    ValueError unless max_order is positive.
+    corresponding pair.  gHg^-1 is looked up in the subgroup lattice,
+    keyed on element-index sets, through `_conjugation_tables`, with no
+    product.  Returns a failure-listing report.  ValueError unless
+    max_order is positive.
     """
     if max_order < 1:
         raise ValueError("max_order must be positive")
@@ -422,18 +445,22 @@ def conjugation_sweep(named_groups, *, max_order: int = 120) -> dict:
         if group.order > max_order:
             continue
         subgroups = group.all_subgroups()
-        canonical = {s.element_set: s for s in subgroups}
+        index = group._cayley_graph.index
+        keys = [frozenset(map(index.__getitem__, s.elements))
+                for s in subgroups]
+        canonical = dict(zip(keys, subgroups))
+        conjugation = _conjugation_tables(group)
         group_row = {"group": name, "order": group.order,
                      "subgroups": len(subgroups), "correspondences": 0}
-        for h1 in subgroups:
+        for h1, members in zip(subgroups, keys):
             m = group.order // h1.order
             cosets = coset_action(group, h1)
             ab_order = abelianization(h1).structure.torsion_order()
             t_values = [t for t in range(1, ab_order + 1)
                         if ab_order % t == 0 and gcd(m, t) == 1]
             for g in cosets.coset_reps:
-                h2 = canonical[frozenset(x.conjugate(g)
-                                         for x in h1.element_set)]
+                h2 = canonical[frozenset(map(
+                    conjugation[index[g]].__getitem__, members))]
                 corr = Correspondence._conjugation(group, h1, h2, g)
                 report["correspondences"] += 1
                 group_row["correspondences"] += 1

@@ -31,7 +31,7 @@ Conventions: points are 0-indexed; composition is right-to-left,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from math import gcd, lcm, prod
 from operator import itemgetter, mul
@@ -367,7 +367,9 @@ class _GroupBase:
         (`gassmann.homology`): "index", keyed on t: the index-t subgroups
         of its abelianization, a tuple of CoordSubgroups (t = 1 gives the
         whole group); "lift", keyed on a CoordSubgroup U: the preimage of
-        U, a Subgroup."""
+        U, a Subgroup; "image", keyed on (phi, U) for a phi into it:
+        phi(U), its own index-t entry when phi keeps U's index t;
+        "label", keyed on an element g: the string "conjugation(<g>)"."""
         return {}
 
     @cached_property
@@ -562,7 +564,11 @@ class Subgroup(_GroupBase):
 
     @cached_property
     def _cayley_graph(self) -> _CayleyGraph:
-        return _reduce_generators(self.elements, self.degree)
+        """Its generators' closure, on the subgroup's own element objects."""
+        graph = _reduce_generators(self.elements, self.degree)
+        elements = tuple(sorted(self.elements, key=graph.index.__getitem__))
+        return replace(graph, elements=elements,
+                       index=dict(zip(elements, range(self.order))))
 
     @property
     def generators(self) -> tuple[Permutation, ...]:
@@ -866,13 +872,20 @@ class AbHom:
         if inner.target_factors != self.source_factors:
             raise ValueError("composition factor mismatch")
         columns = [inner.column(j) for j in range(len(inner.source_factors))]
-        product = object.__new__(AbHom)
-        object.__setattr__(product, "source_factors", inner.source_factors)
-        object.__setattr__(product, "target_factors", self.target_factors)
-        object.__setattr__(product, "entries", tuple(
+        return AbHom._reduced(inner.source_factors, self.target_factors, tuple(
             tuple(sum(map(mul, row, column)) % d for column in columns)
             for row, d in zip(self.entries, self.target_factors)))
-        return product
+
+    @classmethod
+    def _reduced(cls, source_factors: tuple, target_factors: tuple,
+                 entries: tuple) -> "AbHom":
+        """A known homomorphism, its factor tuples and tuple of rows
+        reduced mod the target factors stored without the check."""
+        hom = object.__new__(cls)
+        object.__setattr__(hom, "source_factors", source_factors)
+        object.__setattr__(hom, "target_factors", target_factors)
+        object.__setattr__(hom, "entries", entries)
+        return hom
 
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.entries)

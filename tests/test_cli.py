@@ -333,16 +333,20 @@ def test_homology_sweep_command(capsys, tmp_path):
     assert mirrored["passed"] and mirrored["schema"] == 1
 
 
-# SHA-256 of the `gassmann homology sweep --max-order 60` report: a
-# change to how the sweep works keeps its bytes
-SWEEP_60_SHA256 = \
-    "d1e565575667f305bb8b8abacebf074ee49802cfe4a9fdc7af615df01e8da077"
+# SHA-256 of the `gassmann homology sweep --max-order N` reports: a
+# change to how the sweep works keeps their bytes
+SWEEP_SHA256 = {
+    "60": "d1e565575667f305bb8b8abacebf074ee49802cfe4a9fdc7af615df01e8da077",
+    "120": "32c75821811d55b2793b3bfdf1665a1aa122fbde2477959f9f148462c7ac30b8",
+}
 
 
 def test_homology_sweep_report_bytes_are_pinned(capsys):
-    code, out, _ = run_cli(capsys, ["homology", "sweep", "--max-order", "60"])
-    assert code == 0 and json.loads(out)["passed"]
-    assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_60_SHA256
+    for max_order, digest in SWEEP_SHA256.items():
+        code, out, _ = run_cli(
+            capsys, ["homology", "sweep", "--max-order", max_order])
+        assert code == 0 and json.loads(out)["passed"]
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, max_order
 
 
 def test_scott_command(capsys):

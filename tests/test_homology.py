@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from itertools import product
 
@@ -11,7 +12,8 @@ from gassmann.catalog import alternating, dihedral, symmetric
 from gassmann.errors import (CoprimalityViolated, IndexMismatch, NotASubgroup,
                              NotNormal)
 from gassmann.homology import (Correspondence, CoordSubgroup,
-                               _image_subgroup, conjugation_sweep,
+                               _conjugation_tables, _full, _image,
+                               _index_subgroups, conjugation_sweep,
                                corresponding_subgroups,
                                diagram_check, gthm_check, h1_isomorphic,
                                index_subgroups, modq_check, modq_legs)
@@ -131,15 +133,16 @@ HOMS_2X4 = st.builds(
 
 @given(HOMS_2X4, st.lists(st.sampled_from(VECTORS), max_size=3))
 def test_image_subgroup_and_surjectivity_against_brute_images(phi, gens):
-    u = CoordSubgroup.from_generators(FACTORS, gens)
-    image = _image_subgroup(phi, u)
-    assert image.elements == {phi.apply(v) for v in brute_close(FACTORS,
-                                                                 gens)}
     # C2 x C4 with abelianization (2, 4): phi is accepted exactly when
     # it is a bijection
     c2xc4 = PermGroup(6, [Permutation.from_cycles(6, [(0, 1)]),
                           Permutation.from_cycles(6, [(2, 3, 4, 5)])])
     assert abelianization(c2xc4).factors == FACTORS
+    u = CoordSubgroup.from_generators(FACTORS, gens)
+    image = _image(c2xc4, phi, u)
+    assert image.elements == {phi.apply(v) for v in brute_close(FACTORS,
+                                                                 gens)}
+    assert image.factors == FACTORS and _image(c2xc4, phi, u) is image
     if len({phi.apply(v) for v in VECTORS}) == len(VECTORS):
         Correspondence(c2xc4, c2xc4, c2xc4, phi)
     else:
@@ -242,6 +245,124 @@ def test_conjugation_onto_the_lattice_instance_agrees(s4):
             shared = Correspondence._conjugation(s4, h1, h2, g)
             assert public.h2 == shared.h2
             assert public.phi == shared.phi
+
+
+def relabelled_a5(seed):
+    """A5 moved onto seven points by a random relabelling."""
+    sigma = Permutation(random.Random(seed).sample(range(7), 7))
+    return PermGroup(7, [Permutation(g.images + (5, 6)).conjugate(sigma)
+                         for g in alternating(5).generators])
+
+
+@pytest.mark.parametrize("name", ["s4", "d6", "a5", "trivial"])
+def test_conjugation_tables_match_conjugate(name):
+    group = {"s4": lambda: symmetric(4), "d6": lambda: dihedral(6),
+             "a5": lambda: relabelled_a5(5),
+             "trivial": lambda: PermGroup(1, [])}[name]()
+    graph = group._cayley_graph
+    tables = _conjugation_tables(group)
+    assert len(tables) == group.order
+    for g, table in zip(graph.elements, tables):
+        assert table == [graph.index[x.conjugate(g)] for x in graph.elements]
+
+
+@pytest.mark.parametrize("name", ["s4", "d6"])
+def test_conjugation_phi_equals_the_checked_constructor(name):
+    """phi, stored without the entry check, is the map that the checked
+    `AbHom.from_columns` builds, for every coset of every subgroup."""
+    group = symmetric(4) if name == "s4" else dihedral(6)
+    for h1 in group.all_subgroups():
+        ab1 = abelianization(h1)
+        for g in coset_action(group, h1).coset_reps:
+            corr = Correspondence.conjugation(group, h1, g)
+            ab2 = abelianization(corr.h2)
+            checked = AbHom.from_columns(
+                ab1.factors, ab2.factors,
+                [ab2.project(rep.conjugate(g)) for rep in ab1.basis_reps])
+            assert corr.phi == checked
+            assert hash(corr.phi) == hash(checked)
+            assert corr.provenance == f"conjugation({g.format()})"
+            # the label of g is made once and kept on the group
+            again = Correspondence.conjugation(group, h1, g)
+            assert again.provenance is corr.provenance
+
+
+def test_conjugation_refuses_a_conjugator_outside_the_group(a4):
+    """(0 1) lies outside A4: conjugating C3 by it would give a phi whose
+    diagram fails on both legs, and V4 by it one that passes."""
+    swap = Permutation.from_cycles(4, [(0, 1)])
+    c3 = a4.subgroup([Permutation.from_cycles(4, [(0, 1, 2)])])
+    v4 = a4.subgroup([Permutation.from_cycles(4, [(0, 1), (2, 3)]),
+                      Permutation.from_cycles(4, [(0, 2), (1, 3)])])
+    for h1 in (c3, v4):
+        with pytest.raises(NotASubgroup, match=r"conjugator \(0 1\)"):
+            Correspondence.conjugation(a4, h1, swap)
+    with pytest.raises(NotASubgroup, match="conjugator"):
+        Correspondence.conjugation(a4, c3, Permutation.identity(5))
+
+
+def test_sweep_finds_each_conjugate_without_conjugating(monkeypatch):
+    """The sweep finds gHg^-1 through the conjugation tables: the only
+    `Permutation.conjugate` calls left are the basis reps' for phi."""
+    groups = [("S4", symmetric(4)), ("D6", dihedral(6))]
+    calls = []
+    conjugate = Permutation.conjugate
+    monkeypatch.setattr(Permutation, "conjugate",
+                        lambda x, g: calls.append(x) or conjugate(x, g))
+    report = conjugation_sweep(groups)
+    assert report["passed"] and report["correspondences"] == 308
+    monkeypatch.undo()
+    reps = [(group.order // h.order, abelianization(h).basis_reps)
+            for _, group in groups for h in group.all_subgroups()]
+    assert len(calls) == sum(index * len(basis) for index, basis in reps)
+    assert set(calls) == {x for _, basis in reps for x in basis}
+
+
+def test_each_image_is_built_once_as_the_targets_own(monkeypatch):
+    """phi(U) is built once per (H2, phi, U), kept in H2's memo, and is
+    H2's own index-t instance; the surjectivity test reads the same
+    memo for U = H1(H1)."""
+    groups = [("S4", symmetric(4)), ("D6", dihedral(6))]
+    asked, built = [], []
+    memoized = homology_module._memoized
+
+    def spy(owner, kind, key, build):
+        if kind == "image":
+            asked.append((id(owner), key))
+        return memoized(owner, kind, key, lambda owner, key: (
+            kind == "image" and built.append((id(owner), key))
+            or build(owner, key)))
+    monkeypatch.setattr(homology_module, "_memoized", spy)
+    assert conjugation_sweep(groups)["gthm_checks"] == 425
+    # one surjectivity image per correspondence (308) and one per pair
+    # at t > 1 (the 308 pairs at t = 1 read H1(H2) itself)
+    assert len(asked) == 308 + (425 - 308)
+    assert len(built) == len(set(asked)) < len(asked)
+    for _, group in groups:
+        subgroups = group.all_subgroups()
+        canonical = {s.element_set: s for s in subgroups}
+        for h1 in subgroups:
+            for g in coset_action(group, h1).coset_reps:
+                h2 = canonical[frozenset(x.conjugate(g) for x in h1.elements)]
+                corr = Correspondence._conjugation(group, h1, h2, g)
+                assert _image(h2, corr.phi, _full(h1)) is _full(h2)
+                for t in (2, 3, 4):
+                    for cs in corresponding_subgroups(corr, t):
+                        assert any(cs.u2 is u
+                                   for u in _index_subgroups(h2, t))
+    assert len(built) == len(set(asked))
+
+
+def test_a_non_surjective_phi_still_raises(s4):
+    """The memoized image keeps the surjectivity test: a phi that is not
+    onto raises on a subgroup whose memo already holds an onto image."""
+    c4 = s4.subgroup([Permutation.from_cycles(4, [(0, 1, 2, 3)])])
+    Correspondence(s4, c4, c4, AbHom.scalar((4,), 1))
+    for c in (2, 0):
+        with pytest.raises(ValueError, match="not surjective"):
+            Correspondence(s4, c4, c4, AbHom.scalar((4,), c))
+    assert Correspondence(s4, c4, c4, AbHom.scalar((4,), 3)).phi.entries \
+        == ((3,),)
 
 
 def test_correspondence_validates_phi(s4):

@@ -542,6 +542,25 @@ def test_subgroup_closes_its_elements_once(monkeypatch):
         assert len(closures) == before
 
 
+def test_subgroup_cayley_graph_holds_its_own_elements():
+    """A subgroup's kept graph lists and indexes the subgroup's own
+    element objects, not the closure's equal copies, in the closure's
+    order."""
+    for group in (symmetric(4), relabelled_a5(3)):
+        for sub in group.all_subgroups():
+            graph = sub._cayley_graph
+            own = {id(x) for x in sub.elements}
+            assert all(id(x) in own for x in graph.elements)
+            assert all(id(x) in own for x in graph.index)
+            assert sorted(graph.elements) == list(sub.elements)
+            assert [graph.index[x] for x in graph.elements] == \
+                list(range(sub.order))
+            assert all(graph.elements[j] ==
+                       graph.elements[graph.parent[j - 1]] *
+                       graph.generators[graph.via[j - 1]]
+                       for j in range(1, sub.order))
+
+
 def test_subgroup_lattice_forms_no_products(monkeypatch):
     """The lattice's Cayley table is the graph's left multiples."""
     groups = [PermGroup(g.degree, g.generators)
