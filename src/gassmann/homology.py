@@ -405,19 +405,6 @@ def h1_isomorphic(group: GroupLike, h1: GroupLike, h2: GroupLike) -> bool:
     return abelianization(h1).structure == abelianization(h2).structure
 
 
-def _conjugation_tables(group: GroupLike) -> list[list[int]]:
-    """For each index j of the group's Cayley graph, i -> index(g_j x_i
-    g_j^-1), built along the graph's tree with no products: g_j = g_p s
-    gives c_j = c_p . c_s, c_s the inverse of the move x -> s^-1 x s."""
-    graph = group._cayley_graph
-    inverses = [sorted(range(len(graph)), key=move.__getitem__)
-                for move in graph.conjugations()]
-    tables = [list(range(len(graph)))]
-    for p, k in zip(graph.parent, graph.via):
-        tables.append(list(map(tables[p].__getitem__, inverses[k])))
-    return tables
-
-
 def conjugation_sweep(named_groups, *, max_order: int = 120) -> dict:
     """Exhaustive diagram and core checks over conjugation
     correspondences.
@@ -426,8 +413,8 @@ def conjugation_sweep(named_groups, *, max_order: int = 120) -> dict:
     every coset gH (the induced map on homology depends on g only
     through its coset), the sweep runs diagram_check, and, for each
     divisor t of |H1(H)| coprime to the index, gthm_check on every
-    corresponding pair.  gHg^-1 is looked up in the subgroup lattice,
-    keyed on element-index sets, through `_conjugation_tables`, with no
+    corresponding pair.  gHg^-1 is the group's lattice entry at H's
+    element indices mapped through g's conjugation table, with no
     product.  Returns a failure-listing report.  ValueError unless
     max_order is positive.
     """
@@ -445,22 +432,18 @@ def conjugation_sweep(named_groups, *, max_order: int = 120) -> dict:
         if group.order > max_order:
             continue
         subgroups = group.all_subgroups()
-        index = group._cayley_graph.index
-        keys = [frozenset(map(index.__getitem__, s.elements))
-                for s in subgroups]
-        canonical = dict(zip(keys, subgroups))
-        conjugation = _conjugation_tables(group)
+        lattice = group._subgroup_lattice
         group_row = {"group": name, "order": group.order,
                      "subgroups": len(subgroups), "correspondences": 0}
-        for h1, members in zip(subgroups, keys):
+        for members, h1 in lattice.items():
             m = group.order // h1.order
             cosets = coset_action(group, h1)
             ab_order = abelianization(h1).structure.torsion_order()
             t_values = [t for t in range(1, ab_order + 1)
                         if ab_order % t == 0 and gcd(m, t) == 1]
             for g in cosets.coset_reps:
-                h2 = canonical[frozenset(map(
-                    conjugation[index[g]].__getitem__, members))]
+                h2 = lattice[frozenset(map(
+                    group._conjugation_tables[g].__getitem__, members))]
                 corr = Correspondence._conjugation(group, h1, h2, g)
                 report["correspondences"] += 1
                 group_row["correspondences"] += 1

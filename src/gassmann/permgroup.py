@@ -6,11 +6,12 @@ orbits on element indices walked off those tables, coset and
 double-coset actions, normal cores, abelianizations with explicit
 coordinates, and the degree-one transfer and inclusion maps.
 Conjugacy tests, double cosets and the intertwiner orbits read the
-cached coset tables.  The classes, the subgroup lattice and the
-abelianization read the one Cayley graph of a group: its closure, or a
-subgroup's last closure while finding its generators, kept once they
-are read.  Neither the tables and maps nor a subgroup refer back to
-the group, so no cache makes a reference cycle.
+cached coset tables.  The classes, the conjugation tables, the subgroup
+lattice (which extends one subgroup per class and reads its conjugates
+through those tables) and the abelianization read the one Cayley graph
+of a group: its closure, or a subgroup's last closure while finding its
+generators, kept once they are read.  Neither the tables and maps nor a
+subgroup refer back to the group, so no cache makes a reference cycle.
 
 Three rules hold across the package.  A subgroup is its element set: a
 `Subgroup`'s generators, hence its abelianization coordinates, follow
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import compress
 from math import gcd, lcm, prod
 from operator import itemgetter, mul
 from typing import Iterable, Sequence, Union
@@ -70,7 +72,8 @@ __all__ = [
 ]
 
 DEFAULT_ORDER_CAP = 50_000
-# all_subgroups holds a |G| x |G| Cayley table
+# all_subgroups holds a |G| x |G| Cayley table, and the group keeps its
+# |G| x |G| conjugation tables
 _LATTICE_ORDER_CAP = 1_000
 # a group file's degree is allocated before any generator is read, and
 # enumeration holds up to DEFAULT_ORDER_CAP tuples of that length
@@ -458,27 +461,40 @@ class _GroupBase:
                    for g in self.generators for h in sub.generators)
 
     def all_subgroups(self) -> tuple["Subgroup", ...]:
-        return self._subgroup_lattice
+        return tuple(self._subgroup_lattice.values())
 
     @cached_property
-    def _subgroup_lattice(self) -> tuple["Subgroup", ...]:
-        """Every subgroup, by joins <S, x> for each subgroup S found and
-        one x per right coset Sx, on a Cayley table of |G|^2 entries
-        (hence the order cap) in the order of the group's Cayley graph,
-        whose rows are its left multiples."""
+    def _conjugation_tables(self) -> dict[Permutation, list[int]]:
+        """For each element g, i -> index(g x_i g^-1) on Cayley-graph
+        indices, along the graph's tree with no products: g_j = g_p s
+        gives c_j = c_p . c_s, c_s the inverse of the move x -> s^-1 x s."""
+        graph = self._cayley_graph
+        inverses = [sorted(range(len(graph)), key=move.__getitem__)
+                    for move in graph.conjugations()]
+        tables = [list(range(len(graph)))]
+        for p, k in zip(graph.parent, graph.via):
+            tables.append(list(map(tables[p].__getitem__, inverses[k])))
+        return dict(zip(graph.elements, tables))
+
+    @cached_property
+    def _subgroup_lattice(self) -> dict[frozenset, "Subgroup"]:
+        """Every subgroup by its Cayley-graph element indices, in (order,
+        elements) order.  One S per conjugacy class (Neubueser) is joined
+        as <S, x> for one x per right coset Sx, on a |G|^2 Cayley table
+        of the graph's left multiples (hence the order cap); a new join's
+        membership read through each conjugation table is its class."""
         if self.order > _LATTICE_ORDER_CAP:
             raise OrderCapExceeded(
                 f"subgroup lattice needs group order at most "
                 f"{_LATTICE_ORDER_CAP}, got {self.order}")
         graph = self._cayley_graph
         table = list(map(graph.left_multiples, range(self.order)))
-        trivial = self.trivial_subgroup()
         key = bytes([1]) + bytes(self.order - 1)  # membership by index
-        found = {key: trivial}
+        found = {key}
         worklist: list[tuple[bytes, list[int]]] = [(key, [])]
-        while worklist:  # each S with the indices of its join generators
+        while worklist:  # one S per class with its join generators
             key, gens = worklist.pop()
-            members = [i for i, inside in enumerate(key) if inside]
+            members = list(compress(range(self.order), key))
             tried = bytearray(key)
             for x in range(self.order):
                 if tried[x]:
@@ -487,12 +503,13 @@ class _GroupBase:
                     tried[table[s][x]] = 1
                 joined = _join(table, members, key, gens + [x])
                 if joined not in found:
-                    found[joined] = Subgroup(
-                        self, [g for g, inside in zip(graph.elements,
-                                                      joined) if inside])
+                    found.update(bytes(map(joined.__getitem__, c))
+                                 for c in self._conjugation_tables.values())
                     worklist.append((joined, gens + [x]))
-        return tuple(sorted(found.values(),
-                            key=lambda s: (s.order, s.elements)))
+        lattice = [(frozenset(compress(range(self.order), key)),
+                    Subgroup(self, compress(graph.elements, key)))
+                   for key in found]
+        return dict(sorted(lattice, key=lambda e: (e[1].order, e[1].elements)))
 
     @cached_property
     def _abelianization(self) -> "Abelianization":

@@ -1,4 +1,3 @@
-import random
 from collections import Counter
 from itertools import product
 
@@ -11,8 +10,7 @@ import gassmann.permgroup as permgroup_module
 from gassmann.catalog import alternating, dihedral, symmetric
 from gassmann.errors import (CoprimalityViolated, IndexMismatch, NotASubgroup,
                              NotNormal)
-from gassmann.homology import (Correspondence, CoordSubgroup,
-                               _conjugation_tables, _full, _image,
+from gassmann.homology import (Correspondence, CoordSubgroup, _full, _image,
                                _index_subgroups, conjugation_sweep,
                                corresponding_subgroups,
                                diagram_check, gthm_check, h1_isomorphic,
@@ -245,25 +243,6 @@ def test_conjugation_onto_the_lattice_instance_agrees(s4):
             shared = Correspondence._conjugation(s4, h1, h2, g)
             assert public.h2 == shared.h2
             assert public.phi == shared.phi
-
-
-def relabelled_a5(seed):
-    """A5 moved onto seven points by a random relabelling."""
-    sigma = Permutation(random.Random(seed).sample(range(7), 7))
-    return PermGroup(7, [Permutation(g.images + (5, 6)).conjugate(sigma)
-                         for g in alternating(5).generators])
-
-
-@pytest.mark.parametrize("name", ["s4", "d6", "a5", "trivial"])
-def test_conjugation_tables_match_conjugate(name):
-    group = {"s4": lambda: symmetric(4), "d6": lambda: dihedral(6),
-             "a5": lambda: relabelled_a5(5),
-             "trivial": lambda: PermGroup(1, [])}[name]()
-    graph = group._cayley_graph
-    tables = _conjugation_tables(group)
-    assert len(tables) == group.order
-    for g, table in zip(graph.elements, tables):
-        assert table == [graph.index[x.conjugate(g)] for x in graph.elements]
 
 
 @pytest.mark.parametrize("name", ["s4", "d6"])
@@ -566,6 +545,23 @@ def test_conjugation_sweep_small(s3, d4):
     assert [row["group"] for row in report["groups"]] == ["s3", "d4"]
     skipped = conjugation_sweep([("s3", s3), ("d4", d4)], max_order=7)
     assert [row["group"] for row in skipped["groups"]] == ["s3"]
+
+
+@pytest.mark.parametrize("name, correspondences, checks", [
+    ("s3", 18, 30), ("a5", 1019, 1616)])
+def test_sweep_over_a_subgroup_equals_its_permgroup(name, correspondences,
+                                                    checks):
+    """A `Subgroup` as the ambient group, whose Cayley graph is ordered
+    apart from its sorted elements, gives the rows of the `PermGroup`
+    its generators generate."""
+    sub = (symmetric(4).point_stabilizer(0) if name == "s3"
+           else symmetric(5).subgroup(alternating(5).generators))
+    report = conjugation_sweep([(name, sub)])
+    assert report == conjugation_sweep(
+        [(name, PermGroup(sub.degree, sub.generators))])
+    assert report["passed"]
+    assert (report["correspondences"], report["gthm_checks"]) == \
+        (correspondences, checks)
 
 
 def test_sweep_counts_cosets_not_elements(s3):

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import itertools
 import random
 import weakref
@@ -11,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gassmann.permgroup as permgroup_module
-from gassmann.catalog import (_FANO_VECTORS, alternating, gl3f2,
-                              standard_corpus, symmetric)
+from gassmann.catalog import (_FANO_VECTORS, alternating, dihedral, gl3f2,
+                              psl2, standard_corpus, symmetric)
 from gassmann.errors import (InvalidPermutation, NotASubgroup,
                              OrderCapExceeded, ParseError)
 from gassmann.homology import (Correspondence, CoordSubgroup,
@@ -583,6 +584,84 @@ def test_subgroup_lattice_of_a_subgroup_is_its_own():
         own = PermGroup(sub.degree, sub.generators).all_subgroups()
         assert [h.elements for h in sub.all_subgroups()] == \
             [h.elements for h in own]
+
+
+@pytest.mark.parametrize("name, count, digest", [
+    ("gl3f2", 179,
+     "5fd8800ebedf4a1fe397bf2a2a68c684e2e6493eaefff75aa7084427ac004742"),
+    ("psl2_11", 620,
+     "73cc0ecbc92ddcff331e8ce7085bd8b354ff311b3b53dd52730122a94cdaf422"),
+])
+def test_subgroup_lattice_is_pinned(name, count, digest):
+    """Every subgroup's elements, in the lattice's order, hash as they
+    did when the lattice joined every subgroup it found."""
+    group = gl3f2() if name == "gl3f2" else psl2(11)
+    subgroups = group.all_subgroups()
+    assert len(subgroups) == count
+    text = repr([[tuple(x) for x in h.elements] for h in subgroups])
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def brute_conjugacy_classes(group, subgroups):
+    """The subgroups' conjugacy classes, by conjugating element sets."""
+    classes = {}
+    for sub in subgroups:
+        conjugates = frozenset(
+            frozenset(x.conjugate(g) for x in sub.elements)
+            for g in group.elements)
+        classes.setdefault(conjugates, sub)
+    return list(classes.values())
+
+
+@pytest.mark.parametrize("name, joins", [
+    ("s4", 73), ("a5", 150), ("s5", 496), ("gl3f2", 543)])
+def test_lattice_joins_once_per_coset_of_each_class(monkeypatch, name,
+                                                     joins):
+    """Only one subgroup S per conjugacy class is extended, by one x per
+    right coset Sx other than S: sum over the classes of [G:S] - 1."""
+    group = {"s4": lambda: symmetric(4), "a5": lambda: alternating(5),
+             "s5": lambda: symmetric(5), "gl3f2": gl3f2}[name]()
+    calls = []
+    join = permgroup_module._join
+    monkeypatch.setattr(permgroup_module, "_join",
+                        lambda *args: calls.append(args) or join(*args))
+    subgroups = group.all_subgroups()
+    monkeypatch.undo()
+    representatives = brute_conjugacy_classes(group, subgroups)
+    assert len(calls) == sum(sub.index - 1 for sub in representatives)
+    assert len(calls) == joins
+
+
+@pytest.mark.parametrize("name", ["s4", "d6", "a5", "a5_in_s5", "trivial"])
+def test_conjugation_tables_match_conjugate(name):
+    """A group's table for g maps each Cayley-graph index i to the index
+    of g x_i g^-1; a subgroup's graph order is not its sorted order."""
+    group = {"s4": lambda: symmetric(4), "d6": lambda: dihedral(6),
+             "a5": lambda: relabelled_a5(5),
+             "a5_in_s5": lambda: symmetric(5).subgroup(
+                 alternating(5).generators),
+             "trivial": lambda: PermGroup(1, [])}[name]()
+    graph = group._cayley_graph
+    tables = group._conjugation_tables
+    assert len(tables) == group.order
+    for g in graph.elements:
+        assert tables[g] == [graph.index[x.conjugate(g)]
+                             for x in graph.elements]
+
+
+@pytest.mark.parametrize("name", ["s4", "d6", "a5"])
+def test_lattice_keys_are_closed_under_conjugation(name):
+    """Each lattice key S, mapped through any g's table, is a key whose
+    subgroup is g S g^-1."""
+    group = {"s4": lambda: symmetric(4), "d6": lambda: dihedral(6),
+             "a5": lambda: relabelled_a5(3)}[name]()
+    lattice = group._subgroup_lattice
+    elements = group._cayley_graph.elements
+    for g, table in group._conjugation_tables.items():
+        for key in lattice:
+            image = frozenset(map(table.__getitem__, key))
+            assert lattice[image].element_set == \
+                {elements[i].conjugate(g) for i in key}
 
 
 def test_abelianization_kills_commutators(a4):
