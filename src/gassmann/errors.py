@@ -39,7 +39,7 @@ class NotASubgroup(GassmannError):
 
 
 class OrderCapExceeded(GassmannError):
-    """Element enumeration passed the configured order cap."""
+    """An enumeration, of elements or of candidates, passed its cap."""
 
 
 class IndexMismatch(GassmannError):

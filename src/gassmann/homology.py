@@ -27,6 +27,7 @@ from .errors import (
     IndexMismatch,
     NotASubgroup,
     NotNormal,
+    OrderCapExceeded,
 )
 from .lattice import _in_hnf_span
 from .permgroup import (
@@ -56,6 +57,9 @@ __all__ = [
     "h1_isomorphic",
     "conjugation_sweep",
 ]
+
+# candidate HNF bases per index_subgroups call; the corpus sweep needs 6
+_INDEX_BASIS_CAP = 100_000
 
 
 def _positive_factors(factors: Sequence[int]) -> tuple[int, ...]:
@@ -132,33 +136,34 @@ def _positive_index(t: int) -> int:
     return t
 
 
-def _ordered_factorizations(t: int, slots: int) -> list[tuple[int, ...]]:
-    if slots == 0:
+def _ordered_factorizations(t: int, bounds: Sequence[int]) -> list[tuple]:
+    """Every (h_0, ..., h_k-1) with product t and h_i dividing bounds[i]."""
+    if not bounds:
         return [()] if t == 1 else []
-    out = []
-    for d in range(1, t + 1):
-        if t % d == 0:
-            out.extend((d,) + rest
-                       for rest in _ordered_factorizations(t // d, slots - 1))
-    return out
+    g = gcd(t, bounds[0])
+    return [(h,) + rest for h in range(1, g + 1) if g % h == 0
+            for rest in _ordered_factorizations(t // h, bounds[1:])]
 
 
 def index_subgroups(factors: Sequence[int], t: int) -> list[CoordSubgroup]:
     """All subgroups of index t, empty when t does not divide the group
     order.  Each is listed once, as the canonical HNF basis of its
     preimage lattice in Z^k, a lattice that contains diag(factors) Z^k;
-    the subgroups come in the order of those bases' rows."""
+    the subgroups come in the order of those bases' rows.  Over
+    _INDEX_BASIS_CAP candidate bases raise OrderCapExceeded at once."""
     factors = _positive_factors(factors)
     _positive_index(t)
     k = len(factors)
-    if prod(factors) % t:
-        return []
+    # a pivot divides its factor, and row i has pivot ** i choices below it
+    diagonals = _ordered_factorizations(t, factors)
+    count = sum(prod(h ** i for i, h in enumerate(d)) for d in diagonals)
+    if count > _INDEX_BASIS_CAP:
+        raise OrderCapExceeded(f"index-{t} subgroups need {count} candidate "
+                               f"bases, over the cap {_INDEX_BASIS_CAP}")
     axes = [tuple(d if j == i else 0 for j in range(k))
             for i, d in enumerate(factors)]
     found = []
-    for diagonal in _ordered_factorizations(t, k):
-        if any(d % h for d, h in zip(factors, diagonal)):
-            continue  # factors[i] e_i needs the pivot to divide it
+    for diagonal in diagonals:
         # row i of the HNF basis: i entries below the diagonal, each
         # reduced modulo diagonal[i]
         choices = [[below + (h,) + (0,) * (k - i - 1)

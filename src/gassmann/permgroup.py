@@ -34,7 +34,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import compress
 from math import gcd, lcm, prod
 from operator import itemgetter, mul
 from typing import Iterable, Sequence, Union
@@ -456,9 +455,7 @@ class _GroupBase:
                                if g[point] == point])
 
     def is_normal_subgroup(self, sub: "Subgroup") -> bool:
-        _require_subgroup(self, sub)
-        return all(h.conjugate(g) in sub.element_set
-                   for g in self.generators for h in sub.generators)
+        return normal_core(self, sub).element_set == sub.element_set
 
     def all_subgroups(self) -> tuple["Subgroup", ...]:
         return tuple(self._subgroup_lattice.values())
@@ -478,36 +475,33 @@ class _GroupBase:
 
     @cached_property
     def _subgroup_lattice(self) -> dict[frozenset, "Subgroup"]:
-        """Every subgroup by its Cayley-graph element indices, in (order,
-        elements) order.  One S per conjugacy class (Neubueser) is joined
-        as <S, x> for one x per right coset Sx, on a |G|^2 Cayley table
-        of the graph's left multiples (hence the order cap); a new join's
-        membership read through each conjugation table is its class."""
+        """Every subgroup by its set of Cayley-graph element indices, in
+        (order, elements) order.  One S per conjugacy class (Neubueser)
+        is joined as <S, x> for one x per right coset Sx, on a |G|^2
+        Cayley table of the graph's left multiples (hence the order cap);
+        a new join's images under the conjugation tables are its class."""
         if self.order > _LATTICE_ORDER_CAP:
             raise OrderCapExceeded(
                 f"subgroup lattice needs group order at most "
                 f"{_LATTICE_ORDER_CAP}, got {self.order}")
         graph = self._cayley_graph
         table = list(map(graph.left_multiples, range(self.order)))
-        key = bytes([1]) + bytes(self.order - 1)  # membership by index
-        found = {key}
-        worklist: list[tuple[bytes, list[int]]] = [(key, [])]
+        trivial = frozenset([0])  # the identity's index
+        found = {trivial}
+        worklist: list[tuple[frozenset, list[int]]] = [(trivial, [])]
         while worklist:  # one S per class with its join generators
-            key, gens = worklist.pop()
-            members = list(compress(range(self.order), key))
-            tried = bytearray(key)
+            members, gens = worklist.pop()
+            tried = set(members)
             for x in range(self.order):
-                if tried[x]:
+                if x in tried:
                     continue
-                for s in members:  # <S, sx> = <S, x>
-                    tried[table[s][x]] = 1
-                joined = _join(table, members, key, gens + [x])
+                tried.update(table[s][x] for s in members)  # <S, sx> = <S, x>
+                joined = _join(table, members, gens + [x])
                 if joined not in found:
-                    found.update(bytes(map(joined.__getitem__, c))
+                    found.update(frozenset(map(c.__getitem__, joined))
                                  for c in self._conjugation_tables.values())
                     worklist.append((joined, gens + [x]))
-        lattice = [(frozenset(compress(range(self.order), key)),
-                    Subgroup(self, compress(graph.elements, key)))
+        lattice = [(key, Subgroup(self, map(graph.elements.__getitem__, key)))
                    for key in found]
         return dict(sorted(lattice, key=lambda e: (e[1].order, e[1].elements)))
 
@@ -516,21 +510,19 @@ class _GroupBase:
         return Abelianization(self)
 
 
-def _join(table: list[list[int]], members: list[int], key: bytes,
-          steps: list[int]) -> bytes:
-    """Membership bytes of <S, steps>, where S has the given member
-    indices and membership bytes and `steps` includes its generators.
+def _join(table: list[list[int]], members: frozenset,
+          steps: list[int]) -> frozenset:
+    """Element indices of <S, steps>, `steps` including S's generators.
     Dimino: grow from S by right cosets S*r, one per new product r*g."""
-    joined = bytearray(key)
+    joined = set(members)
     reps = [0]  # the identity's index
     for r in reps:  # grows while it is walked
         for g in steps:
             rg = table[r][g]
-            if not joined[rg]:
+            if rg not in joined:
                 reps.append(rg)
-                for s in members:
-                    joined[table[s][rg]] = 1
-    return bytes(joined)
+                joined.update(table[s][rg] for s in members)
+    return frozenset(joined)
 
 
 class PermGroup(_GroupBase):

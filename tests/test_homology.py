@@ -9,7 +9,7 @@ import gassmann.homology as homology_module
 import gassmann.permgroup as permgroup_module
 from gassmann.catalog import alternating, dihedral, symmetric
 from gassmann.errors import (CoprimalityViolated, IndexMismatch, NotASubgroup,
-                             NotNormal)
+                             NotNormal, OrderCapExceeded)
 from gassmann.homology import (Correspondence, CoordSubgroup, _full, _image,
                                _index_subgroups, conjugation_sweep,
                                corresponding_subgroups,
@@ -97,6 +97,24 @@ def test_conjugation_between_perfect_subgroups():
     assert cs.u1.elements == cs.u2.elements == frozenset({()})
     assert cs.gamma1p == cs.gamma2p == a5
     assert gthm_check(cs)
+
+
+def test_index_subgroups_diagonals_divide_the_factors():
+    assert homology_module._ordered_factorizations(4, (2, 4)) == \
+        [(1, 4), (2, 2)]
+    assert homology_module._ordered_factorizations(3, (2, 4)) == []
+
+
+def test_index_subgroups_cap_raises_before_any_basis(monkeypatch):
+    """(2,)*10 at index 32 has about 1.1e11 candidate HNF bases: the
+    count is made from the diagonals and raises before any is built."""
+    def no_span(*args):
+        raise AssertionError("a candidate basis was built")
+    monkeypatch.setattr(homology_module, "_in_hnf_span", no_span)
+    with pytest.raises(OrderCapExceeded, match="111842970624"):
+        index_subgroups((2,) * 10, 32)
+    monkeypatch.undo()
+    assert len(index_subgroups((2,) * 4, 4)) == 35
 
 
 @pytest.mark.parametrize("factors", [(2, 4), (2, 2, 2), (3, 6), (2, 2, 4),

@@ -400,6 +400,39 @@ def test_normal_core_matches_bruteforce(s4, d6):
             assert normal_core(group, fresh).element_set == expected
 
 
+def test_is_normal_subgroup_matches_bruteforce():
+    """S is normal iff g S g^-1 = S for every g; the group itself is
+    passed as a PermGroup too, and a set outside the group raises."""
+    s4, d6 = symmetric(4), dihedral(6)
+    for group in (s4, d6):
+        for sub in group.all_subgroups() + (group,):
+            expected = all({x.conjugate(g) for x in sub.elements}
+                           == sub.element_set for g in group.elements)
+            assert group.is_normal_subgroup(sub) == expected
+    with pytest.raises(NotASubgroup):
+        s4.is_normal_subgroup(d6)
+
+
+def test_join_matches_brute_closure():
+    """<S, x> on element indices, for every lattice key S and index x,
+    is the closure of S and x under permutation products."""
+    for group in (symmetric(4), dihedral(6)):
+        graph = group._cayley_graph
+        table = list(map(graph.left_multiples, range(group.order)))
+        for key in group._subgroup_lattice:
+            for x in range(group.order):
+                closure = {graph.elements[i] for i in key | {x}}
+                while True:
+                    grown = closure | {a * b for a in closure
+                                       for b in closure}
+                    if grown == closure:
+                        break
+                    closure = grown
+                assert permgroup_module._join(
+                    table, key, sorted(key) + [x]) == \
+                    {graph.index[g] for g in closure}
+
+
 def test_double_cosets_partition(fano):
     group, h1, h2 = fano
     reps = double_cosets(group, h1, h2)
