@@ -31,7 +31,8 @@ class GassmannError(Exception):
 
 
 class InvalidPermutation(GassmannError):
-    """Image list is not a bijection, or degrees do not match."""
+    """Image list is not a bijection, degrees do not match, or a group's
+    degree exceeds the cap."""
 
 
 class NotASubgroup(GassmannError):

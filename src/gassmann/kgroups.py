@@ -174,6 +174,8 @@ def cyclo_exponent(f: FieldModel, p: int, nu: int) -> int:
     that fix F.  A unit x mod M with x mod m in H is a lift h + m*t of
     some h in H, 0 <= t < M/m, so only those |H|*M/m residues are tested;
     above _LIFT_CAP of them, OrderCapExceeded is raised before any is.
+    Each h is a unit mod m, so a lift is a unit mod M iff p does not
+    divide it.
     For odd p, (Z/p^nu)^x is cyclic and the exponent is the image's
     order; for p = 2 it is the largest element order, a power of 2
     found by repeated squaring.
@@ -195,7 +197,7 @@ def cyclo_exponent(f: FieldModel, p: int, nu: int) -> int:
         raise OrderCapExceeded(
             f"{lifts} lifts mod {big} exceed cap {_LIFT_CAP}")
     image = {x % pn for h in f.subgroup for x in range(h, big, m)
-             if gcd(x, big) == 1}
+             if x % p}
     if p != 2:
         return len(image)
     exponent = 1

@@ -74,9 +74,10 @@ DEFAULT_ORDER_CAP = 50_000
 # all_subgroups holds a |G| x |G| Cayley table, and the group keeps its
 # |G| x |G| conjugation tables
 _LATTICE_ORDER_CAP = 1_000
-# a group file's degree is allocated before any generator is read, and
-# enumeration holds up to DEFAULT_ORDER_CAP tuples of that length
-# (about 60 MB at this cap, 400 MB at degree 1,000)
+# a group's closure keys each element on the bytes of its images, so a
+# degree must stay below 256; a group file's degree is allocated before
+# any generator is read, and enumeration holds up to DEFAULT_ORDER_CAP
+# tuples of that length (about 60 MB at this cap, 400 MB at degree 1,000)
 _DEGREE_CAP = 100
 
 
@@ -253,27 +254,38 @@ class Permutation(tuple):
 def _closure(degree: int, generators: Sequence[Permutation],
              cap: int) -> "_CayleyGraph":
     """BFS closure; deterministic order with the identity first.  The
-    |G|·k products it forms are kept as the generators' Cayley graph."""
-    identity = Permutation.identity(degree)
-    elements = [identity]
-    index = {identity: 0}
+    |G|·k products it forms are kept as the generators' Cayley graph.
+    The search keys each element on the bytes of its images (a degree
+    is at most _DEGREE_CAP), so e·g is g's bytes translated through
+    e's, one C call; the Permutations are built once, at the end."""
+    moves = [bytes(g) for g in generators]
+    keys = [bytes(range(degree))]
+    index = {keys[0]: 0}
     right: list[list[int]] = [[] for _ in generators]
     parent: list[int] = []
     via: list[int] = []
-    for f, current in enumerate(elements):  # grows while it is walked
-        for k, g in enumerate(generators):
-            candidate = current * g
+    for f, current in enumerate(keys):  # grows while it is walked
+        table = current.ljust(256, b"\0")
+        for k, g in enumerate(moves):
+            candidate = g.translate(table)
             j = index.get(candidate)
             if j is None:
-                j = index[candidate] = len(elements)
-                elements.append(candidate)
+                j = index[candidate] = len(keys)
+                keys.append(candidate)
                 parent.append(f)
                 via.append(k)
-                if len(elements) > cap:
+                if len(keys) > cap:
                     raise OrderCapExceeded(
                         f"group order exceeds cap {cap}")
             right[k].append(j)
-    return _CayleyGraph(tuple(generators), tuple(elements), index, right,
+    # the bytes dict goes first, and each key's bytes as its tuple is made,
+    # so that the tuples reuse that memory and the peak is theirs alone
+    del index
+    for i, key in enumerate(keys):
+        keys[i] = tuple.__new__(Permutation, key)
+    elements = tuple(keys)
+    return _CayleyGraph(tuple(generators), elements,
+                        dict(zip(elements, range(len(elements)))), right,
                         parent, via)
 
 
@@ -527,10 +539,14 @@ def _join(table: list[list[int]], members: frozenset,
 
 class PermGroup(_GroupBase):
     """Group generated by permutations, fully enumerated at construction;
-    more than DEFAULT_ORDER_CAP elements raise OrderCapExceeded."""
+    more than DEFAULT_ORDER_CAP elements raise OrderCapExceeded, and a
+    degree above _DEGREE_CAP raises InvalidPermutation."""
 
     def __init__(self, degree: int,
                  generators: Iterable[Permutation]) -> None:
+        if degree > _DEGREE_CAP:
+            raise InvalidPermutation(
+                f"degree {degree} exceeds cap {_DEGREE_CAP}")
         gens = tuple(generators)
         for g in gens:
             if not isinstance(g, Permutation):

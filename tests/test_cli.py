@@ -461,6 +461,19 @@ def test_bad_arguments_exit_two(capsys):
     assert run_cli(capsys, ["gassmann", "check"])[0] == 2
 
 
+def test_parser_is_built_once(capsys):
+    """Later calls reuse the parser, and a usage error leaves it as it
+    was."""
+    _build_parser.cache_clear()
+    argv = ["kgroups", "--field", "Q", "--n", "3"]
+    first = run_cli(capsys, argv)
+    assert run_cli(capsys, argv) == first
+    assert _build_parser.cache_info().misses == 1
+    assert run_cli(capsys, ["kgroups", "--n", "3"])[0] == 2
+    assert run_cli(capsys, argv) == first
+    assert _build_parser.cache_info().misses == 1
+
+
 # every integer option, each with a spelling that int() takes and the
 # input files refuse: a digit separator, a full-width digit, padding
 INTEGER_OPTIONS = [

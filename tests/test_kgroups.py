@@ -72,6 +72,37 @@ def test_cyclo_exponent_matches_brute_force_arith_sized_fields():
         assert_matches_brute(f)
 
 
+def every_unit_subgroup(m):
+    """Each subgroup of (Z/m)^x, as the field it fixes."""
+    found = {FieldModel.abelian(m, [])}
+    worklist = list(found)
+    while worklist:
+        f = worklist.pop()
+        for u in range(m):
+            if gcd(u, m) == 1 and u not in f.subgroup:
+                joined = FieldModel.abelian(m, [*f.subgroup, u])
+                if joined not in found:
+                    found.add(joined)
+                    worklist.append(joined)
+    return found
+
+
+def test_cyclo_exponent_lifts_agree_with_gcd_filter():
+    """A lift h + m*t of a unit h mod m is a unit mod lcm(m, p^nu)
+    exactly when p does not divide it, on every field of conductor at
+    most 60 (the rationals are m = 1, H = {0})."""
+    powers = ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2), (7, 1))
+    for m in range(1, 61):
+        for f in every_unit_subgroup(m):
+            for p, nu in powers:
+                big = lcm(m, p ** nu)
+                lifts = [x for h in f.subgroup for x in range(h, big, m)]
+                assert [x for x in lifts if gcd(x, big) == 1] == \
+                    [x for x in lifts if x % p], (f.describe(), p, nu)
+                assert cyclo_exponent(f, p, nu) == \
+                    brute_cyclo_exponent(f, p, nu), (f.describe(), p, nu)
+
+
 def test_cyclo_exponent_over_rationals_matches_closed_form():
     for p, depth in ((2, 5), (3, 5), (5, 4), (7, 3), (11, 4), (13, 4)):
         for nu in range(0, depth):

@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gassmann.permgroup as permgroup_module
-from gassmann.catalog import (_FANO_VECTORS, alternating, dihedral, gl3f2,
-                              psl2, standard_corpus, symmetric)
+from gassmann.catalog import (_FANO_VECTORS, alternating, cyclic, dihedral,
+                              gl3f2, psl2, standard_corpus, symmetric)
 from gassmann.errors import (InvalidPermutation, NotASubgroup,
                              OrderCapExceeded, ParseError)
 from gassmann.homology import (Correspondence, CoordSubgroup,
@@ -139,6 +139,63 @@ def test_order_cap_enforced():
     # |S9| = 362,880: enumeration stops at DEFAULT_ORDER_CAP + 1 elements
     with pytest.raises(OrderCapExceeded):
         symmetric(9)
+
+
+def test_degree_cap_covers_permgroup():
+    """Every image of a group's elements fits in a byte."""
+    top = Permutation.parse(_DEGREE_CAP, f"(0 {_DEGREE_CAP - 1})")
+    assert PermGroup(_DEGREE_CAP, [top]).order == 2
+    with pytest.raises(InvalidPermutation):
+        PermGroup(_DEGREE_CAP + 1, [])
+    with pytest.raises(InvalidPermutation):
+        cyclic(_DEGREE_CAP + 1)
+
+
+def reference_cayley_graph(degree, generators):
+    """The closure on plain tuples, a product by indexing: (elements,
+    index, right, parent, via) in breadth-first order."""
+    elements = [tuple(range(degree))]
+    index = {elements[0]: 0}
+    right = [[] for _ in generators]
+    parent, via = [], []
+    for f, current in enumerate(elements):
+        for k, g in enumerate(generators):
+            product = tuple(current[point] for point in g)
+            if product not in index:
+                index[product] = len(elements)
+                elements.append(product)
+                parent.append(f)
+                via.append(k)
+            right[k].append(index[product])
+    return elements, index, right, parent, via
+
+
+def test_closure_matches_reference():
+    a, b = Permutation.parse(4, "(0 1 2 3)"), Permutation.parse(4, "(0 1)")
+    graphs = [group._cayley_graph for _, group in standard_corpus(120)]
+    graphs += [psl2(7)._cayley_graph, psl2(29)._cayley_graph,
+               PermGroup(1, [])._cayley_graph,
+               permgroup_module._closure(1, [Permutation.identity(1)], 1),
+               PermGroup(4, [a, b, a])._cayley_graph]
+    for graph in graphs:
+        degree = len(graph.elements[0])
+        elements, index, right, parent, via = \
+            reference_cayley_graph(degree, graph.generators)
+        assert list(graph.elements) == elements
+        assert graph.index == index
+        assert (graph.right, graph.parent, graph.via) == (right, parent, via)
+        # the index holds the very Permutations that `elements` holds
+        assert all(type(x) is Permutation for x in graph.elements)
+        assert list(map(id, graph.index)) == list(map(id, graph.elements))
+
+
+def test_closure_cap_boundary():
+    for group in (symmetric(4), psl2(7)):
+        closure = permgroup_module._closure
+        assert len(closure(group.degree, group.generators,
+                           group.order)) == group.order
+        with pytest.raises(OrderCapExceeded):
+            closure(group.degree, group.generators, group.order - 1)
 
 
 def test_conjugacy_classes_partition(s4):
