@@ -6,12 +6,13 @@ orbits on element indices walked off those tables, coset and
 double-coset actions, normal cores, abelianizations with explicit
 coordinates, and the degree-one transfer and inclusion maps.
 Conjugacy tests, double cosets and the intertwiner orbits read the
-cached coset tables.  The classes, the conjugation tables, the subgroup
-lattice (which extends one subgroup per class and reads its conjugates
-through those tables) and the abelianization read the one Cayley graph
-of a group: its closure, or a subgroup's last closure while finding its
-generators, kept once they are read.  Neither the tables and maps nor a
-subgroup refer back to the group, so no cache makes a reference cycle.
+cached coset tables.  The coset tables, the classes, the conjugation
+tables, the subgroup lattice (which extends one subgroup per class and
+reads its conjugates through those tables) and the abelianization walk
+the one Cayley graph of a group, with no products: its closure, or a
+subgroup's last closure while finding its generators, kept once they
+are read.  Neither the tables and maps nor a subgroup refer back to the
+group, so no cache makes a reference cycle.
 
 Three rules hold across the package.  A subgroup is its element set: a
 `Subgroup`'s generators, hence its abelianization coordinates, follow
@@ -540,13 +541,14 @@ def _join(table: list[list[int]], members: frozenset,
 class PermGroup(_GroupBase):
     """Group generated by permutations, fully enumerated at construction;
     more than DEFAULT_ORDER_CAP elements raise OrderCapExceeded, and a
-    degree above _DEGREE_CAP raises InvalidPermutation."""
+    degree that is not an int from 1 to _DEGREE_CAP raises
+    InvalidPermutation."""
 
     def __init__(self, degree: int,
                  generators: Iterable[Permutation]) -> None:
-        if degree > _DEGREE_CAP:
+        if not isinstance(degree, int) or not 0 < degree <= _DEGREE_CAP:
             raise InvalidPermutation(
-                f"degree {degree} exceeds cap {_DEGREE_CAP}")
+                f"degree {degree!r} is not an int from 1 to {_DEGREE_CAP}")
         gens = tuple(generators)
         for g in gens:
             if not isinstance(g, Permutation):
@@ -641,30 +643,31 @@ class CosetSpace:
 
     Coset 0 is H itself; representatives are in breadth-first order from
     the identity, so the transversal is canonical.  A table maps each
-    element's index in the group to its coset, filled a whole coset xH
-    at a time: |G| products in all, and a lookup is two indexings.  The
+    element's index in the group's Cayley graph to its coset, filled by
+    walking the graph with no products: a coset, kept as its element
+    indices with its representative first, goes to g·xH through the
+    left multiples of each generator g.  A lookup is two indexings.  The
     representatives are the group's own element objects, so a cached
     space adds no copies of them.
     """
 
     def __init__(self, group: GroupLike, subgroup: GroupLike) -> None:
         _require_subgroup(group, subgroup)
-        sub_elements = subgroup.elements
-        elements = group.elements
-        index = self._index = group._element_index
-        coset_of = [-1] * group.order
-        for h in sub_elements:
-            coset_of[index[h]] = 0
-        reps = [group.identity]
-        for current in reps:  # grows while it is walked
-            for g in group.generators:
-                candidate = g * current
-                i = index[candidate]
-                if coset_of[i] < 0:
-                    for h in sub_elements:
-                        coset_of[index[candidate * h]] = len(reps)
-                    reps.append(elements[i])
-        self.coset_reps = tuple(reps)
+        graph = group._cayley_graph
+        index = self._index = graph.index
+        lefts = [graph.left_multiples(index[g]) for g in graph.generators]
+        cosets = [list(map(index.__getitem__, subgroup.elements))]
+        coset_of = [-1] * len(graph)
+        for i in cosets[0]:
+            coset_of[i] = 0
+        for members in cosets:  # grows while it is walked
+            for left in lefts:
+                if coset_of[left[members[0]]] < 0:
+                    image = list(map(left.__getitem__, members))
+                    for i in image:
+                        coset_of[i] = len(cosets)
+                    cosets.append(image)
+        self.coset_reps = tuple(graph.elements[c[0]] for c in cosets)
         self._coset_of = coset_of
 
     @property
@@ -752,16 +755,12 @@ def double_cosets(group: GroupLike, h1: GroupLike,
     orbits of H1 on the cached table of G/H2."""
     _require_subgroup(group, h1)
     cosets = coset_action(group, h2)
-    orbit, count = _orbits(
+    orbit, _ = _orbits(
         [cosets.permutation_of(h) for h in h1.generators], cosets.index)
-    seen = [False] * count
-    reps = []
-    # the table lists the coset of each element in element order
-    for x, coset in zip(group.elements, cosets._coset_of):
-        if not seen[orbit[coset]]:
-            seen[orbit[coset]] = True
-            reps.append(x)
-    return reps
+    first: dict[int, Permutation] = {}  # orbit -> its first element
+    for x in group.elements:
+        first.setdefault(orbit[cosets.coset_index_of(x)], x)
+    return list(first.values())
 
 
 def normal_core(group: GroupLike, subgroup: GroupLike) -> Subgroup:

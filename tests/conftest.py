@@ -3,7 +3,7 @@ from functools import cached_property
 import pytest
 
 from gassmann.catalog import (alternating, cyclic, dihedral, fano_stabilizers,
-                              frobenius20, quaternion, standard_corpus,
+                              frobenius20, gl3f2, quaternion, standard_corpus,
                               symmetric)
 from gassmann.lattice import IntMat
 
@@ -88,6 +88,14 @@ def f20():
 def fano():
     """(GL(3,2), point stabilizer, hyperplane stabilizer)."""
     return fano_stabilizers()
+
+
+@pytest.fixture(scope="session")
+def subgroup_ambients():
+    """S4 as GL(3,2)'s point stabilizer and A5 inside S5: Subgroups used
+    as groups, whose Cayley-graph order is not their element order."""
+    return (gl3f2().point_stabilizer(0),
+            symmetric(5).subgroup(alternating(5).generators))
 
 
 @pytest.fixture(scope="session")

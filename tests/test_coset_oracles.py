@@ -131,6 +131,18 @@ def test_conjugators_and_double_cosets_match_scans(name):
     assert conjugate_pairs > len(subgroups)
 
 
+def test_double_cosets_on_subgroup_ambients_match_scans(subgroup_ambients):
+    """A Subgroup's coset table is indexed in its Cayley-graph order, but
+    each double coset is still represented by its first element in the
+    Subgroup's own element order."""
+    for group in subgroup_ambients:
+        subgroups = group.all_subgroups()
+        for h1 in subgroups:
+            for h2 in subgroups:
+                assert double_cosets(group, h1, h2) == \
+                    double_cosets_by_products(group, h1, h2)
+
+
 @pytest.mark.parametrize("name", sorted(GROUPS))
 def test_intertwiner_orbits_and_decomposition_counts_match(name):
     group = GROUPS[name]

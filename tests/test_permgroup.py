@@ -149,6 +149,12 @@ def test_degree_cap_covers_permgroup():
         PermGroup(_DEGREE_CAP + 1, [])
     with pytest.raises(InvalidPermutation):
         cyclic(_DEGREE_CAP + 1)
+    # the group-file range: below 1, or not an int, is no degree
+    for degree in (0, -3, 1.5):
+        with pytest.raises(InvalidPermutation):
+            PermGroup(degree, [])
+    trivial = parse_group_file(format_group_file(PermGroup(1, [])))
+    assert (trivial.degree, trivial.order) == (1, 1)
 
 
 def reference_cayley_graph(degree, generators):
@@ -359,11 +365,11 @@ class ReferenceCosets:
         return self.key_to_index[self.key_of(x)]
 
 
-def test_coset_table_matches_reference(s4, fano):
+def test_coset_table_matches_reference(s4, fano, subgroup_ambients):
     a5 = alternating(5)
     gl32, h1, h2 = fano
-    cases = ([(s4, h) for h in s4.all_subgroups()]
-             + [(a5, h) for h in a5.all_subgroups()]
+    cases = ([(group, h) for group in [s4, a5, *subgroup_ambients]
+              for h in group.all_subgroups()]
              + [(gl32, h1), (gl32, h2)])
     for group, h in cases:
         cosets = coset_action(group, h)
@@ -376,6 +382,23 @@ def test_coset_table_matches_reference(s4, fano):
             x_inv = x.inverse()
             for y, j in zip(group.elements, indices):
                 assert (i == j) == (x_inv * y in h.element_set)
+
+
+def test_coset_space_forms_no_products(monkeypatch):
+    """The coset table walks the ambient's Cayley graph, and its
+    representatives are the ambient's own element objects."""
+    groups = [symmetric(4), gl3f2(), psl2(7), gl3f2().point_stabilizer(0)]
+    cases = [(group, h) for group in groups for h in group.all_subgroups()]
+    products = []
+    mul = Permutation.__mul__
+    monkeypatch.setattr(Permutation, "__mul__",
+                        lambda p, q: products.append(p) or mul(p, q))
+    spaces = [(group, permgroup_module.CosetSpace(group, h))
+              for group, h in cases]
+    assert products == []
+    for group, cosets in spaces:
+        own = {id(x) for x in group.elements}
+        assert all(id(rep) in own for rep in cosets.coset_reps)
 
 
 def test_coset_lookup_outside_group_raises(s4):
