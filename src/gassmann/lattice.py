@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from math import gcd, prod
 from operator import mul
 from typing import Iterable, Iterator, Sequence
@@ -41,17 +42,16 @@ class IntMat:
     rows: Iterable[Iterable[int]]
 
     def __post_init__(self) -> None:
-        materialized = tuple(tuple(entry for entry in row)
-                             for row in self.rows)
+        materialized = tuple(map(tuple, self.rows))
         if not materialized or not materialized[0]:
             raise ValueError("matrix dimensions must be positive")
         width = len(materialized[0])
         for row in materialized:
             if len(row) != width:
                 raise ValueError("ragged rows in matrix")
-            for entry in row:
-                if not isinstance(entry, int):
-                    raise ValueError(f"non-integer entry {entry!r}")
+            if not all(map(isinstance, row, repeat(int))):
+                entry = next(x for x in row if not isinstance(x, int))
+                raise ValueError(f"non-integer entry {entry!r}")
         object.__setattr__(self, "rows", materialized)
 
     @classmethod

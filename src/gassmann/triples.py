@@ -18,6 +18,7 @@ from .errors import (
     MixedSigns,
     NonSquare,
     NotFoundWithinBudget,
+    OrderCapExceeded,
     PreconditionViolated,
 )
 from .lattice import IntMat, det
@@ -42,6 +43,10 @@ __all__ = [
     "integral_search",
     "verify_integral_triple",
 ]
+
+# k*n^2, the entries of the k dense n x n orbit matrices of a basis: room
+# for 33 orbits at index 620 (12,685,200 entries)
+_BASIS_CAP = 16_000_000
 
 
 def permutation_character(group: GroupLike,
@@ -193,24 +198,45 @@ def intertwiner_basis(group: GroupLike, h1: GroupLike,
                       h2: GroupLike) -> list[IntMat]:
     """0/1 basis of the integer intertwiner space.
 
-    The group acts on (G/H2)-row x (G/H1)-column index pairs, the cell
-    r*n + c; each orbit gives one basis matrix, and the orbits partition
-    all of the pairs, so every equivariant integer matrix is a unique
-    integer combination.  Orbits are sorted by their least pair.
+    The group acts on (G/H2)-row x (G/H1)-column cells; each orbit gives
+    one basis matrix, and the orbits partition the cells, so every
+    equivariant integer matrix is a unique integer combination.  Every
+    orbit meets column 0, the coset H1, in one orbit of H1 on G/H2, so
+    the search runs on n points; as (r, c) and (s2[r], s1[c]) share an
+    orbit, a breadth-first walk over the generators fills column s1[c]
+    from column c.  An orbit's least cell lies in row 0, so the orbits
+    are numbered by their first cell there.  OrderCapExceeded, before
+    any column is built, when the k matrices would hold more than
+    _BASIS_CAP entries.
     """
     _require_equal_index(group, h1, h2)
     cosets1 = coset_action(group, h1)
     cosets2 = coset_action(group, h2)
     n = cosets1.index
-    actions = [(cosets2.permutation_of(g), cosets1.permutation_of(g))
-               for g in group.generators]
-    # the moves of the n^2 cells are freed before the basis is built
-    orbit, count = _orbits([[row * n + col for row in s2 for col in s1]
-                            for s2, s1 in actions], n * n)
-    basis = [[[0] * n for _ in range(n)] for _ in range(count)]
-    for cell, d in enumerate(orbit):
-        basis[d][cell // n][cell % n] = 1
-    return [IntMat(rows) for rows in basis]
+    column0, k = _orbits([cosets2.permutation_of(h) for h in h1.generators],
+                         n)
+    if k * n * n > _BASIS_CAP:
+        raise OrderCapExceeded(
+            f"{k} orbit matrices of size {n}x{n} hold {k * n * n} entries, "
+            f"over the cap {_BASIS_CAP}")
+    moves = [(cosets1.permutation_of(g), cosets2.permutation_of(g).inverse())
+             for g in group.generators]
+    columns: list[list[int] | None] = [column0] + [None] * (n - 1)
+    walk = [0]
+    for c in walk:  # grows while it is walked
+        for s1, s2_inv in moves:
+            if columns[s1[c]] is None:
+                columns[s1[c]] = list(map(columns[c].__getitem__, s2_inv))
+                walk.append(s1[c])
+    # basis[d] is the orbit through H1's orbit d in column 0, listed by
+    # its first cell in row 0
+    basis = [[[0] * n for _ in range(n)] for _ in range(k)]
+    for r, row in enumerate(zip(*columns)):
+        rows = [b[r] for b in basis]
+        for c, d in enumerate(row):
+            rows[d][c] = 1
+    row0 = dict.fromkeys(column[0] for column in columns)
+    return [IntMat(basis[d]) for d in row0]
 
 
 class _IntertwinerSpace:

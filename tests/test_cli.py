@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from gassmann.abelext import choose_q
 from gassmann.catalog import fano_stabilizers
 from gassmann.cli import _build_parser, main, run
-from gassmann import kgroups, lattice
+from gassmann import kgroups, lattice, triples
 from gassmann.errors import PreconditionViolated
 from gassmann.kgroups import _CONDUCTOR_CAP
 from gassmann.lattice import IntMat, format_matrix_file
@@ -141,6 +141,17 @@ def test_gassmann_search_exhausts_fano_box(capsys, fano_search):
     report = json.loads(out)
     assert not report["found"] and not report["exhausted"]
     assert report["trials"] == 48
+
+
+def test_gassmann_search_over_the_basis_cap_exits_two(capsys, monkeypatch,
+                                                     fano_search):
+    # the Fano basis holds k*n^2 = 2 * 7^2 = 98 entries
+    monkeypatch.setattr(triples, "_BASIS_CAP", 97)
+    code, out, err = run_cli(
+        capsys, fano_search + ["--bound", "3", "--budget", "1000"])
+    assert code == 2 and not out
+    assert err.startswith("error: OrderCapExceeded: ")
+    assert "98 entries, over the cap 97" in err
 
 
 def test_gassmann_verify(capsys, tmp_path, s4_file):

@@ -5,24 +5,26 @@ Conjugacy, double cosets, the intertwiner orbits and the decomposition
 counts all read a group's cached coset table.  Each reference below
 answers the same question by enumerating group elements instead, and
 the two must agree on every subgroup pair of S4, A5, D6 and F20 and on
-the Fano triple.  The conjugacy classes, read off one orbit computation
-on walks of the Cayley-graph tables, must match a breadth-first search
-over conjugates, for groups and for subgroups taken as groups in their
-own right.  Every splitting type, read from class counts, must match
-the cycle type of a coset permutation.  Group orders, conjugacy-class
-sizes and the abelianization of every subgroup are checked against
-sympy where it is installed.
+the Fano triple; the intertwiner orbits also on Scott's index-203 pair
+and on Subgroups used as groups.  The conjugacy classes, read off one
+orbit computation on walks of the Cayley-graph tables, must match a
+breadth-first search over conjugates, for groups and for subgroups
+taken as groups in their own right.  Every splitting type, read from
+class counts, must match the cycle type of a coset permutation.  Group
+orders, conjugacy-class sizes and the abelianization of every subgroup
+are checked against sympy where it is installed.
 """
 
 from collections import Counter
 
 import pytest
 
+from gassmann import triples
 from gassmann.abelext import decomposition_count_check
 from gassmann.catalog import gl3f2, psl2, scott_triple, standard_corpus
 from gassmann.lattice import IntMat
-from gassmann.permgroup import (FinAbGroup, Permutation, abelianization,
-                                coset_action, double_cosets)
+from gassmann.permgroup import (FinAbGroup, Permutation, _orbits,
+                                abelianization, coset_action, double_cosets)
 from gassmann.splitting import splitting_table, splitting_type
 from gassmann.triples import (_conjugator, are_conjugate, intertwiner_basis,
                               is_gassmann)
@@ -166,6 +168,43 @@ def test_intertwiner_orbits_and_decomposition_counts_match(name):
             for d, count1, count2 in zip(classes, counts[h1], counts[h2]):
                 assert decomposition_count_check(group, h1, h2, d) == \
                     (count1 == count2)
+
+
+def test_intertwiner_basis_on_subgroup_ambients_matches_pairs(
+        subgroup_ambients):
+    for group in subgroup_ambients:
+        subgroups = group.all_subgroups()
+        for h1 in subgroups:
+            for h2 in subgroups:
+                if h1.order == h2.order:
+                    assert intertwiner_basis(group, h1, h2) == \
+                        intertwiner_basis_by_pairs(group, h1, h2)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_scott_intertwiner_basis_matches_pairs(seed):
+    triple = scott_triple(seed=seed)
+    args = (triple.group, triple.h1, triple.h2)
+    basis = intertwiner_basis(*args)
+    assert len(basis) == 8 and basis[0].nrows == 203
+    assert basis == intertwiner_basis_by_pairs(*args)
+
+
+def test_intertwiner_basis_searches_n_points(fano, monkeypatch):
+    """The orbit search runs on the n rows of column 0, not on the n^2
+    cells."""
+    sizes = []
+
+    def spy(moves, n):
+        sizes.append(n)
+        return _orbits(moves, n)
+
+    monkeypatch.setattr(triples, "_orbits", spy)
+    scott = scott_triple(seed=0)
+    for group, h1, h2 in (fano, (scott.group, scott.h1, scott.h2)):
+        sizes.clear()
+        intertwiner_basis(group, h1, h2)
+        assert sizes and max(sizes) <= group.order // h1.order
 
 
 def test_fano_matches_the_references(fano):

@@ -37,6 +37,32 @@ def det_by_permutation_expansion(m):
     return total
 
 
+@pytest.mark.parametrize("rows,message", [
+    ([], "matrix dimensions must be positive"),
+    ([[]], "matrix dimensions must be positive"),
+    ([[1, 2], [3, 4], [5]], "ragged rows in matrix"),
+    ([[1.5, 2], [3, 4]], "non-integer entry 1.5"),
+    ([[1, "2"], [3, 4]], "non-integer entry '2'"),
+    ([[1, None], [3, 4]], "non-integer entry None"),
+    ([[1, 2], [3, 4], [5, 6], [7, 1.5]], "non-integer entry 1.5"),
+    ([[1, 2], [3, 4], [5, 6], ["7", 8]], "non-integer entry '7'"),
+    ([[1, 2], [3, 4], [5, 6], [7, None]], "non-integer entry None"),
+    # rows are checked in order, each for its width and then its entries
+    ([[1, None], [3, 4], [5]], "non-integer entry None"),
+    ([[1, 2], [3, 4], [5], [7, None]], "ragged rows in matrix"),
+])
+def test_intmat_error_messages(rows, message):
+    with pytest.raises(ValueError) as excinfo:
+        IntMat(rows)
+    assert str(excinfo.value) == message
+
+
+def test_intmat_accepts_bool_entries():
+    m = IntMat([[True, False], [0, 1]])
+    assert m.rows == ((True, False), (0, 1))
+    assert det(m) == 1
+
+
 @given(square(3))
 def test_det_matches_permutation_expansion(m):
     assert det(m) == det_by_permutation_expansion(m)

@@ -8,9 +8,9 @@ import pytest
 
 from gassmann import splitting, triples
 from gassmann.abelext import decomposition_count_check
-from gassmann.catalog import fano_stabilizers, scott_triple
+from gassmann.catalog import fano_stabilizers, psl2, scott_triple
 from gassmann.errors import (IndexMismatch, MixedSigns, NotFoundWithinBudget,
-                             PreconditionViolated)
+                             OrderCapExceeded, PreconditionViolated)
 from gassmann.lattice import IntMat, adjugate, det
 from gassmann.permgroup import (CosetSpace, Permutation, Subgroup,
                                 coset_action, double_cosets)
@@ -210,6 +210,26 @@ def test_basis_matrices_partition_all_cells(fano):
             assert row_counts == col_counts and len(row_counts) == 1
             assert any(b.rows[0])
         assert all(x == 1 for row in coverage for x in row)
+
+
+def test_basis_cap_refuses_psl2_29_trivial_pair():
+    """k = n = 12,180: the k*n^2 entries are refused once H1's orbits are
+    counted, before any column of n entries is built."""
+    group = psl2(29)
+    trivial = group.trivial_subgroup()
+    with pytest.raises(OrderCapExceeded, match="over the cap"):
+        intertwiner_basis(group, trivial, trivial)
+
+
+def test_basis_cap_boundary(monkeypatch):
+    """Scott's basis holds k*n^2 = 8 * 203^2 = 329,672 entries."""
+    scott = scott_triple(seed=0)
+    args = (scott.group, scott.h1, scott.h2)
+    monkeypatch.setattr(triples, "_BASIS_CAP", 329_672)
+    assert len(intertwiner_basis(*args)) == 8
+    monkeypatch.setattr(triples, "_BASIS_CAP", 329_671)
+    with pytest.raises(OrderCapExceeded, match="329672 entries"):
+        intertwiner_basis(*args)
 
 
 def test_integral_search_conjugate_fast_path(s4):
