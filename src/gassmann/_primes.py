@@ -2,12 +2,21 @@
 
 from __future__ import annotations
 
+from itertools import count
 from typing import Iterator
+
+from .errors import OrderCapExceeded
 
 __all__ = ["is_prime", "iter_primes", "factorize"]
 
+# is_prime trial-divides up to sqrt(n), so 5e5 times at most below it
+_PRIME_CAP = 10 ** 12
+
 
 def is_prime(n: int) -> bool:
+    if n > _PRIME_CAP:  # before any division
+        raise OrderCapExceeded(f"primality test needs n at most "
+                               f"{_PRIME_CAP}, got a {n.bit_length()}-bit n")
     if n < 2:
         return False
     if n < 4:
@@ -23,11 +32,7 @@ def is_prime(n: int) -> bool:
 
 
 def iter_primes() -> Iterator[int]:
-    n = 2
-    while True:
-        if is_prime(n):
-            yield n
-        n += 1
+    return filter(is_prime, count(2))
 
 
 def factorize(n: int) -> dict[int, int]:

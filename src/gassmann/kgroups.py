@@ -173,7 +173,7 @@ def cyclo_exponent(f: FieldModel, p: int, nu: int) -> int:
     The group is the image in (Z/p^nu)^x of the units mod M = lcm(m, p^nu)
     that fix F.  A unit x mod M with x mod m in H is a lift h + m*t of
     some h in H, 0 <= t < M/m, so only those |H|*M/m residues are tested;
-    above _LIFT_CAP of them, OrderCapExceeded is raised before any is.
+    over _LIFT_CAP of them, OrderCapExceeded is raised before p^nu is formed.
     Each h is a unit mod m, so a lift is a unit mod M iff p does not
     divide it.
     For odd p, (Z/p^nu)^x is cyclic and the exponent is the image's
@@ -189,13 +189,15 @@ def cyclo_exponent(f: FieldModel, p: int, nu: int) -> int:
         raise ValueError("nu must be nonnegative")
     if nu == 0:
         return 1
-    pn = p ** nu
+    # lcm(m, p^nu) / m = p^(nu - v_p(m)) with p^v_p(m) <= m, so past
+    # m's and the cap's bit lengths nu only adds lifts over the cap, and
+    # pn is p^nu whenever the check below passes
     m = f.conductor
+    pn = p ** min(nu, m.bit_length() + _LIFT_CAP.bit_length())
     big = lcm(m, pn)
-    lifts = len(f.subgroup) * (big // m)
-    if lifts > _LIFT_CAP:
-        raise OrderCapExceeded(
-            f"{lifts} lifts mod {big} exceed cap {_LIFT_CAP}")
+    if len(f.subgroup) * (big // m) > _LIFT_CAP:
+        raise OrderCapExceeded(f"cyclotomic layer p = {p}, nu = {nu} "
+                               f"needs over {_LIFT_CAP} lifts")
     image = {x % pn for h in f.subgroup for x in range(h, big, m)
              if x % p}
     if p != 2:

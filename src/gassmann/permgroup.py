@@ -5,14 +5,15 @@ Cayley graph of the generators as integer tables, conjugacy classes as
 orbits on element indices walked off those tables, coset and
 double-coset actions, normal cores, abelianizations with explicit
 coordinates, and the degree-one transfer and inclusion maps.
-Conjugacy tests, double cosets and the intertwiner orbits read the
-cached coset tables.  The coset tables, the classes, the conjugation
-tables, the subgroup lattice (which extends one subgroup per class and
-reads its conjugates through those tables) and the abelianization walk
-the one Cayley graph of a group, with no products: its closure, or a
-subgroup's last closure while finding its generators, kept once they
-are read.  Neither the tables and maps nor a subgroup refer back to the
-group, so no cache makes a reference cycle.
+Conjugacy tests, double cosets, the intertwiner orbits and the
+transfer (each H-part at its place) read the cached coset tables.  The
+coset tables, the classes, the conjugation tables, the subgroup lattice
+(which extends one subgroup per class and reads its conjugates through
+those tables) and the abelianization walk the one Cayley graph of a
+group, with no products: its closure, or a subgroup's last closure
+while finding its generators, kept once they are read.  Neither the
+tables and maps nor a subgroup refer back to the group, so no cache
+makes a reference cycle.
 
 Three rules hold across the package.  A subgroup is its element set: a
 `Subgroup`'s generators, hence its abelianization coordinates, follow
@@ -217,11 +218,8 @@ class Permutation(tuple):
         out = []
         for start in range(self.degree):
             if seen[start] or self[start] == start:
-                seen[start] = True
                 continue
-            cycle = [start]
-            seen[start] = True
-            point = self[start]
+            cycle, point = [start], self[start]
             while point != start:
                 cycle.append(point)
                 seen[point] = True
@@ -236,17 +234,11 @@ class Permutation(tuple):
         return tuple(sorted(lengths))
 
     def order(self) -> int:
-        result = 1
-        for cycle in self.cycles():
-            result = lcm(result, len(cycle))
-        return result
+        return lcm(*map(len, self.cycles()))
 
     def format(self) -> str:
-        cycles = self.cycles()
-        if not cycles:
-            return "()"
         return "".join("(" + " ".join(str(p) for p in c) + ")"
-                       for c in cycles)
+                       for c in self.cycles()) or "()"
 
     def __repr__(self) -> str:
         return f"Permutation.parse({self.degree}, {self.format()!r})"
@@ -315,6 +307,11 @@ class _CayleyGraph:
         for p, k in zip(self.parent, self.via):
             left.append(right[k][left[p]])
         return left
+
+    @cached_property
+    def lefts(self) -> list[list[int]]:
+        """Each generator's left multiples, walked once per graph."""
+        return [self.left_multiples(self.index[g]) for g in self.generators]
 
     def conjugations(self) -> list[list[int]]:
         """For each generator g, x -> g^-1 x g on element indices: the
@@ -642,11 +639,12 @@ class CosetSpace:
     """Left cosets gH with the action of the group by left multiplication.
 
     Coset 0 is H itself; representatives are in breadth-first order from
-    the identity, so the transversal is canonical.  A table maps each
-    element's index in the group's Cayley graph to its coset, filled by
-    walking the graph with no products: a coset, kept as its element
-    indices with its representative first, goes to g·xH through the
-    left multiples of each generator g.  A lookup is two indexings.  The
+    the identity, so the transversal is canonical.  Two tables map each
+    element's index in the group's Cayley graph to its coset and to its
+    place there, filled by walking the graph with no products: coset 0
+    lists H's elements in order, identity first, and each coset goes to
+    g·xH place by place through each generator g's left multiples, so
+    place p of coset j holds r_j·h_p.  A lookup is two indexings.  The
     representatives are the group's own element objects, so a cached
     space adds no copies of them.
     """
@@ -655,20 +653,19 @@ class CosetSpace:
         _require_subgroup(group, subgroup)
         graph = group._cayley_graph
         index = self._index = graph.index
-        lefts = [graph.left_multiples(index[g]) for g in graph.generators]
         cosets = [list(map(index.__getitem__, subgroup.elements))]
-        coset_of = [-1] * len(graph)
-        for i in cosets[0]:
-            coset_of[i] = 0
+        coset_of, place = [-1] * len(graph), [0] * len(graph)
+        for p, i in enumerate(cosets[0]):
+            coset_of[i], place[i] = 0, p
         for members in cosets:  # grows while it is walked
-            for left in lefts:
+            for left in graph.lefts:
                 if coset_of[left[members[0]]] < 0:
                     image = list(map(left.__getitem__, members))
-                    for i in image:
-                        coset_of[i] = len(cosets)
+                    for p, i in enumerate(image):
+                        coset_of[i], place[i] = len(cosets), p
                     cosets.append(image)
         self.coset_reps = tuple(graph.elements[c[0]] for c in cosets)
-        self._coset_of = coset_of
+        self._coset_of, self._place = coset_of, place
 
     @property
     def index(self) -> int:
@@ -682,15 +679,6 @@ class CosetSpace:
         """The permutation of coset indices induced by left multiplication."""
         return Permutation(self.coset_index_of(g * rep)
                            for rep in self.coset_reps)
-
-    def h_components(self, g: Permutation) -> list[Permutation]:
-        """For each coset i: the H-part of g, i.e. reps[g.i]^-1 * g * reps[i]."""
-        out = []
-        for rep in self.coset_reps:
-            moved = g * rep
-            target = self.coset_reps[self.coset_index_of(moved)]
-            out.append(target.inverse() * moved)
-        return out
 
 
 def _memoized(owner: GroupLike, kind: str, key, build):
@@ -1010,21 +998,22 @@ def abelianization(group: GroupLike) -> Abelianization:
 
 def transfer(group: GroupLike, subgroup: GroupLike) -> AbHom:
     """Matrix of the transfer map H1(G) -> H1(H) over the canonical
-    transversal: g goes to the product of its H-components on the cosets.
-    Built once per subgroup and kept on the group (`_per_subgroup`).
-    """
+    transversal: g goes to the sum of the H^ab coordinates of its H-parts
+    r_j^-1·g·r_i, each H's element at g·r_i's place in the coset table.
+    Built once per subgroup and kept on the group (`_per_subgroup`)."""
     return _per_subgroup(group, "transfer", subgroup, _transfer)
 
 
 def _transfer(group: GroupLike, subgroup: GroupLike) -> AbHom:
     ab_g, ab_h = abelianization(group), abelianization(subgroup)
-    cosets = coset_action(group, subgroup)
+    cosets, graph = coset_action(group, subgroup), group._cayley_graph
+    coords = [ab_h.project(h) for h in subgroup.elements]
+    reps = [graph.index[r] for r in cosets.coset_reps]
     columns = []
-    for rep in ab_g.basis_reps:
-        product = group.identity
-        for component in cosets.h_components(rep):
-            product = product * component
-        columns.append(ab_h.project(product))
+    for g in ab_g.basis_reps:
+        left = graph.left_multiples(graph.index[g])
+        parts = [coords[cosets._place[left[r]]] for r in reps]
+        columns.append([sum(column) for column in zip(*parts)])
     return AbHom.from_columns(ab_g.factors, ab_h.factors, columns)
 
 

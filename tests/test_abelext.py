@@ -4,12 +4,14 @@ from math import gcd
 
 import pytest
 
+from gassmann import _primes
 from gassmann.abelext import (LocalModel, choose_q,
                               decomposition_count_check,
                               local_splitting_type, notwkeq_construct,
                               transport_lattice)
 from gassmann.errors import (CoprimalityViolated, DimensionMismatch,
-                             NonSquare, NotPrime, PreconditionViolated)
+                             NonSquare, NotPrime, OrderCapExceeded,
+                             PreconditionViolated)
 from gassmann.lattice import IntMat, LocalNormLattice, det
 from gassmann.permgroup import Permutation
 
@@ -21,6 +23,16 @@ def test_separation_pipeline_canonical_example():
     assert list(s1) == [1, 5, 5]
     assert list(s2) == [5, 5, 5]
     assert (g1, g2) == (1, 5)
+
+
+def test_primality_cap_boundary(monkeypatch):
+    assert _primes.is_prime(_primes._PRIME_CAP) is False
+    with pytest.raises(OrderCapExceeded, match="at most 1000000000000"):
+        _primes.is_prime(_primes._PRIME_CAP + 1)
+    monkeypatch.setattr(_primes, "_PRIME_CAP", 101)
+    assert _primes.is_prime(101) is True
+    with pytest.raises(OrderCapExceeded, match="got a 7-bit n"):
+        _primes.is_prime(102)
 
 
 def test_pipeline_rejects_bad_q():

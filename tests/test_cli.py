@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from gassmann.abelext import choose_q
 from gassmann.catalog import fano_stabilizers
 from gassmann.cli import _build_parser, main, run
-from gassmann import kgroups, lattice, triples
+from gassmann import _primes, kgroups, lattice, triples
 from gassmann.errors import PreconditionViolated
 from gassmann.kgroups import _CONDUCTOR_CAP
 from gassmann.lattice import IntMat, format_matrix_file
@@ -226,6 +226,20 @@ def test_abelext_demo_refuses_a_composite_q(capsys, tmp_path):
             capsys, ["abelext", "demo", "--matrix", str(mat), "--q", q])
         assert code == 2 and out == ""
         assert f"q must be a prime: {q}" in err and "Traceback" not in err
+
+
+def test_abelext_demo_refuses_a_q_over_the_primality_cap(
+        capsys, tmp_path, monkeypatch):
+    # M89 is prime; trial division up to its root takes about 1e13 steps
+    monkeypatch.setattr(_primes, "_PRIME_CAP", 1000)
+    mat = tmp_path / "one.mat"
+    mat.write_text("size: 1\n1\n")
+    code, out, err = run_cli(capsys, [
+        "abelext", "demo", "--matrix", str(mat),
+        "--q", "618970019642690137449562111"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: OrderCapExceeded: primality test needs "
+                          "n at most 1000, got a 89-bit n")
 
 
 def test_abelext_demo_eliminates_a_once(capsys, tmp_path, count_passes):

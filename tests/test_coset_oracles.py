@@ -10,7 +10,10 @@ and on Subgroups used as groups.  The conjugacy classes, read off one
 orbit computation on walks of the Cayley-graph tables, must match a
 breadth-first search over conjugates, for groups and for subgroups
 taken as groups in their own right.  Every splitting type, read from
-class counts, must match the cycle type of a coset permutation.  Group
+class counts, must match the cycle type of a coset permutation.  The
+transfer, read off the coset table's places, must equal the product of
+the H-parts on every subgroup of the corpus to order 120, of GL(3,2)
+and of PSL(2,11), and form no product doing so.  Group
 orders, conjugacy-class sizes and the abelianization of every subgroup
 are checked against sympy where it is installed.
 """
@@ -21,10 +24,12 @@ import pytest
 
 from gassmann import triples
 from gassmann.abelext import decomposition_count_check
-from gassmann.catalog import gl3f2, psl2, scott_triple, standard_corpus
+from gassmann.catalog import (gl3f2, psl2, scott_triple, standard_corpus,
+                              symmetric)
 from gassmann.lattice import IntMat
-from gassmann.permgroup import (FinAbGroup, Permutation, _orbits,
-                                abelianization, coset_action, double_cosets)
+from gassmann.permgroup import (AbHom, CosetSpace, FinAbGroup, Permutation,
+                                _CayleyGraph, _orbits, abelianization,
+                                coset_action, double_cosets, transfer)
 from gassmann.splitting import splitting_table, splitting_type
 from gassmann.triples import (_conjugator, are_conjugate, intertwiner_basis,
                               is_gassmann)
@@ -85,6 +90,22 @@ def intertwiner_basis_by_pairs(group, h1, h2):
     return basis
 
 
+def transfer_by_products(group, subgroup):
+    """g goes to the product over the cosets r_i H of its H-parts
+    r_j^-1 * g * r_i, with g * r_i in r_j H, projected to H^ab."""
+    ab_g, ab_h = abelianization(group), abelianization(subgroup)
+    cosets = coset_action(group, subgroup)
+    columns = []
+    for g in ab_g.basis_reps:
+        product = group.identity
+        for rep in cosets.coset_reps:
+            moved = g * rep
+            target = cosets.coset_reps[cosets.coset_index_of(moved)]
+            product = product * (target.inverse() * moved)
+        columns.append(ab_h.project(product))
+    return AbHom.from_columns(ab_g.factors, ab_h.factors, columns)
+
+
 def conjugacy_classes_by_search(group):
     """(representative, members) per class: breadth-first search over
     conjugates by the generators, seeded in element order."""
@@ -113,6 +134,45 @@ def absorbed_conjugates(group, h, d):
 
 GROUPS = {name: group for name, group in standard_corpus(60)
           if name in ("S4", "A5", "D6", "F20")}
+
+
+def test_transfer_matches_the_product_reference():
+    ambients = [g for _, g in standard_corpus(120)] + [gl3f2(), psl2(11)]
+    pairs = [(g, h) for g in ambients for h in g.all_subgroups()]
+    assert len(pairs) == 1132
+    for group, sub in pairs:
+        assert transfer(group, sub) == transfer_by_products(group, sub)
+
+
+def test_transfer_on_subgroup_ambients_matches_the_product_reference(
+        subgroup_ambients):
+    for group in subgroup_ambients:
+        for sub in group.all_subgroups():
+            assert transfer(group, sub) == transfer_by_products(group, sub)
+
+
+def test_transfer_forms_no_products(monkeypatch):
+    fano = gl3f2()
+    pairs = [(g, h) for g in (symmetric(4), fano, fano.point_stabilizer(0))
+             for h in g.all_subgroups()]
+    products, mul = [], Permutation.__mul__
+    monkeypatch.setattr(Permutation, "__mul__",
+                        lambda p, q: products.append(None) or mul(p, q))
+    for group, sub in pairs:
+        transfer(group, sub)
+    assert products == []
+
+
+def test_coset_spaces_walk_each_generator_once(monkeypatch):
+    group = gl3f2()
+    subgroups, graph = group.all_subgroups(), group._cayley_graph
+    walks, left_multiples = [], _CayleyGraph.left_multiples
+    monkeypatch.setattr(
+        _CayleyGraph, "left_multiples",
+        lambda graph, i: walks.append((graph, i)) or left_multiples(graph, i))
+    for sub in subgroups:
+        CosetSpace(group, sub)
+    assert walks == [(graph, graph.index[g]) for g in graph.generators]
 
 
 @pytest.mark.parametrize("name", sorted(GROUPS))

@@ -1,4 +1,5 @@
 import random
+import time
 from math import gcd, lcm
 
 import pytest
@@ -239,6 +240,16 @@ def test_lift_cap_rejects_before_enumerating(monkeypatch):
     monkeypatch.setattr(kgroups, "_LIFT_CAP", 64)
     with pytest.raises(OrderCapExceeded):
         w_invariant(Q, 64)
+
+
+@pytest.mark.parametrize("nu", [10 ** 5, 10 ** 9])
+def test_lift_cap_rejects_before_forming_the_power(nu):
+    # 3^nu would take unbounded time and memory, and its lift count
+    # could not be formatted into the message
+    start = time.perf_counter()
+    with pytest.raises(OrderCapExceeded, match=f"p = 3, nu = {nu} "):
+        cyclo_exponent(Q, 3, nu)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_walk_cap_counts_first_layer_lifts(monkeypatch):
