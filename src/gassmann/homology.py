@@ -31,6 +31,7 @@ from .errors import (
 )
 from .lattice import _in_hnf_span
 from .permgroup import (
+    DEFAULT_ORDER_CAP,
     AbHom,
     GroupLike,
     Permutation,
@@ -75,8 +76,8 @@ class CoordSubgroup:
     """Subgroup of a finite abelian group in invariant-factor coordinates.
 
     Stored as its set of elements, each a coordinate tuple reduced mod
-    the factors.  The builders below make only subgroups; the
-    constructor trusts its caller, as `Subgroup(parent, elements)` does.
+    the factors.  The builders below make only subgroups, of at most
+    DEFAULT_ORDER_CAP elements; the constructor trusts its caller.
 
     >>> sorted(CoordSubgroup.from_generators((2, 4), [(0, 2)]).elements)
     [(0, 0), (0, 2)]
@@ -89,8 +90,10 @@ class CoordSubgroup:
 
     @classmethod
     def full(cls, factors: Sequence[int]) -> "CoordSubgroup":
-        factors = _positive_factors(factors)
-        return cls(factors, frozenset(itertools.product(*map(range, factors))))
+        factors = tuple(factors)
+        k = len(factors)  # the unit vectors generate it, under one cap
+        return cls.from_generators(
+            factors, [[int(i == j) for j in range(k)] for i in range(k)])
 
     @classmethod
     def from_generators(cls, factors: Sequence[int],
@@ -112,6 +115,9 @@ class CoordSubgroup:
             shift = plus(x, zero)
             while shift not in elements:
                 multiples.append(shift)
+                if len(elements) * len(multiples) > DEFAULT_ORDER_CAP:
+                    raise OrderCapExceeded(f"subgroup of {factors} over "
+                                           f"the cap {DEFAULT_ORDER_CAP}")
                 shift = plus(shift, x)
             elements = {plus(u, v) for u in elements for v in multiples}
         return cls(factors, frozenset(elements))
@@ -188,8 +194,7 @@ class Correspondence:
 
     def __init__(self, group: GroupLike, h1: GroupLike, h2: GroupLike,
                  phi: AbHom, *, provenance: str = "user") -> None:
-        _require_subgroup(group, h1)
-        _require_subgroup(group, h2)
+        _require_subgroup(group, h1, h2)
         ab1 = abelianization(h1)
         ab2 = abelianization(h2)
         if phi.source_factors != ab1.factors or \
@@ -277,14 +282,12 @@ def modq_legs(corr: Correspondence, n_sub: GroupLike, k: int) -> dict:
 
     No coprimality gate: callers that want to observe what happens for
     bad k (where only the m-multiplied identities survive) use this
-    directly.  Normality of N and containment in both subgroups are
-    still required.
+    directly.  Normality of N and containment in both subgroups (which
+    the corestriction and transfer check) are still required.
     """
     group, h1, h2 = corr.group, corr.h1, corr.h2
     if not group.is_normal_subgroup(n_sub):
         raise NotNormal("N must be normal in the ambient group")
-    _require_subgroup(h1, n_sub)
-    _require_subgroup(h2, n_sub)
     if k < 1:
         raise ValueError("modulus must be positive")
     cor1 = inclusion_induced(n_sub, h1)
@@ -405,8 +408,7 @@ def gthm_check(cs: CorrespondingSubgroups) -> bool:
 
 def h1_isomorphic(group: GroupLike, h1: GroupLike, h2: GroupLike) -> bool:
     """Structural equality of the two abelianizations."""
-    _require_subgroup(group, h1)
-    _require_subgroup(group, h2)
+    _require_subgroup(group, h1, h2)
     return abelianization(h1).structure == abelianization(h2).structure
 
 

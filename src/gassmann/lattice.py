@@ -14,7 +14,8 @@ from math import gcd, prod
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
-from .errors import NonSquare, ParseError, SingularMatrix, parse_int
+from .errors import (NonSquare, OrderCapExceeded, ParseError, SingularMatrix,
+                     parse_int)
 
 __all__ = [
     "IntMat",
@@ -28,6 +29,8 @@ __all__ = [
     "parse_matrix_file",
     "format_matrix_file",
 ]
+
+_COFACTOR_CAP = 20  # largest singular matrix whose adjugate takes cofactors
 
 
 # no slots: the cached eliminations live in the instance dict
@@ -216,7 +219,7 @@ def adjugate(m: IntMat) -> "IntMat":
     """Adjugate matrix: M @ adjugate(M) == det(M) * I.
 
     A nonsingular M takes one fraction-free Gauss-Jordan pass; a singular
-    one falls back to cofactor expansion (small inputs only).
+    one of at most _COFACTOR_CAP rows falls back to cofactor expansion.
 
     >>> adjugate(IntMat.diagonal([2, 3]))
     IntMat([[3, 0], [0, 2]])
@@ -226,6 +229,9 @@ def adjugate(m: IntMat) -> "IntMat":
     if adj is not None:
         return adj
     n = m.nrows
+    if n > _COFACTOR_CAP:
+        raise OrderCapExceeded(f"adjugate of a singular {n}x{n} matrix needs "
+                               f"cofactors, capped at n = {_COFACTOR_CAP}")
     return IntMat([[(-1) ** (i + j) * _minor_det(m, j, i) for j in range(n)]
                    for i in range(n)])
 

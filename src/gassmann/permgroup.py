@@ -19,7 +19,7 @@ Three rules hold across the package.  A subgroup is its element set: a
 `Subgroup`'s generators, hence its abelianization coordinates, follow
 from its elements alone, so each table of a (group, subgroup) pair
 (coset action, splitting table, transfer, inclusion, normal core) is
-built once by `_per_subgroup` and kept in the group's memo keyed on
+built once by `_memoized` and kept in the group's memo keyed on
 the subgroup; a `PermGroup` passed as the subgroup compares by identity
 and keeps its own entry.  A value type (`AbHom`, `FinAbGroup`, and `IntMat`,
 `LocalNormLattice`, `CoordSubgroup`, `NumericalSet` elsewhere) is a
@@ -372,7 +372,7 @@ class _GroupBase:
     @cached_property
     def _memo(self) -> dict:
         """(kind, key) -> value, filled by `_memoized`.  Keyed on a
-        subgroup by `_per_subgroup`, under which equal subgroups share:
+        subgroup, where equal subgroups share:
         "cosets": CosetSpace; "splitting": tuple of SplittingType, one
         per class; "transfer", "inclusion": AbHom; "core": the normal
         core, a Subgroup.  Kept on a group for its own homology
@@ -444,14 +444,16 @@ class _GroupBase:
     def subgroup_from_elements(
             self, elements: Iterable[Permutation]) -> "Subgroup":
         elems = sorted(set(elements))
-        element_set = set(elems)
-        if not element_set <= self.element_set:
+        if not self.element_set.issuperset(elems):
             raise NotASubgroup("elements lie outside the group")
-        for a in elems:
-            for b in elems:
-                if a * b not in element_set:
-                    raise NotASubgroup(
-                        f"set not closed: {(a * b).format()} missing")
+        try:  # closed when the generator search, capped at |S|, holds S
+            closed = _reduce_generators(elems, self.degree).index.keys() \
+                >= set(elems)
+        except OrderCapExceeded:
+            closed = False
+        if not closed:
+            raise NotASubgroup(f"set not closed: its {len(elems)} elements "
+                               f"generate a larger group")
         return Subgroup(self, elems)
 
     def trivial_subgroup(self) -> "Subgroup":
@@ -570,7 +572,7 @@ class Subgroup(_GroupBase):
     """Subgroup of the group `parent`, which may itself be a Subgroup.
     It is its element set: it compares and hashes by it, and its
     generators, found from it when first read, fix its abelianization
-    coordinates, so equal subgroups share each `_per_subgroup` table.
+    coordinates, so equal subgroups share each `_memoized` table.
     Only its index in `parent` is kept, not `parent`.  The closure that
     found the generators is kept as its Cayley graph, which its classes
     and abelianization then read."""
@@ -614,17 +616,18 @@ class Subgroup(_GroupBase):
 GroupLike = Union[PermGroup, Subgroup]
 
 
-def _require_subgroup(group: GroupLike, sub: GroupLike) -> None:
-    if group.degree != getattr(sub, "degree", None):
-        raise NotASubgroup("degree mismatch")
-    if not sub.element_set <= group.element_set:
-        raise NotASubgroup("claimed subgroup is not contained in the group")
+def _require_subgroup(group: GroupLike, *subs: GroupLike) -> None:
+    for sub in subs:
+        if group.degree != getattr(sub, "degree", None):
+            raise NotASubgroup("degree mismatch")
+        if not sub.element_set <= group.element_set:
+            raise NotASubgroup(
+                "claimed subgroup is not contained in the group")
 
 
 def _require_equal_index(group: GroupLike, h1: GroupLike,
                          h2: GroupLike) -> None:
-    _require_subgroup(group, h1)
-    _require_subgroup(group, h2)
+    _require_subgroup(group, h1, h2)
     if h1.order != h2.order:
         raise IndexMismatch(
             f"indices differ: {group.order // h1.order} vs "
@@ -683,9 +686,9 @@ class CosetSpace:
 
 def _memoized(owner: GroupLike, kind: str, key, build):
     """The owner's `kind` value for the key: build(owner, key), run once
-    per key and kept in the owner's memo under (kind, key).  A caller
-    checks its key before the lookup, where an unchecked key could equal
-    a checked one (2.0 == 2)."""
+    per key and kept in the owner's memo under (kind, key).  A subgroup
+    key is checked by the build; a key that could equal an invalid one
+    (2.0 == 2) is checked by the caller before the lookup."""
     entry = (kind, key)
     value = owner._memo.get(entry)
     if value is None:
@@ -693,25 +696,10 @@ def _memoized(owner: GroupLike, kind: str, key, build):
     return value
 
 
-def _per_subgroup(group: GroupLike, kind: str, subgroup: GroupLike,
-                  build):
-    """The group's `kind` table for the subgroup: build(group, subgroup),
-    run once per subgroup and kept in the group's memo keyed on it
-    (`_memoized`), the subgroup checked against the group when first
-    seen.  A `Subgroup`'s element set fixes its coordinates, so equal
-    ones share the entry; a `PermGroup` compares by identity and keeps
-    its own (as its own subgroup, the one key that refers back to the
-    group)."""
-    def checked(group: GroupLike, subgroup: GroupLike):
-        _require_subgroup(group, subgroup)
-        return build(group, subgroup)
-    return _memoized(group, kind, subgroup, checked)
-
-
 def coset_action(group: GroupLike, subgroup: GroupLike) -> CosetSpace:
     """Action on G/H; its kernel is the normal core of H.  Built once per
-    subgroup and kept on the group (`_per_subgroup`)."""
-    return _per_subgroup(group, "cosets", subgroup, CosetSpace)
+    subgroup and kept on the group (`_memoized`)."""
+    return _memoized(group, "cosets", subgroup, CosetSpace)
 
 
 def _orbits(moves: Sequence[Sequence[int]],
@@ -753,12 +741,13 @@ def double_cosets(group: GroupLike, h1: GroupLike,
 
 def normal_core(group: GroupLike, subgroup: GroupLike) -> Subgroup:
     """Largest normal subgroup of the group inside the subgroup.  Built
-    once per subgroup and kept on the group (`_per_subgroup`)."""
-    return _per_subgroup(group, "core", subgroup, _normal_core)
+    once per subgroup and kept on the group (`_memoized`)."""
+    return _memoized(group, "core", subgroup, _normal_core)
 
 
 def _normal_core(group: GroupLike, subgroup: GroupLike) -> Subgroup:
     """An element lies in the core iff its whole conjugacy class does."""
+    _require_subgroup(group, subgroup)
     keep = [cls.members for cls in group.conjugacy_classes()
             if cls.members <= subgroup.element_set]
     return Subgroup(group, [x for members in keep for x in members])
@@ -819,13 +808,10 @@ class FinAbGroup:
         return FinAbGroup.from_cyclic_orders(o for o in orders if o > 1)
 
     def __str__(self) -> str:
-        parts = []
-        if self.free_rank == 1:
-            parts.append("Z")
-        elif self.free_rank > 1:
-            parts.append(f"Z^{self.free_rank}")
+        rank = self.free_rank
+        parts = ["Z" if rank == 1 else f"Z^{rank}"] if rank else []
         parts.extend(f"Z/{d}" for d in self.invariant_factors)
-        return " x ".join(parts) if parts else "0"
+        return " x ".join(parts) or "0"
 
 
 @dataclass(frozen=True, repr=False)
@@ -1000,11 +986,12 @@ def transfer(group: GroupLike, subgroup: GroupLike) -> AbHom:
     """Matrix of the transfer map H1(G) -> H1(H) over the canonical
     transversal: g goes to the sum of the H^ab coordinates of its H-parts
     r_j^-1·g·r_i, each H's element at g·r_i's place in the coset table.
-    Built once per subgroup and kept on the group (`_per_subgroup`)."""
-    return _per_subgroup(group, "transfer", subgroup, _transfer)
+    Built once per subgroup and kept on the group (`_memoized`)."""
+    return _memoized(group, "transfer", subgroup, _transfer)
 
 
 def _transfer(group: GroupLike, subgroup: GroupLike) -> AbHom:
+    _require_subgroup(group, subgroup)
     ab_g, ab_h = abelianization(group), abelianization(subgroup)
     cosets, graph = coset_action(group, subgroup), group._cayley_graph
     coords = [ab_h.project(h) for h in subgroup.elements]
@@ -1020,10 +1007,11 @@ def _transfer(group: GroupLike, subgroup: GroupLike) -> AbHom:
 def inclusion_induced(subgroup: GroupLike, group: GroupLike) -> AbHom:
     """Matrix of the map H1(H) -> H1(G) sending a class to its class;
     kept on the group like transfer."""
-    return _per_subgroup(group, "inclusion", subgroup, _inclusion)
+    return _memoized(group, "inclusion", subgroup, _inclusion)
 
 
 def _inclusion(group: GroupLike, subgroup: GroupLike) -> AbHom:
+    _require_subgroup(group, subgroup)
     ab_g, ab_h = abelianization(group), abelianization(subgroup)
     columns = [ab_g.project(rep) for rep in ab_h.basis_reps]
     return AbHom.from_columns(ab_h.factors, ab_g.factors, columns)

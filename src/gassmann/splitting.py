@@ -20,8 +20,9 @@ from .permgroup import (
     ConjugacyClass,
     GroupLike,
     Permutation,
-    _per_subgroup,
+    _memoized,
     _require_equal_index,
+    _require_subgroup,
 )
 
 __all__ = [
@@ -117,9 +118,9 @@ def splitting_table(group: GroupLike,
     """One splitting type per conjugacy class, in conjugacy_classes
     order: the cycle type of each class on G/H, read from how many of
     H's elements fall in each class, with no coset space.  Built once
-    per subgroup and kept on the group (`_per_subgroup`); each call
+    per subgroup and kept on the group (`_memoized`); each call
     returns a fresh list."""
-    return list(_per_subgroup(group, "splitting", subgroup, _cycle_types))
+    return list(_memoized(group, "splitting", subgroup, _cycle_types))
 
 
 def _cycle_types(group: GroupLike,
@@ -131,6 +132,7 @@ def _cycle_types(group: GroupLike,
     the sum of e·a_e over e | d, where a_e counts the e-cycles; solving
     for a_d in increasing d is the Moebius inversion
     d·a_d = sum over e | d of mu(d/e)·fix(g^e)."""
+    _require_subgroup(group, subgroup)
     classes = group.conjugacy_classes()
     class_number, index = group._class_map[1], group._element_index
     inside = [0] * len(classes)

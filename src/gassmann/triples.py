@@ -69,8 +69,7 @@ def is_gassmann(group: GroupLike, h1: GroupLike, h2: GroupLike) -> bool:
 
 def are_conjugate(group: GroupLike, h1: GroupLike, h2: GroupLike) -> bool:
     """Whether gH1g^-1 = H2 for some g in the group."""
-    _require_subgroup(group, h1)
-    _require_subgroup(group, h2)
+    _require_subgroup(group, h1, h2)
     return _conjugator(group, h1, h2) is not None
 
 

@@ -1,3 +1,4 @@
+import time
 from collections import Counter
 from itertools import product
 
@@ -7,7 +8,8 @@ from hypothesis import strategies as st
 
 import gassmann.homology as homology_module
 import gassmann.permgroup as permgroup_module
-from gassmann.catalog import alternating, dihedral, symmetric
+from gassmann.catalog import (alternating, dihedral, standard_corpus,
+                              symmetric)
 from gassmann.errors import (CoprimalityViolated, IndexMismatch, NotASubgroup,
                              NotNormal, OrderCapExceeded)
 from gassmann.homology import (Correspondence, CoordSubgroup, _full, _image,
@@ -115,6 +117,38 @@ def test_index_subgroups_cap_raises_before_any_basis(monkeypatch):
         index_subgroups((2,) * 10, 32)
     monkeypatch.undo()
     assert len(index_subgroups((2,) * 4, 4)) == 35
+
+
+def test_coordinate_subgroups_are_capped_before_enumeration(monkeypatch):
+    started = time.perf_counter()
+    with pytest.raises(OrderCapExceeded, match="50000"):
+        index_subgroups((2 ** 22,), 2)
+    with pytest.raises(OrderCapExceeded, match="4194304"):
+        CoordSubgroup.full((2 ** 22,))
+    with pytest.raises(OrderCapExceeded):
+        CoordSubgroup.from_generators((2 ** 22,), [(1,)])
+    assert time.perf_counter() - started < 1.0
+    # a small subgroup of a large ambient is still listed
+    assert CoordSubgroup.from_generators((10 ** 9,), [(5 * 10 ** 8,)]) \
+        .elements == frozenset({(0,), (5 * 10 ** 8,)})
+    assert len(index_subgroups((2 ** 22,), 2 ** 21)) == 1
+    # the cap itself is allowed, one more element is not
+    monkeypatch.setattr(homology_module, "DEFAULT_ORDER_CAP", 12)
+    assert len(CoordSubgroup.full((3, 4)).elements) == 12
+    assert len(CoordSubgroup.from_generators((24,), [(2,)]).elements) == 12
+    assert len(index_subgroups((2, 12), 2)) == 3
+    with pytest.raises(OrderCapExceeded):
+        CoordSubgroup.full((13,))
+    with pytest.raises(OrderCapExceeded):
+        CoordSubgroup.from_generators((2, 12), [(1, 0), (0, 1)])
+    with pytest.raises(OrderCapExceeded):
+        index_subgroups((2, 13), 2)
+
+
+def test_corpus_sweep_counts_under_the_coordinate_cap():
+    report = conjugation_sweep(standard_corpus(120), max_order=120)
+    assert report["passed"]
+    assert (report["correspondences"], report["gthm_checks"]) == (5946, 8509)
 
 
 @pytest.mark.parametrize("factors", [(2, 4), (2, 2, 2), (3, 6), (2, 2, 4),

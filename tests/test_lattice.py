@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gassmann.errors import NonSquare, ParseError, SingularMatrix
+from gassmann.errors import (NonSquare, OrderCapExceeded, ParseError,
+                             SingularMatrix)
 from gassmann.lattice import (IntMat, LocalNormLattice, _square_hnf,
                               adjugate, det, format_matrix_file, hnf,
                               maximal_normal_sublattice,
@@ -380,6 +381,24 @@ def test_det_and_adjugate_against_sympy(n):
                 assert det(m) == m._elimination[0] == expected.det()
                 assert adjugate(m).to_lists() == expected.adjugate().tolist()
     assert swapped or n == 1
+
+
+def test_singular_adjugate_is_capped_before_any_minor(monkeypatch):
+    import gassmann.lattice as lattice_module
+
+    def no_minor(*args):
+        raise AssertionError("a minor was evaluated")
+    monkeypatch.setattr(lattice_module, "_minor_det", no_minor)
+    singular = IntMat([[i + j for j in range(21)] for i in range(21)])
+    with pytest.raises(OrderCapExceeded, match="21x21.*n = 20"):
+        adjugate(singular)
+    monkeypatch.undo()
+    # the cap itself still takes cofactors, one more row does not
+    monkeypatch.setattr(lattice_module, "_COFACTOR_CAP", 3)
+    assert adjugate(IntMat([[1, 2, 3], [2, 4, 6], [0, 1, 1]])) == \
+        IntMat([[-2, 1, 0], [-2, 1, 0], [2, -1, 0]])
+    with pytest.raises(OrderCapExceeded):
+        adjugate(IntMat([[i + j for j in range(4)] for i in range(4)]))
 
 
 def test_snf_invariant_factors_against_sympy():

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import itertools
 import random
+import time
 import weakref
 from collections import Counter
 from math import gcd
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gassmann.permgroup as permgroup_module
+import gassmann.splitting as splitting_module
 from gassmann.catalog import (_FANO_VECTORS, alternating, cyclic, dihedral,
                               gl3f2, psl2, standard_corpus, symmetric)
 from gassmann.errors import (InvalidPermutation, NotASubgroup,
@@ -25,7 +27,7 @@ from gassmann.permgroup import (_DEGREE_CAP, AbHom, FinAbGroup, PermGroup,
                                 coset_action, double_cosets,
                                 format_group_file, inclusion_induced,
                                 normal_core, parse_group_file, transfer)
-from gassmann.splitting import SplittingType, numerical_set
+from gassmann.splitting import SplittingType, numerical_set, splitting_table
 
 perms5 = st.permutations(range(5)).map(Permutation)
 
@@ -239,6 +241,47 @@ def test_empty_subgroup_is_refused(s4):
         s4.subgroup_from_elements([])
 
 
+def test_subgroup_from_elements_decides_closure_without_products(
+        monkeypatch):
+    s4 = symmetric(4)
+    products = []
+    mul = Permutation.__mul__
+    monkeypatch.setattr(Permutation, "__mul__",
+                        lambda p, q: products.append(p) or mul(p, q))
+    # <(0 1 2)> has 3 elements too, so the search stops with (0 1 3) unseen
+    for text in ("(0 1 3)", "(0 1)"):
+        with pytest.raises(NotASubgroup, match="^set not closed"):
+            s4.subgroup_from_elements([Permutation.identity(4),
+                                       Permutation.parse(4, "(0 1 2)"),
+                                       Permutation.parse(4, text)])
+    with pytest.raises(NotASubgroup, match="^set not closed"):
+        s4.subgroup_from_elements([Permutation.parse(4, "(0 1)")])
+    for h in s4.all_subgroups():
+        assert s4.subgroup_from_elements(reversed(h.elements)) == h
+    assert products == []
+
+
+def test_subgroup_from_elements_against_brute_force_closure():
+    s3 = symmetric(3)
+    for size in range(1, s3.order + 1):
+        for subset in itertools.combinations(s3.elements, size):
+            closed = all(a * b in subset for a in subset for b in subset)
+            try:
+                s3.subgroup_from_elements(subset)
+            except NotASubgroup as error:
+                assert not closed and str(error).startswith("set not closed")
+            else:
+                assert closed
+
+
+def test_subgroup_from_elements_on_psl2_29_is_fast():
+    group = psl2(29)
+    started = time.perf_counter()
+    whole = group.subgroup_from_elements(group.elements)
+    assert time.perf_counter() - started < 2.0
+    assert whole.order == 12180
+
+
 def test_all_subgroups_counts(s4, d4, q8):
     # classical subgroup counts
     assert len(s4.all_subgroups()) == 30
@@ -399,6 +442,40 @@ def test_coset_space_forms_no_products(monkeypatch):
     for group, cosets in spaces:
         own = {id(x) for x in group.elements}
         assert all(id(rep) in own for rep in cosets.coset_reps)
+
+
+# (memo kind, module, builder, table of (group, subgroup))
+PER_SUBGROUP_TABLES = [
+    ("cosets", permgroup_module, "CosetSpace", coset_action),
+    ("splitting", splitting_module, "_cycle_types", splitting_table),
+    ("transfer", permgroup_module, "_transfer", transfer),
+    ("inclusion", permgroup_module, "_inclusion",
+     lambda group, h: inclusion_induced(h, group)),
+    ("core", permgroup_module, "_normal_core", normal_core),
+]
+
+
+@pytest.mark.parametrize("kind, module, builder, table", PER_SUBGROUP_TABLES,
+                         ids=[case[0] for case in PER_SUBGROUP_TABLES])
+def test_per_subgroup_tables_are_built_once_and_checked(
+        monkeypatch, kind, module, builder, table):
+    a4 = alternating(4)
+    v4 = a4.subgroup([Permutation.parse(4, "(0 1)(2 3)"),
+                      Permutation.parse(4, "(0 2)(1 3)")])
+    built = []
+    build = getattr(module, builder)
+    monkeypatch.setattr(module, builder,
+                        lambda group, h: built.append(h) or build(group, h))
+    first = table(a4, v4)
+    assert table(a4, a4.subgroup_from_elements(v4.elements)) == first
+    assert table(a4, v4) == first
+    assert built == [v4]
+    s4, s5 = symmetric(4), symmetric(5)
+    for foreign in (s4.subgroup([Permutation.parse(4, "(0 1)")]),
+                    s5.subgroup([Permutation.parse(5, "(0 1 2)")])):
+        with pytest.raises(NotASubgroup):
+            table(a4, foreign)
+    assert [key for k, key in a4._memo if k == kind] == [v4]
 
 
 def test_coset_lookup_outside_group_raises(s4):
