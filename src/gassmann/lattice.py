@@ -266,39 +266,16 @@ def smith_with_transforms(m: IntMat) -> tuple[IntMat, IntMat, IntMat]:
     """Smith normal form with transforms: returns (D, U, V), U @ M @ V = D.
 
     U and V are unimodular; D is diagonal with a nonnegative divisibility
-    chain d1 | d2 | ...
+    chain d1 | d2 | ...  One working matrix is eliminated: M bordered by
+    I_m on the right and by I_n below.  A row operation acts on a whole
+    bordered row and a column operation on the first n columns of every
+    row, so U rides in the right border and V in the rows below, as the
+    adjugate rides beside M in _bareiss.
     """
-    a = m.to_lists()
     nrows, ncols = m.nrows, m.ncols
-    u = IntMat.identity(nrows).to_lists()
-    v = IntMat.identity(ncols).to_lists()
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, q):
-        a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(dst, src, q):
-        for row in a:
-            row[dst] += q * row[src]
-        for row in v:
-            row[dst] += q * row[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
-    rank_bound = min(nrows, ncols)
-    for t in range(rank_bound):
+    a = [list(row) + [int(i == j) for j in range(nrows)]
+         for i, row in enumerate(m.rows)] + IntMat.identity(ncols).to_lists()
+    for t in range(min(nrows, ncols)):
         while True:
             candidates = [(abs(a[i][j]), i, j)
                           for i in range(t, nrows)
@@ -306,32 +283,36 @@ def smith_with_transforms(m: IntMat) -> tuple[IntMat, IntMat, IntMat]:
             if not candidates:
                 break
             _, pi, pj = min(candidates)
-            swap_rows(t, pi)
-            swap_cols(t, pj)
+            a[t], a[pi] = a[pi], a[t]
+            for row in a:
+                row[t], row[pj] = row[pj], row[t]
             dirty = False
             for i in range(t + 1, nrows):
                 if a[i][t]:
-                    add_row(i, t, -(a[i][t] // a[t][t]))
-                    if a[i][t]:
-                        dirty = True
+                    q = a[i][t] // a[t][t]
+                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+                    dirty = dirty or a[i][t] != 0
             for j in range(t + 1, ncols):
                 if a[t][j]:
-                    add_col(j, t, -(a[t][j] // a[t][t]))
-                    if a[t][j]:
-                        dirty = True
+                    q = a[t][j] // a[t][t]
+                    for row in a:
+                        row[j] -= q * row[t]
+                    dirty = dirty or a[t][j] != 0
             if dirty:
                 continue
             pivot = a[t][t]
-            offender = next(((i, j) for i in range(t + 1, nrows)
-                             for j in range(t + 1, ncols)
-                             if a[i][j] % pivot), None)
+            offender = next((i for i in range(t + 1, nrows)
+                             if any(a[i][j] % pivot
+                                    for j in range(t + 1, ncols))), None)
             if offender is None:
                 break
-            add_row(t, offender[0], 1)  # pull the bad entry into row t
-        if t < rank_bound and a[t][t] < 0:
-            negate_row(t)
-    d = IntMat(a)
-    return d, IntMat(u), IntMat(v)
+            # pull the bad entry into row t
+            a[t] = [x + y for x, y in zip(a[t], a[offender])]
+        if a[t][t] < 0:
+            a[t] = [-x for x in a[t]]
+    top = a[:nrows]
+    return (IntMat([row[:ncols] for row in top]),
+            IntMat([row[ncols:] for row in top]), IntMat(a[nrows:]))
 
 
 def snf(m: IntMat) -> tuple[IntMat, tuple[int, ...]]:

@@ -443,18 +443,12 @@ class _GroupBase:
 
     def subgroup_from_elements(
             self, elements: Iterable[Permutation]) -> "Subgroup":
-        elems = sorted(set(elements))
+        elems = set(elements)
         if not self.element_set.issuperset(elems):
             raise NotASubgroup("elements lie outside the group")
-        try:  # closed when the generator search, capped at |S|, holds S
-            closed = _reduce_generators(elems, self.degree).index.keys() \
-                >= set(elems)
-        except OrderCapExceeded:
-            closed = False
-        if not closed:
-            raise NotASubgroup(f"set not closed: its {len(elems)} elements "
-                               f"generate a larger group")
-        return Subgroup(self, elems)
+        subgroup = Subgroup(self, elems)
+        subgroup.generators  # NotASubgroup unless the set is closed
+        return subgroup
 
     def trivial_subgroup(self) -> "Subgroup":
         return Subgroup(self, [Permutation.identity(self.degree)])
@@ -575,7 +569,8 @@ class Subgroup(_GroupBase):
     coordinates, so equal subgroups share each `_memoized` table.
     Only its index in `parent` is kept, not `parent`.  The closure that
     found the generators is kept as its Cayley graph, which its classes
-    and abelianization then read."""
+    and abelianization then read.  An element set that is not closed
+    raises NotASubgroup when the generators are first read."""
 
     def __init__(self, parent: _GroupBase,
                  elements: Iterable[Permutation]) -> None:
@@ -590,8 +585,15 @@ class Subgroup(_GroupBase):
 
     @cached_property
     def _cayley_graph(self) -> _CayleyGraph:
-        """Its generators' closure, on the subgroup's own element objects."""
-        graph = _reduce_generators(self.elements, self.degree)
+        """Its generators' closure, on the subgroup's own element objects.
+        The set is closed when the search, capped at its size, holds it."""
+        try:
+            graph = _reduce_generators(self.elements, self.degree)
+        except OrderCapExceeded:
+            graph = None
+        if graph is None or not graph.index.keys() >= self.element_set:
+            raise NotASubgroup(f"set not closed: its {self.order} elements "
+                               f"generate a larger group")
         elements = tuple(sorted(self.elements, key=graph.index.__getitem__))
         return replace(graph, elements=elements,
                        index=dict(zip(elements, range(self.order))))
@@ -890,6 +892,8 @@ class AbHom:
 
     def tensor_mod(self, k: int) -> "AbHom":
         """The induced map after tensoring source and target with Z/k."""
+        if k < 1:
+            raise ValueError("modulus must be positive")
         keep_src = [j for j, d in enumerate(self.source_factors)
                     if gcd(d, k) > 1]
         keep_tgt = [r for r, d in enumerate(self.target_factors)

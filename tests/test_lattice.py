@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -7,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gassmann import permgroup as permgroup_module
+from gassmann.catalog import gl3f2, standard_corpus
 from gassmann.errors import (NonSquare, OrderCapExceeded, ParseError,
                              SingularMatrix)
 from gassmann.lattice import (IntMat, LocalNormLattice, _square_hnf,
@@ -15,6 +18,13 @@ from gassmann.lattice import (IntMat, LocalNormLattice, _square_hnf,
                               parse_matrix_file, smith_with_transforms, snf)
 
 small = st.integers(min_value=-8, max_value=8)
+
+# digests of (D, U, V) on the inputs of the two pinning tests below
+SMITH_RANDOM_SHA256 = (
+    "f4997554e9a9bb528dc341cc1c1e54a93df862bc9f0a6bfadcd3c7ed73eefae7")
+SMITH_ABELIANIZATION_INPUTS = 36
+SMITH_ABELIANIZATION_SHA256 = (
+    "38db3b7dc5ccfa0f71ca89dd4c85b137c3f3b00cde85e292833272ccf44be1f4")
 
 
 def square(n):
@@ -399,6 +409,48 @@ def test_singular_adjugate_is_capped_before_any_minor(monkeypatch):
         IntMat([[-2, 1, 0], [-2, 1, 0], [2, -1, 0]])
     with pytest.raises(OrderCapExceeded):
         adjugate(IntMat([[i + j for j in range(4)] for i in range(4)]))
+
+
+def transforms_digest(matrices):
+    """SHA-256 over each input with its (D, U, V), in the given order."""
+    digest = hashlib.sha256()
+    for m in matrices:
+        d, u, v = smith_with_transforms(m)
+        digest.update(repr((m.rows, d.rows, u.rows, v.rows)).encode())
+    return digest.hexdigest()
+
+
+def test_smith_transforms_pinned_on_random_matrices():
+    """(D, U, V) of 500 seeded matrices, 1-6 x 1-6 with entries in -9..9
+    and about 30% zeros, pinned by digest: a rewrite of the elimination
+    must keep its pivots and its order of operations."""
+    rng = random.Random(33)
+    matrices = []
+    for _ in range(500):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+        matrices.append(IntMat([[0 if rng.random() < 0.3
+                                 else rng.randint(-9, 9)
+                                 for _ in range(ncols)]
+                                for _ in range(nrows)]))
+    assert transforms_digest(matrices) == SMITH_RANDOM_SHA256
+
+
+def test_smith_transforms_pinned_on_abelianization_inputs(monkeypatch):
+    """(D, U, V) of every matrix that the abelianizations of all subgroups
+    of the corpus to order 120 and of GL(3,2) take a Smith form of."""
+    seen = set()
+    real = permgroup_module.smith_with_transforms
+
+    def recording(m):
+        seen.add(m)
+        return real(m)
+    monkeypatch.setattr(permgroup_module, "smith_with_transforms", recording)
+    for _, group in standard_corpus(120) + [("GL(3,2)", gl3f2())]:
+        for sub in group.all_subgroups():
+            permgroup_module.Abelianization(sub)
+    assert len(seen) == SMITH_ABELIANIZATION_INPUTS
+    assert transforms_digest(sorted(seen, key=lambda m: (
+        m.nrows, m.ncols, m.rows))) == SMITH_ABELIANIZATION_SHA256
 
 
 def test_snf_invariant_factors_against_sympy():

@@ -282,6 +282,32 @@ def test_subgroup_from_elements_on_psl2_29_is_fast():
     assert whole.order == 12180
 
 
+def test_subgroup_from_elements_searches_generators_once(monkeypatch):
+    """The closure check is the generator search of the returned
+    subgroup's Cayley graph, so reading its generators searches no more."""
+    group = psl2(29)
+    calls = []
+    reduce = permgroup_module._reduce_generators
+    monkeypatch.setattr(permgroup_module, "_reduce_generators",
+                        lambda *args: calls.append(args) or reduce(*args))
+    whole = group.subgroup_from_elements(group.elements)
+    assert len(whole.generators) >= 2
+    assert len(calls) == 1
+
+
+def test_unclosed_subgroup_refuses_its_generators(s4):
+    """A Subgroup built on a set that is not closed raises NotASubgroup,
+    not a KeyError, when its generators are first read."""
+    unclosed = Subgroup(s4, [Permutation.identity(4),
+                             Permutation.parse(4, "(0 1 2)"),
+                             Permutation.parse(4, "(0 1 3)")])
+    for _ in range(2):
+        with pytest.raises(NotASubgroup, match="^set not closed"):
+            unclosed.generators
+    with pytest.raises(NotASubgroup, match="^set not closed"):
+        Subgroup(s4, [Permutation.parse(4, "(0 1)")]).generators
+
+
 def test_all_subgroups_counts(s4, d4, q8):
     # classical subgroup counts
     assert len(s4.all_subgroups()) == 30
@@ -1036,6 +1062,15 @@ def test_abhom_tensor_mod_drops_coprime_slots():
     f3 = f.tensor_mod(3)
     assert f3.source_factors == (3,)
     assert f3.target_factors == ()
+
+
+@pytest.mark.parametrize("k", [0, -2])
+def test_abhom_tensor_mod_refuses_nonpositive_modulus(k):
+    f = AbHom((6, 2), (2, 4), [[1, 1], [2, 0]])
+    with pytest.raises(ValueError, match="modulus must be positive"):
+        f.tensor_mod(k)
+    with pytest.raises(ValueError, match="modulus must be positive"):
+        FinAbGroup(0, (2, 6)).tensor_mod(k)
 
 
 def test_group_file_roundtrip(s4):
