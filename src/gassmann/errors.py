@@ -62,7 +62,7 @@ class NotFoundWithinBudget(GassmannError):
 
 
 class MixedSigns(GassmannError):
-    """Row-sum and column-sum eigenvalues disagree (non-equivariant input)."""
+    """Row or column sums of a matrix are not constant, or not +-1."""
 
 
 class NonSquare(GassmannError):
@@ -78,7 +78,7 @@ class PreconditionViolated(GassmannError):
 
 
 class DimensionMismatch(GassmannError):
-    """Matrix and lattice dimensions are incompatible."""
+    """A matrix's size clashes with a lattice rank or a coset index."""
 
 
 class CoprimalityViolated(GassmannError):

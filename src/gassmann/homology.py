@@ -420,10 +420,10 @@ def conjugation_sweep(named_groups, *, max_order: int = 120) -> dict:
     every coset gH (the induced map on homology depends on g only
     through its coset), the sweep runs diagram_check, and, for each
     divisor t of |H1(H)| coprime to the index, gthm_check on every
-    corresponding pair.  gHg^-1 is the group's lattice entry at H's
-    element indices mapped through g's conjugation table, with no
-    product.  Returns a failure-listing report.  ValueError unless
-    max_order is positive.
+    corresponding pair.  gHg^-1 is the group's lattice entry at its
+    element indices, read off the coset walk (r_j = s r_i maps r_i's
+    key through x -> s x s^-1) with no product.  Returns a
+    failure-listing report.  ValueError unless max_order is positive.
     """
     if max_order < 1:
         raise ValueError("max_order must be positive")
@@ -440,6 +440,8 @@ def conjugation_sweep(named_groups, *, max_order: int = 120) -> dict:
             continue
         subgroups = group.all_subgroups()
         lattice = group._subgroup_lattice
+        inverses = [sorted(range(group.order), key=move.__getitem__)
+                    for move in group._cayley_graph.conjugations()]
         group_row = {"group": name, "order": group.order,
                      "subgroups": len(subgroups), "correspondences": 0}
         for members, h1 in lattice.items():
@@ -448,10 +450,11 @@ def conjugation_sweep(named_groups, *, max_order: int = 120) -> dict:
             ab_order = abelianization(h1).structure.torsion_order()
             t_values = [t for t in range(1, ab_order + 1)
                         if ab_order % t == 0 and gcd(m, t) == 1]
-            for g in cosets.coset_reps:
-                h2 = lattice[frozenset(map(
-                    group._conjugation_tables[g].__getitem__, members))]
-                corr = Correspondence._conjugation(group, h1, h2, g)
+            keys = [members]
+            for i, k in zip(cosets.parent, cosets.via):
+                keys.append(frozenset(map(inverses[k].__getitem__, keys[i])))
+            for g, key in zip(cosets.coset_reps, keys):
+                corr = Correspondence._conjugation(group, h1, lattice[key], g)
                 report["correspondences"] += 1
                 group_row["correspondences"] += 1
                 outcome = diagram_check(corr)

@@ -5,11 +5,11 @@ Cayley graph of the generators as integer tables, conjugacy classes as
 orbits on element indices walked off those tables, coset and
 double-coset actions, normal cores, abelianizations with explicit
 coordinates, and the degree-one transfer and inclusion maps.
-Conjugacy tests, double cosets, the intertwiner orbits and the
-transfer (each H-part at its place) read the cached coset tables.  The
-coset tables, the classes, the conjugation tables, the subgroup lattice
-(which extends one subgroup per class and reads its conjugates through
-those tables) and the abelianization walk the one Cayley graph of a
+Conjugacy tests, double cosets, the intertwiner orbits and the transfer
+(each H-part at its place) read the cached coset tables.  The coset
+tables and their walk's tree, the classes, the subgroup lattice (one
+subgroup extended per class, the class its orbit under the generators'
+conjugations) and the abelianization walk the one Cayley graph of a
 group, with no products: its closure, or a subgroup's last closure
 while finding its generators, kept once they are read.  Neither the
 tables and maps nor a subgroup refer back to the group, so no cache
@@ -73,8 +73,7 @@ __all__ = [
 ]
 
 DEFAULT_ORDER_CAP = 50_000
-# all_subgroups holds a |G| x |G| Cayley table, and the group keeps its
-# |G| x |G| conjugation tables
+# all_subgroups holds a |G| x |G| Cayley table of left multiples
 _LATTICE_ORDER_CAP = 1_000
 # a group's closure keys each element on the bytes of its images, so a
 # degree must stay below 256; a group file's degree is allocated before
@@ -467,31 +466,19 @@ class _GroupBase:
         return tuple(self._subgroup_lattice.values())
 
     @cached_property
-    def _conjugation_tables(self) -> dict[Permutation, list[int]]:
-        """For each element g, i -> index(g x_i g^-1) on Cayley-graph
-        indices, along the graph's tree with no products: g_j = g_p s
-        gives c_j = c_p . c_s, c_s the inverse of the move x -> s^-1 x s."""
-        graph = self._cayley_graph
-        inverses = [sorted(range(len(graph)), key=move.__getitem__)
-                    for move in graph.conjugations()]
-        tables = [list(range(len(graph)))]
-        for p, k in zip(graph.parent, graph.via):
-            tables.append(list(map(tables[p].__getitem__, inverses[k])))
-        return dict(zip(graph.elements, tables))
-
-    @cached_property
     def _subgroup_lattice(self) -> dict[frozenset, "Subgroup"]:
         """Every subgroup by its set of Cayley-graph element indices, in
         (order, elements) order.  One S per conjugacy class (Neubueser)
         is joined as <S, x> for one x per right coset Sx, on a |G|^2
         Cayley table of the graph's left multiples (hence the order cap);
-        a new join's images under the conjugation tables are its class."""
+        a new join's class is its key's orbit under the conjugations."""
         if self.order > _LATTICE_ORDER_CAP:
             raise OrderCapExceeded(
                 f"subgroup lattice needs group order at most "
                 f"{_LATTICE_ORDER_CAP}, got {self.order}")
         graph = self._cayley_graph
         table = list(map(graph.left_multiples, range(self.order)))
+        moves = graph.conjugations()
         trivial = frozenset([0])  # the identity's index
         found = {trivial}
         worklist: list[tuple[frozenset, list[int]]] = [(trivial, [])]
@@ -504,8 +491,13 @@ class _GroupBase:
                 tried.update(table[s][x] for s in members)  # <S, sx> = <S, x>
                 joined = _join(table, members, gens + [x])
                 if joined not in found:
-                    found.update(frozenset(map(c.__getitem__, joined))
-                                 for c in self._conjugation_tables.values())
+                    found.add(joined)
+                    conjugates = [joined]
+                    for key in conjugates:  # grows while it is walked
+                        images = {frozenset(map(move.__getitem__, key))
+                                  for move in moves} - found
+                        found |= images
+                        conjugates += images
                     worklist.append((joined, gens + [x]))
         lattice = [(key, Subgroup(self, map(graph.elements.__getitem__, key)))
                    for key in found]
@@ -649,7 +641,9 @@ class CosetSpace:
     place there, filled by walking the graph with no products: coset 0
     lists H's elements in order, identity first, and each coset goes to
     g·xH place by place through each generator g's left multiples, so
-    place p of coset j holds r_j·h_p.  A lookup is two indexings.  The
+    place p of coset j holds r_j·h_p.  A lookup is two indexings.  As in
+    the Cayley graph, coset j > 0 keeps its tree edge: r_j = g·r_i for
+    g = generators[via[j - 1]] and i = parent[j - 1].  The
     representatives are the group's own element objects, so a cached
     space adds no copies of them.
     """
@@ -662,13 +656,16 @@ class CosetSpace:
         coset_of, place = [-1] * len(graph), [0] * len(graph)
         for p, i in enumerate(cosets[0]):
             coset_of[i], place[i] = 0, p
-        for members in cosets:  # grows while it is walked
-            for left in graph.lefts:
+        self.parent, self.via = [], []
+        for c, members in enumerate(cosets):  # grows while it is walked
+            for k, left in enumerate(graph.lefts):
                 if coset_of[left[members[0]]] < 0:
                     image = list(map(left.__getitem__, members))
                     for p, i in enumerate(image):
                         coset_of[i], place[i] = len(cosets), p
                     cosets.append(image)
+                    self.parent.append(c)
+                    self.via.append(k)
         self.coset_reps = tuple(graph.elements[c[0]] for c in cosets)
         self._coset_of, self._place = coset_of, place
 

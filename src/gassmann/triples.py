@@ -15,6 +15,7 @@ from operator import mul
 from typing import Iterator, Sequence, Union
 
 from .errors import (
+    DimensionMismatch,
     MixedSigns,
     NonSquare,
     NotFoundWithinBudget,
@@ -150,7 +151,7 @@ class CorrespondenceMatrix:
         eps = _ones_eigenvalue(a)
         if triple is not None:
             if a.nrows != triple.index:
-                raise NonSquare(
+                raise DimensionMismatch(
                     f"size {a.nrows} does not match index {triple.index}")
             bad = _equivariance_failures(a, triple)
             if bad:
@@ -167,19 +168,17 @@ class CorrespondenceMatrix:
 
 
 def _ones_eigenvalue(a: IntMat) -> int:
-    """The common row/column sum; MixedSigns when sums are inconsistent
-    or not a unit (a unimodular equivariant matrix always has one)."""
+    """The common row/column sum of a square matrix (n r = n c when both
+    are constant); MixedSigns when the sums are not constant or not a
+    unit (a unimodular equivariant matrix always has one)."""
     row_sums = {sum(row) for row in a.rows}
     col_sums = {sum(a.column(j)) for j in range(a.ncols)}
     if len(row_sums) != 1 or len(col_sums) != 1:
         raise MixedSigns("row or column sums are not constant")
-    (eps_row,), (eps_col,) = row_sums, col_sums
-    if eps_row != eps_col:
-        raise MixedSigns(
-            f"row-sum eigenvalue {eps_row} != column-sum {eps_col}")
-    if eps_row not in (1, -1):
-        raise MixedSigns(f"eigenvalue {eps_row} is not a unit")
-    return eps_row
+    (eps,) = row_sums
+    if eps not in (1, -1):
+        raise MixedSigns(f"eigenvalue {eps} is not a unit")
+    return eps
 
 
 def _equivariance_failures(a: IntMat, triple: GassmannTriple) -> list[str]:
@@ -201,12 +200,13 @@ def intertwiner_basis(group: GroupLike, h1: GroupLike,
     one basis matrix, and the orbits partition the cells, so every
     equivariant integer matrix is a unique integer combination.  Every
     orbit meets column 0, the coset H1, in one orbit of H1 on G/H2, so
-    the search runs on n points; as (r, c) and (s2[r], s1[c]) share an
-    orbit, a breadth-first walk over the generators fills column s1[c]
-    from column c.  An orbit's least cell lies in row 0, so the orbits
-    are numbered by their first cell there.  OrderCapExceeded, before
-    any column is built, when the k matrices would hold more than
-    _BASIS_CAP entries.
+    the search runs on n points.  The other columns follow G/H1's coset
+    walk: coset j was reached from coset i by a generator g, and (r, i)
+    and (s2[r], j) share an orbit, s2 being g's permutation of G/H2, so
+    column j is column i read through s2^-1.  An orbit's least cell lies
+    in row 0, so the orbits are numbered by their first cell there.
+    OrderCapExceeded, before any column is built, when the k matrices
+    would hold more than _BASIS_CAP entries.
     """
     _require_equal_index(group, h1, h2)
     cosets1 = coset_action(group, h1)
@@ -218,15 +218,10 @@ def intertwiner_basis(group: GroupLike, h1: GroupLike,
         raise OrderCapExceeded(
             f"{k} orbit matrices of size {n}x{n} hold {k * n * n} entries, "
             f"over the cap {_BASIS_CAP}")
-    moves = [(cosets1.permutation_of(g), cosets2.permutation_of(g).inverse())
-             for g in group.generators]
-    columns: list[list[int] | None] = [column0] + [None] * (n - 1)
-    walk = [0]
-    for c in walk:  # grows while it is walked
-        for s1, s2_inv in moves:
-            if columns[s1[c]] is None:
-                columns[s1[c]] = list(map(columns[c].__getitem__, s2_inv))
-                walk.append(s1[c])
+    moves = [cosets2.permutation_of(g).inverse() for g in group.generators]
+    columns = [column0]
+    for i, via in zip(cosets1.parent, cosets1.via):
+        columns.append(list(map(columns[i].__getitem__, moves[via])))
     # basis[d] is the orbit through H1's orbit d in column 0, listed by
     # its first cell in row 0
     basis = [[[0] * n for _ in range(n)] for _ in range(k)]
@@ -402,7 +397,7 @@ def verify_integral_triple(triple: GassmannTriple,
     if not a.is_square:
         raise NonSquare("candidate must be square")
     if a.nrows != triple.index:
-        raise NonSquare(
+        raise DimensionMismatch(
             f"size {a.nrows} does not match index {triple.index}")
     conjugate = are_conjugate(triple.group, triple.h1, triple.h2)
     failures = [] if checked else _equivariance_failures(a, triple)

@@ -169,6 +169,24 @@ def test_gassmann_verify(capsys, tmp_path, s4_file):
     assert not json.loads(out)["unimodular"]
 
 
+def test_gassmann_verify_wrong_size_exits_two(capsys, tmp_path, s4_file):
+    """A square matrix whose size is not the index is a dimension
+    mismatch, not a non-square one."""
+    c4 = sub_file(tmp_path, "c4.grp", 4, ["(0 1 2 3)"])
+    matrix = tmp_path / "up.mat"
+    matrix.write_text("size: 2\n1 0\n0 1\n")
+    code, out, err = run_cli(
+        capsys, ["gassmann", "verify", s4_file, "--h1", c4, "--h2", c4,
+                 "--matrix", str(matrix)])
+    assert code == 2 and not out
+    assert err == "error: DimensionMismatch: size 2 does not match index 6\n"
+
+
+def test_scott_with_no_budget_exits_one(capsys):
+    report = run_json(capsys, ["scott", "--budget", "0"], expect=1)
+    assert report["found"] is False and report["trials"] == 0
+
+
 def test_splitting_report(capsys, tmp_path, s4_file):
     h1 = sub_file(tmp_path, "h1.grp", 4, ["(0 1)"])
     h2 = sub_file(tmp_path, "h2.grp", 4, ["(2 3)"])

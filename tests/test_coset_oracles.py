@@ -9,7 +9,9 @@ the Fano triple; the intertwiner orbits also on Scott's index-203 pair
 and on Subgroups used as groups.  The conjugacy classes, read off one
 orbit computation on walks of the Cayley-graph tables, must match a
 breadth-first search over conjugates, for groups and for subgroups
-taken as groups in their own right.  Every splitting type, read from
+taken as groups in their own right.  Each coset representative must
+be its walk parent's times the generator that reached it.  Every
+splitting type, read from
 class counts, must match the cycle type of a coset permutation.  The
 transfer, read off the coset table's places, must equal the product of
 the H-parts on every subgroup of the corpus to order 120, of GL(3,2)
@@ -173,6 +175,24 @@ def test_coset_spaces_walk_each_generator_once(monkeypatch):
     for sub in subgroups:
         CosetSpace(group, sub)
     assert walks == [(graph, graph.index[g]) for g in graph.generators]
+
+
+def test_coset_walk_tree_rebuilds_the_representatives(subgroup_ambients):
+    """Coset j > 0 was reached from coset parent[j - 1] by the generator
+    via[j - 1], so its representative is that generator times the
+    parent's, on groups and on Subgroups used as groups."""
+    scott = scott_triple(seed=0)
+    pairs = [(group, sub)
+             for group in [g for _, g in standard_corpus(120)]
+             + [gl3f2(), *subgroup_ambients]
+             for sub in group.all_subgroups()]
+    pairs += [(scott.group, scott.h1), (scott.group, scott.h2)]
+    for group, sub in pairs:
+        cosets = coset_action(group, sub)
+        reps = cosets.coset_reps
+        assert len(cosets.parent) == len(cosets.via) == len(reps) - 1
+        for j, (i, k) in enumerate(zip(cosets.parent, cosets.via), start=1):
+            assert i < j and reps[j] == group.generators[k] * reps[i]
 
 
 @pytest.mark.parametrize("name", sorted(GROUPS))

@@ -66,6 +66,11 @@ def test_coord_subgroup_basics():
     assert len(index_subgroups((4, 2), 2)) == 3
 
 
+def test_coord_subgroup_generator_length_must_match():
+    with pytest.raises(ValueError, match="vector length mismatch"):
+        CoordSubgroup.from_generators([2, 4], [(1,)])
+
+
 @pytest.mark.parametrize("factors", [(0,), (-2,), (2, 0), (2.0,), ("2",)],
                          ids=repr)
 def test_coord_subgroup_builders_need_positive_int_factors(factors):

@@ -205,6 +205,8 @@ def test_field_model_validation():
         FieldModel(6, frozenset({1, 4}))  # 4 is not a unit mod 6
     model = FieldModel.abelian(8, [3, 5])
     assert model.degree == 1  # {3,5} generates all of (Z/8)^x
+    model = FieldModel(7)  # no subgroup given: the trivial one
+    assert model.subgroup == frozenset({1}) and model.degree == 6
 
 
 def test_conductor_cap_rejects_before_enumerating(monkeypatch):

@@ -19,7 +19,8 @@ from gassmann.catalog import (_FANO_VECTORS, alternating, cyclic, dihedral,
 from gassmann.errors import (InvalidPermutation, NotASubgroup,
                              OrderCapExceeded, ParseError)
 from gassmann.homology import (Correspondence, CoordSubgroup,
-                               corresponding_subgroups, gthm_check)
+                               conjugation_sweep, corresponding_subgroups,
+                               gthm_check)
 from gassmann.lattice import (IntMat, LocalNormLattice, _square_hnf,
                               smith_with_transforms)
 from gassmann.permgroup import (_DEGREE_CAP, AbHom, FinAbGroup, PermGroup,
@@ -47,6 +48,12 @@ def test_parse_rejects_garbage():
         Permutation.parse(3, "(0 5)")
     with pytest.raises(InvalidPermutation):
         Permutation.parse(3, "(0 0)")
+
+
+def test_negative_powers_invert():
+    p = Permutation.parse(4, "(0 1 2 3)")
+    assert p ** -3 == p
+    assert p ** -1 == p.inverse()
 
 
 def test_permutation_is_its_image_tuple():
@@ -141,6 +148,30 @@ def test_order_cap_enforced():
     # |S9| = 362,880: enumeration stops at DEFAULT_ORDER_CAP + 1 elements
     with pytest.raises(OrderCapExceeded):
         symmetric(9)
+
+
+def test_permgroup_rejects_bad_generators():
+    with pytest.raises(InvalidPermutation, match="not a permutation"):
+        PermGroup(4, [(1, 0, 2, 3)])
+    with pytest.raises(InvalidPermutation,
+                       match="generator degree 3 != group degree 4"):
+        PermGroup(4, [Permutation.parse(3, "(0 1)")])
+    with pytest.raises(NotASubgroup):
+        symmetric(4).subgroup_from_elements([Permutation.identity(5)])
+
+
+def test_group_file_with_a_second_degree_line_is_refused():
+    with pytest.raises(ParseError) as info:
+        parse_group_file("degree: 4\ndegree: 4\ngen: (0 1)\n")
+    assert info.value.line == 2
+
+
+def test_catalog_edge_sizes():
+    assert cyclic(1).order == symmetric(1).order == alternating(2).order == 1
+    assert alternating(3).order == 3
+    for build in (lambda: cyclic(0), lambda: dihedral(2), lambda: psl2(4)):
+        with pytest.raises(ValueError):
+            build()
 
 
 def test_degree_cap_covers_permgroup():
@@ -849,35 +880,41 @@ def test_lattice_joins_once_per_coset_of_each_class(monkeypatch, name,
 
 
 @pytest.mark.parametrize("name", ["s4", "d6", "a5", "a5_in_s5", "trivial"])
-def test_conjugation_tables_match_conjugate(name):
-    """A group's table for g maps each Cayley-graph index i to the index
-    of g x_i g^-1; a subgroup's graph order is not its sorted order."""
+def test_sweep_conjugates_match_conjugate(monkeypatch, name):
+    """For each H1 and coset representative g, the lattice entry the sweep
+    reads off the coset walk is g H1 g^-1, by Permutation.conjugate; a
+    subgroup's graph order is not its sorted order."""
     group = {"s4": lambda: symmetric(4), "d6": lambda: dihedral(6),
              "a5": lambda: relabelled_a5(5),
              "a5_in_s5": lambda: symmetric(5).subgroup(
                  alternating(5).generators),
              "trivial": lambda: PermGroup(1, [])}[name]()
-    graph = group._cayley_graph
-    tables = group._conjugation_tables
-    assert len(tables) == group.order
-    for g in graph.elements:
-        assert tables[g] == [graph.index[x.conjugate(g)]
-                             for x in graph.elements]
+    calls, conjugation = [], Correspondence._conjugation
+    monkeypatch.setattr(Correspondence, "_conjugation", classmethod(
+        lambda cls, *args: calls.append(args) or conjugation(*args)))
+    conjugation_sweep([(name, group)])
+    lattice, index = group._subgroup_lattice, group._cayley_graph.index
+    assert [(h1, g) for _, h1, _, g in calls] == [
+        (h1, g) for h1 in lattice.values()
+        for g in coset_action(group, h1).coset_reps]
+    for _, h1, h2, g in calls:
+        key = frozenset(index[x.conjugate(g)] for x in h1.elements)
+        assert lattice[key] is h2
 
 
 @pytest.mark.parametrize("name", ["s4", "d6", "a5"])
 def test_lattice_keys_are_closed_under_conjugation(name):
-    """Each lattice key S, mapped through any g's table, is a key whose
+    """Each lattice key S, conjugated by any g in G, is a key whose
     subgroup is g S g^-1."""
     group = {"s4": lambda: symmetric(4), "d6": lambda: dihedral(6),
              "a5": lambda: relabelled_a5(3)}[name]()
     lattice = group._subgroup_lattice
-    elements = group._cayley_graph.elements
-    for g, table in group._conjugation_tables.items():
+    index, elements = group._cayley_graph.index, group._cayley_graph.elements
+    for g in group.elements:
         for key in lattice:
-            image = frozenset(map(table.__getitem__, key))
-            assert lattice[image].element_set == \
-                {elements[i].conjugate(g) for i in key}
+            conjugate = {elements[i].conjugate(g) for i in key}
+            image = frozenset(map(index.__getitem__, conjugate))
+            assert lattice[image].element_set == conjugate
 
 
 def test_abelianization_kills_commutators(a4):
@@ -1007,6 +1044,19 @@ def test_finabgroup_tensor_mod():
 def test_value_types_are_frozen(value, name):
     with pytest.raises(AttributeError):
         setattr(value, name, getattr(value, name))
+
+
+def test_abelian_value_types_reject_bad_shapes():
+    with pytest.raises(ValueError, match="vector length mismatch"):
+        AbHom([2], [2], [[1]]).apply((1, 1))
+    with pytest.raises(ValueError, match="entry shape"):
+        AbHom([2], [2], [[1, 1]])
+    with pytest.raises(ValueError, match="divisibility"):
+        FinAbGroup(0, (4, 2))
+    with pytest.raises(ValueError, match="free rank"):
+        FinAbGroup(-1)
+    with pytest.raises(ValueError, match="cyclic order 0"):
+        FinAbGroup.from_cyclic_orders([0])
 
 
 def test_abhom_rejects_ill_defined_entries():

@@ -198,6 +198,14 @@ def test_norm_count_matches_bruteforce(parts, k):
     assert norm_count(SplittingType(parts), k) == brute_norm_count(parts, k)
 
 
+def test_negative_caps_are_refused():
+    s = SplittingType([1, 2])
+    with pytest.raises(ValueError, match="nonnegative"):
+        numerical_set(s, -1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        norm_count(s, -1)
+
+
 def test_norm_count_distinguishes_multiplicity():
     assert norm_count(SplittingType([1, 1]), 3) == 4
     assert norm_count(SplittingType([1]), 3) == 1

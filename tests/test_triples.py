@@ -9,7 +9,8 @@ import pytest
 from gassmann import splitting, triples
 from gassmann.abelext import decomposition_count_check
 from gassmann.catalog import fano_stabilizers, psl2, scott_triple
-from gassmann.errors import (IndexMismatch, MixedSigns, NotFoundWithinBudget,
+from gassmann.errors import (DimensionMismatch, IndexMismatch, MixedSigns,
+                             NonSquare, NotFoundWithinBudget,
                              OrderCapExceeded, PreconditionViolated)
 from gassmann.lattice import IntMat, adjugate, det
 from gassmann.permgroup import (CosetSpace, Permutation, Subgroup,
@@ -501,6 +502,28 @@ def test_correspondence_matrix_validation(fano):
         CorrespondenceMatrix(IntMat([[1, 0], [0, -1]]))
     with pytest.raises(PreconditionViolated):
         CorrespondenceMatrix(IntMat.identity(7), triple)  # not equivariant
+
+
+def test_square_matrix_of_the_wrong_size_is_a_dimension_mismatch(fano):
+    """A unimodular 3x3 matrix is square, but the Fano index is 7."""
+    triple = GassmannTriple(*fano)
+    message = "size 3 does not match index 7"
+    with pytest.raises(DimensionMismatch, match=message):
+        CorrespondenceMatrix(IntMat.identity(3), triple)
+    with pytest.raises(DimensionMismatch, match=message):
+        verify_integral_triple(triple, IntMat.identity(3))
+    with pytest.raises(NonSquare):
+        verify_integral_triple(triple, IntMat([[1, 0]]))
+
+
+def test_ones_eigenvalue_needs_constant_unit_sums():
+    """Constant row and column sums of a square matrix agree, so the
+    only failures are sums that vary and a common sum other than +-1."""
+    with pytest.raises(MixedSigns, match="not constant"):
+        triples._ones_eigenvalue(IntMat([[1, 0], [1, 0]]))
+    with pytest.raises(MixedSigns, match="not a unit"):
+        triples._ones_eigenvalue(IntMat.identity(2).scale(2))
+    assert triples._ones_eigenvalue(IntMat([[2, -1], [-1, 2]])) == 1
 
 
 def test_search_is_deterministic_per_seed(fano):
