@@ -7,7 +7,7 @@ from typing import Iterator
 
 from .errors import OrderCapExceeded
 
-__all__ = ["is_prime", "iter_primes", "factorize"]
+__all__ = ["is_prime", "iter_primes"]
 
 # is_prime trial-divides up to sqrt(n), so 5e5 times at most below it
 _PRIME_CAP = 10 ** 12
@@ -34,18 +34,3 @@ def is_prime(n: int) -> bool:
 def iter_primes() -> Iterator[int]:
     return filter(is_prime, count(2))
 
-
-def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of n >= 1 as {prime: exponent}."""
-    if n < 1:
-        raise ValueError(f"cannot factor {n}")
-    factors: dict[int, int] = {}
-    f = 2
-    while f * f <= n:
-        while n % f == 0:
-            factors[f] = factors.get(f, 0) + 1
-            n //= f
-        f += 1 if f == 2 else 2
-    if n > 1:
-        factors[n] = factors.get(n, 0) + 1
-    return factors

@@ -249,17 +249,15 @@ def _square_hnf(mat: IntMat) -> IntMat:
     """HNF basis of the column span, cut down to its square leading part.
 
     ValueError unless the lattice has full row rank, as a relation
-    lattice of a finite abelian group does.
+    lattice of a finite abelian group does: the HNF of a k-row matrix has
+    at most k nonzero columns, first, so full rank is k positive pivots.
     """
     reduced = hnf(mat)
     k = reduced.nrows
-    rows = [row[:k] for row in reduced.rows]
-    for i, row in enumerate(reduced.rows):
-        if any(row[k:]):
-            raise ValueError("matrix does not have full row rank")
-        if rows[i][i] <= 0:
-            raise ValueError("rank-deficient lattice basis")
-    return IntMat(rows)
+    if reduced.ncols < k or any(row[i] <= 0
+                                for i, row in enumerate(reduced.rows)):
+        raise ValueError("rank-deficient lattice basis")
+    return IntMat([row[:k] for row in reduced.rows])
 
 
 def smith_with_transforms(m: IntMat) -> tuple[IntMat, IntMat, IntMat]:

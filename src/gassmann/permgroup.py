@@ -40,7 +40,6 @@ from math import gcd, lcm, prod
 from operator import itemgetter, mul
 from typing import Iterable, Sequence, Union
 
-from ._primes import factorize
 from .errors import (
     IndexMismatch,
     InvalidPermutation,
@@ -781,19 +780,22 @@ class FinAbGroup:
     @classmethod
     def from_cyclic_orders(cls, orders: Iterable[int],
                            free_rank: int = 0) -> "FinAbGroup":
-        """Normalize a direct sum of cyclic groups of the given orders."""
-        per_prime: dict[int, list[int]] = {}
+        """Normalize a direct sum of cyclic groups of the given orders.
+
+        Each order merges into a chain d1 | d2 | ...: at each entry d in
+        turn, Z/d + Z/order becomes Z/gcd + Z/lcm, and the rest of the
+        order goes on the end.  gcd(d, order) divides d, which divides the
+        next entry and the lcm carried to it, so the chain holds; its
+        entries above 1 are the invariant factors, which are unique.
+        """
+        chain: list[int] = []
         for order in orders:
             if order < 1:
                 raise ValueError(f"cyclic order {order} < 1")
-            for p, e in factorize(order).items():
-                per_prime.setdefault(p, []).append(e)
-        width = max((len(v) for v in per_prime.values()), default=0)
-        slots = [1] * width
-        for p, exponents in per_prime.items():
-            for position, e in enumerate(sorted(exponents, reverse=True)):
-                slots[position] *= p ** e
-        return cls(free_rank, tuple(reversed(slots)))
+            for i, d in enumerate(chain):
+                chain[i], order = gcd(d, order), lcm(d, order)
+            chain.append(order)
+        return cls(free_rank, tuple(d for d in chain if d > 1))
 
     def torsion_order(self) -> int:
         return prod(self.invariant_factors)
@@ -804,7 +806,7 @@ class FinAbGroup:
             raise ValueError("modulus must be positive")
         orders = [gcd(d, k) for d in self.invariant_factors]
         orders.extend([k] * self.free_rank)
-        return FinAbGroup.from_cyclic_orders(o for o in orders if o > 1)
+        return FinAbGroup.from_cyclic_orders(orders)
 
     def __str__(self) -> str:
         rank = self.free_rank

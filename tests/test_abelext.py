@@ -14,6 +14,7 @@ from gassmann.errors import (CoprimalityViolated, DimensionMismatch,
                              PreconditionViolated)
 from gassmann.lattice import IntMat, LocalNormLattice, det
 from gassmann.permgroup import Permutation
+from gassmann.triples import integral_search
 
 A_PAPER = IntMat([[2, 1, -2], [-1, 0, 2], [0, 0, 1]])
 
@@ -86,6 +87,16 @@ def test_local_model_standard_shape():
     assert basis.rows[1][1] == 5
     assert basis.rows[2][2] == 5
     assert model.synthetic
+
+
+def test_local_model_of_a_search_hit_is_not_synthetic(s4):
+    """integral_search on the conjugate pair <(0 1)>, <(2 3)> of S4
+    returns a matrix that carries its verified triple."""
+    h1, h2 = (s4.subgroup([Permutation.parse(4, c)])
+              for c in ("(0 1)", "(2 3)"))
+    found = integral_search(s4, h1, h2, 2, 1000)
+    assert found.triple is not None
+    assert not LocalModel.standard(found, 2).synthetic
 
 
 def test_transport_lattice_applies_transpose():

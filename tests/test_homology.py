@@ -1,3 +1,4 @@
+import json
 import time
 from collections import Counter
 from itertools import product
@@ -10,6 +11,7 @@ import gassmann.homology as homology_module
 import gassmann.permgroup as permgroup_module
 from gassmann.catalog import (alternating, dihedral, standard_corpus,
                               symmetric)
+from gassmann.cli import main
 from gassmann.errors import (CoprimalityViolated, IndexMismatch, NotASubgroup,
                              NotNormal, OrderCapExceeded)
 from gassmann.homology import (Correspondence, CoordSubgroup, _full, _image,
@@ -548,6 +550,66 @@ def test_gthm_uses_cores_of_the_lifted_pair(s3):
     for cs in corresponding_subgroups(corr, 3):
         assert normal_core(s3, cs.gamma1p).order == 1
         assert gthm_check(cs)
+
+
+def test_gthm_check_refuses_unequal_cores(s4):
+    """V4 and K = <(0 1), (2 3)> in S4 both have H1 = Z/2 x Z/2 and index
+    6, so the identity on (2, 2) is a valid correspondence; but V4 is
+    normal and K has a trivial core, so the check fails, and so does
+    the diagram."""
+    v4, k = (s4.subgroup([Permutation.parse(4, c) for c in gens])
+             for gens in (("(0 1)(2 3)", "(0 2)(1 3)"), ("(0 1)", "(2 3)")))
+    assert abelianization(v4).factors == abelianization(k).factors == (2, 2)
+    corr = Correspondence(s4, v4, k, AbHom.scalar((2, 2), 1))
+    cs = corresponding_subgroups(corr, 1)[0]
+    assert gthm_check(cs) is False
+    assert diagram_check(corr)["commutes"] is False
+
+    def brute_core(sub):
+        members = set(sub.elements)
+        return set.intersection(*({x.conjugate(g) for x in members}
+                                  for g in s4.elements))
+    for lifted, order in ((cs.gamma1p, 4), (cs.gamma2p, 1)):
+        core = normal_core(s4, lifted)
+        assert core.order == order
+        assert set(core.elements) == brute_core(lifted)
+
+
+@pytest.fixture
+def sweep_fails_once(monkeypatch):
+    """The sweep's diagram_check reports a failed square on its first
+    call, and its gthm_check returns False on its first call; `reset()`
+    re-arms both for a second sweep."""
+    real_diagram = homology_module.diagram_check
+    real_gthm = homology_module.gthm_check
+    calls = {"diagram": 0, "gthm": 0}
+
+    def diagram(corr):
+        calls["diagram"] += 1
+        outcome = real_diagram(corr)
+        return {**outcome, "commutes": False} if calls["diagram"] == 1 \
+            else outcome
+
+    def gthm(cs):
+        calls["gthm"] += 1
+        return calls["gthm"] > 1 and real_gthm(cs)
+    monkeypatch.setattr(homology_module, "diagram_check", diagram)
+    monkeypatch.setattr(homology_module, "gthm_check", gthm)
+    return lambda: calls.update(diagram=0, gthm=0)
+
+
+def test_sweep_lists_each_failure_and_fails(sweep_fails_once, capsys):
+    report = conjugation_sweep([("S3", symmetric(3))])
+    assert report["passed"] is False
+    [square] = report["diagram_failures"]
+    [core] = report["gthm_failures"]
+    assert set(square) == {"group", "h1_order", "g", "report"}
+    assert square["group"] == "S3" and square["report"]["commutes"] is False
+    assert set(core) == {"group", "h1_order", "g", "t"}
+    assert core["group"] == "S3"
+    sweep_fails_once()
+    assert main(["homology", "sweep", "--max-order", "6"]) == 1
+    assert json.loads(capsys.readouterr().out)["passed"] is False
 
 
 def test_lifted_subgroups_are_conjugate(s4):

@@ -115,6 +115,13 @@ def test_cyclo_exponent_requires_prime():
         cyclo_exponent(Q, 6, 1)
 
 
+def test_negative_level_and_nonpositive_degree_are_refused():
+    with pytest.raises(ValueError, match="nu must be nonnegative"):
+        cyclo_exponent(Q, 3, -1)
+    with pytest.raises(ValueError, match="i must be positive"):
+        w_invariant(Q, 0)
+
+
 def test_cyclo_exponent_shrinks_with_larger_unit_group():
     # adjoining sqrt(5) halves the first 5-power layer
     assert cyclo_exponent(REAL_QUAD, 5, 1) == 2

@@ -132,12 +132,33 @@ def column_lattice_members(m, box):
 
 
 def test_square_hnf_cuts_to_the_square_basis_or_refuses():
-    """The relation lattice of Z/2 x Z/4 from redundant relations, and a
-    lattice of rank 1 in Z^2, which has no square basis."""
+    """The relation lattice of Z/2 x Z/4 from redundant relations, and
+    two lattices of rank 1 in Z^2, which have no square basis: one with
+    a spare column, one with fewer columns than rows."""
     relations = IntMat([[2, 0, 4, 2], [0, 4, 4, 8]])
     assert _square_hnf(relations) == IntMat([[2, 0], [0, 4]])
-    with pytest.raises(ValueError):
-        _square_hnf(IntMat([[1, 2], [2, 4]]))
+    for rank_one in (IntMat([[1, 2], [2, 4]]), IntMat([[1], [0]])):
+        with pytest.raises(ValueError, match="rank-deficient lattice basis"):
+            _square_hnf(rank_one)
+
+
+def test_hnf_of_a_tall_matrix_stops_when_the_pivots_run_out():
+    """Three rows and two columns: the second pivot ends the elimination
+    before the third row.  The result keeps the shape, is lower
+    triangular with positive pivots, and spans what the input spans
+    (each column is a combination of the other's, found by a search of
+    small coefficients)."""
+    m = IntMat([[1, 0], [0, 1], [1, 1]])
+    h = hnf(m)
+    assert (h.nrows, h.ncols) == (3, 2)
+    assert h.rows[0][1] == 0 and h.rows[0][0] > 0 and h.rows[1][1] > 0
+
+    def spans(basis, target):
+        combos = {tuple(sum(c * x for c, x in zip(coeffs, row))
+                        for row in basis.rows)
+                  for coeffs in itertools.product(range(-2, 3), repeat=2)}
+        return all(col in combos for col in zip(*target.rows))
+    assert spans(m, h) and spans(h, m)
 
 
 def test_hnf_preserves_column_lattice():
@@ -258,6 +279,8 @@ def test_lattice_membership_and_index():
     assert not lat.contains((0, 1))
     with pytest.raises(ValueError):
         lat.contains((1, 0, 0))
+    with pytest.raises(NonSquare):
+        LocalNormLattice(IntMat([[1, 0]]))
 
 
 def test_lattice_equality_via_hnf():

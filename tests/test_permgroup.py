@@ -5,7 +5,7 @@ import random
 import time
 import weakref
 from collections import Counter
-from math import gcd
+from math import gcd, prod
 from operator import mul
 
 import pytest
@@ -169,7 +169,8 @@ def test_group_file_with_a_second_degree_line_is_refused():
 def test_catalog_edge_sizes():
     assert cyclic(1).order == symmetric(1).order == alternating(2).order == 1
     assert alternating(3).order == 3
-    for build in (lambda: cyclic(0), lambda: dihedral(2), lambda: psl2(4)):
+    for build in (lambda: cyclic(0), lambda: dihedral(2), lambda: psl2(4),
+                  lambda: symmetric(0), lambda: alternating(0)):
         with pytest.raises(ValueError):
             build()
 
@@ -1024,6 +1025,25 @@ def test_finabgroup_normalizes_cyclic_orders():
     assert str(FinAbGroup(2, (2,))) == "Z^2 x Z/2"
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 200), max_size=8), st.integers(0, 3),
+       st.booleans())
+def test_finabgroup_from_cyclic_orders_matches_sympy(orders, rank, lazily):
+    """The invariant factors of diag(orders) by sympy's Smith form,
+    entries above 1; the orders go in as a list or, as tensor_mod
+    passes them, as a generator."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+    expected = tuple(int(d) for d in invariant_factors(
+        sympy.diag(*orders) if orders else sympy.zeros(0, 0),
+        domain=sympy.ZZ) if d > 1)
+    group = FinAbGroup.from_cyclic_orders(
+        (o for o in orders) if lazily else orders, rank)
+    assert group.invariant_factors == expected
+    assert group.torsion_order() == prod(orders)
+    assert group.free_rank == rank
+
+
 def test_finabgroup_tensor_mod():
     g = FinAbGroup(0, (2, 12))
     assert g.tensor_mod(4).invariant_factors == (2, 4)
@@ -1053,6 +1073,8 @@ def test_abelian_value_types_reject_bad_shapes():
         AbHom([2], [2], [[1, 1]])
     with pytest.raises(ValueError, match="divisibility"):
         FinAbGroup(0, (4, 2))
+    with pytest.raises(ValueError, match="invariant factor 1 < 2"):
+        FinAbGroup(0, (1,))
     with pytest.raises(ValueError, match="free rank"):
         FinAbGroup(-1)
     with pytest.raises(ValueError, match="cyclic order 0"):

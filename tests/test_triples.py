@@ -502,6 +502,8 @@ def test_correspondence_matrix_validation(fano):
         CorrespondenceMatrix(IntMat([[1, 0], [0, -1]]))
     with pytest.raises(PreconditionViolated):
         CorrespondenceMatrix(IntMat.identity(7), triple)  # not equivariant
+    with pytest.raises(NonSquare):
+        CorrespondenceMatrix(IntMat([[1, 0]]))
 
 
 def test_square_matrix_of_the_wrong_size_is_a_dimension_mismatch(fano):
