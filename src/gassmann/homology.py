@@ -3,15 +3,17 @@
 Everything runs on explicit matrices: a correspondence carries an
 isomorphism phi between the abelianizations of two finite-index
 subgroups, the two-leg diagram against the ambient group is checked by
-composing transfer and inclusion matrices, and the mod-k variant
-tensors all four maps with Z/k.  A subgroup of an abelianization is
-its set of coordinate tuples.  The index-t subgroups are enumerated
-once each through the HNF bases of their preimage lattices in Z^k,
-mapped through phi element by element, and lifted back to honest
-subgroups, where normal cores settle the coprime-index theorem.  A
-subgroup's index-t subgroups and lifts, like the group's cores, are
-built once per subgroup and kept in its memo, not once per coset, and
-so is each image phi(U) of a correspondence into it, once per (phi, U).
+comparing the rows of transfer and inclusion products with the cached
+maps, and the mod-k variant tensors all four maps with Z/k.  A subgroup
+of an abelianization is its set of coordinate tuples.  The index-t
+subgroups are enumerated once each through the HNF bases of their
+preimage lattices in Z^k, mapped through phi element by element, and
+lifted back to honest subgroups, where normal cores settle the
+coprime-index theorem.  A subgroup's index-t subgroups and lifts, like
+the group's cores, are built once per subgroup and kept in its memo,
+not once per coset, and so is each image phi(U) of a correspondence
+into it, once per (phi, U).  The sweep reads its conjugations off the
+coset walk and skips the checks that hold by construction there.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import gcd, prod
-from operator import add, mod, sub
+from operator import add, eq, mod, mul
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -186,8 +188,9 @@ class Correspondence:
     """Isomorphism between the degree-one homology of two subgroups.
 
     phi is a matrix in the invariant-factor coordinates of the two
-    abelianizations; invertibility is checked at construction by
-    verifying equal orders and a full image.  `provenance` is "user"
+    abelianizations; the constructor checks the subgroups, and that phi
+    is an isomorphism by equal orders and a full image.  Only the sweep
+    skips the checks (`_trusted_conjugation`).  `provenance` is "user"
     by default, and "conjugation(<g>)" for a conjugation, a string made
     once per g and kept in the group's memo.
     """
@@ -208,35 +211,41 @@ class Correspondence:
                              "be an isomorphism")
         if _image(h2, phi, _full(h1)).index != 1:
             raise ValueError("phi is not surjective")
-        self.group = group
-        self.h1 = h1
-        self.h2 = h2
-        self.phi = phi
-        self.provenance = provenance
+        self.group, self.h1, self.h2 = group, h1, h2
+        self.phi, self.provenance = phi, provenance
 
     @classmethod
     def conjugation(cls, group: GroupLike, h1: GroupLike,
                     g: Permutation) -> "Correspondence":
-        """The map induced by x -> gxg^-1 from H1 onto gH1g^-1, g in G."""
+        """The map induced by x -> gxg^-1 from H1 onto gH1g^-1, g in G:
+        built as the sweep builds it, then put through every check."""
         if g not in group:
             raise NotASubgroup(f"conjugator {g.format()} not in the group")
         h2 = Subgroup(group, [x.conjugate(g) for x in h1.elements])
-        return cls._conjugation(group, h1, h2, g)
+        index = group._cayley_graph.index
+        unchecked = cls._trusted_conjugation(group, h1, h2, g, [
+            index[rep.conjugate(g)] for rep in abelianization(h1).basis_reps])
+        return cls(group, h1, h2, unchecked.phi,
+                   provenance=unchecked.provenance)
 
     @classmethod
-    def _conjugation(cls, group: GroupLike, h1: GroupLike, h2: GroupLike,
-                     g: Permutation) -> "Correspondence":
-        """`conjugation` onto a given instance h2 of gH1g^-1, which must
-        be that conjugate: the sweep passes the lattice's own instance so
-        that its cached abelianization is shared.  phi skips the entry
-        check: conjugation maps [H1, H1] onto [H2, H2]."""
-        ab1 = abelianization(h1)
-        ab2 = abelianization(h2)
-        # H1 and H2 share their invariant factors: the columns are square
-        phi = AbHom._reduced(ab1.factors, ab2.factors, tuple(zip(*(
-            ab2.project(rep.conjugate(g)) for rep in ab1.basis_reps))))
-        return cls(group, h1, h2, phi, provenance=_memoized(
-            group, "label", g, lambda _, g: f"conjugation({g.format()})"))
+    def _trusted_conjugation(cls, group: GroupLike, h1: GroupLike,
+                             h2: GroupLike, g: Permutation,
+                             basis: Sequence[int]) -> "Correspondence":
+        """`conjugation` onto the instance h2 of gH1g^-1, given the
+        Cayley-graph indices of g b g^-1 for H1's basis reps b; their
+        coordinates in H1(H2) are phi's columns.  Unchecked: the sweep's
+        subgroups lie in the group, and conjugation by g in G maps H1
+        onto H2 and [H1, H1] onto [H2, H2], so phi is an isomorphism."""
+        elements, ab2 = group._cayley_graph.elements, abelianization(h2)
+        columns = [ab2.project(elements[i]) for i in basis]
+        corr = object.__new__(cls)
+        corr.group, corr.h1, corr.h2 = group, h1, h2
+        corr.phi = AbHom._reduced(abelianization(h1).factors, ab2.factors,
+                                  tuple(zip(*columns)))
+        corr.provenance = _memoized(
+            group, "label", g, lambda _, g: f"conjugation({g.format()})")
+        return corr
 
     def __repr__(self) -> str:
         return (f"Correspondence(|H1|={self.h1.order}, "
@@ -260,14 +269,16 @@ def diagram_check(corr: Correspondence) -> dict:
 
     transfer leg:  phi . transfer(G, H1) = transfer(G, H2)
     inclusion leg: inclusion(H2, G) . phi = inclusion(H1, G)
+
+    Each leg compares rows one by one and builds no product map.
     """
-    group, h1, h2 = corr.group, corr.h1, corr.h2
+    group, h1, h2, phi = corr.group, corr.h1, corr.h2, corr.phi
     if h1.order != h2.order:
         raise IndexMismatch("the diagram needs equal-index subgroups")
-    transfer_leg = corr.phi.compose(transfer(group, h1)) == \
-        transfer(group, h2)
-    inclusion_leg = inclusion_induced(h2, group).compose(corr.phi) == \
-        inclusion_induced(h1, group)
+    transfer_leg = all(map(eq, phi._rows_after(transfer(group, h1)),
+                           transfer(group, h2).entries))
+    inclusion_leg = all(map(eq, inclusion_induced(h2, group)._rows_after(phi),
+                            inclusion_induced(h1, group).entries))
     return {
         "transfer_leg": transfer_leg,
         "inclusion_leg": inclusion_leg,
@@ -306,6 +317,8 @@ def modq_legs(corr: Correspondence, n_sub: GroupLike, k: int) -> dict:
 def modq_check(corr: Correspondence, n_sub: GroupLike, k: int) -> dict:
     """Mod-k diagram: phi.Cor1 = Cor2 and Res1 = Res2.phi after
     tensoring everything with Z/k, for k coprime to the index."""
+    if k < 1:
+        raise ValueError("modulus must be positive")
     m = corr.group.order // corr.h1.order
     if corr.group.order // corr.h2.order != m:
         raise IndexMismatch("equal indices required")
@@ -399,10 +412,13 @@ def gthm_check(cs: CorrespondingSubgroups) -> bool:
     core1 = normal_core(group, cs.gamma1p)
     if core1 != normal_core(group, cs.gamma2p):
         return False
+    # phi(project1(x)) - project2(x), one coordinate per row of phi
+    rows = tuple(zip(corr.phi.entries, corr.phi.target_factors))
     project1 = abelianization(corr.h1).project
     project2 = abelianization(corr.h2).project
-    return all(cs.u2.contains(list(map(sub, corr.phi.apply(project1(x)),
-                                       project2(x))))
+    u2 = cs.u2.elements
+    return all(tuple((sum(map(mul, row, project1(x))) - y) % d
+                     for (row, d), y in zip(rows, project2(x))) in u2
                for x in core1.elements)
 
 
@@ -420,10 +436,12 @@ def conjugation_sweep(named_groups, *, max_order: int = 120) -> dict:
     every coset gH (the induced map on homology depends on g only
     through its coset), the sweep runs diagram_check, and, for each
     divisor t of |H1(H)| coprime to the index, gthm_check on every
-    corresponding pair.  gHg^-1 is the group's lattice entry at its
-    element indices, read off the coset walk (r_j = s r_i maps r_i's
-    key through x -> s x s^-1) with no product.  Returns a
-    failure-listing report.  ValueError unless max_order is positive.
+    corresponding pair.  The coset walk gives each correspondence with
+    no product: r_j = s r_i, so x -> s x s^-1 maps r_i's conjugates of
+    H's element indices (its lattice key) and of H1(H)'s basis reps to
+    r_j's, which give gHg^-1's lattice entry and phi.  Built so, it
+    skips Correspondence's checks.  Returns a failure-listing report.
+    ValueError unless max_order is positive.
     """
     if max_order < 1:
         raise ValueError("max_order must be positive")
@@ -439,22 +457,27 @@ def conjugation_sweep(named_groups, *, max_order: int = 120) -> dict:
         if group.order > max_order:
             continue
         subgroups = group.all_subgroups()
-        lattice = group._subgroup_lattice
+        lattice, graph = group._subgroup_lattice, group._cayley_graph
         inverses = [sorted(range(group.order), key=move.__getitem__)
-                    for move in group._cayley_graph.conjugations()]
+                    for move in graph.conjugations()]
         group_row = {"group": name, "order": group.order,
                      "subgroups": len(subgroups), "correspondences": 0}
         for members, h1 in lattice.items():
             m = group.order // h1.order
             cosets = coset_action(group, h1)
-            ab_order = abelianization(h1).structure.torsion_order()
+            ab1 = abelianization(h1)
+            ab_order = ab1.structure.torsion_order()
             t_values = [t for t in range(1, ab_order + 1)
                         if ab_order % t == 0 and gcd(m, t) == 1]
             keys = [members]
+            bases = [tuple(map(graph.index.__getitem__, ab1.basis_reps))]
             for i, k in zip(cosets.parent, cosets.via):
-                keys.append(frozenset(map(inverses[k].__getitem__, keys[i])))
-            for g, key in zip(cosets.coset_reps, keys):
-                corr = Correspondence._conjugation(group, h1, lattice[key], g)
+                move = inverses[k].__getitem__
+                keys.append(frozenset(map(move, keys[i])))
+                bases.append(tuple(map(move, bases[i])))
+            for g, key, basis in zip(cosets.coset_reps, keys, bases):
+                corr = Correspondence._trusted_conjugation(
+                    group, h1, lattice[key], g, basis)
                 report["correspondences"] += 1
                 group_row["correspondences"] += 1
                 outcome = diagram_check(corr)

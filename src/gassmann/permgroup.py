@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from math import gcd, lcm, prod
 from operator import itemgetter, mul
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import (
     IndexMismatch,
@@ -378,7 +378,8 @@ class _GroupBase:
         of its abelianization, a tuple of CoordSubgroups (t = 1 gives the
         whole group); "lift", keyed on a CoordSubgroup U: the preimage of
         U, a Subgroup; "image", keyed on (phi, U) for a phi into it:
-        phi(U), its own index-t entry when phi keeps U's index t;
+        phi(U), its own index-t entry when phi keeps U's index t, read
+        at t > 1 and by the checked `Correspondence`'s surjectivity test;
         "label", keyed on an element g: the string "conjugation(<g>)"."""
         return {}
 
@@ -870,10 +871,17 @@ class AbHom:
         reduced product is stored without the entry-by-entry check."""
         if inner.target_factors != self.source_factors:
             raise ValueError("composition factor mismatch")
-        columns = [inner.column(j) for j in range(len(inner.source_factors))]
-        return AbHom._reduced(inner.source_factors, self.target_factors, tuple(
-            tuple(sum(map(mul, row, column)) % d for column in columns)
-            for row, d in zip(self.entries, self.target_factors)))
+        return AbHom._reduced(inner.source_factors, self.target_factors,
+                              tuple(self._rows_after(inner)))
+
+    def _rows_after(self, inner: "AbHom") -> Iterator[tuple[int, ...]]:
+        """The rows of self after inner, one at a time, each reduced mod
+        its target factor; the caller has matched the factors."""
+        # with no rows, inner still has one empty column per source factor
+        columns = list(zip(*inner.entries)) or \
+            [()] * len(inner.source_factors)
+        for row, d in zip(self.entries, self.target_factors):
+            yield tuple(sum(map(mul, row, column)) % d for column in columns)
 
     @classmethod
     def _reduced(cls, source_factors: tuple, target_factors: tuple,

@@ -290,18 +290,31 @@ def test_conjugation_correspondence_diagram_commutes(d6):
             assert outcome["index"] == d6.order // h1.order
 
 
+def lattice_conjugations(group):
+    """(h1, g, correspondence) for every subgroup H1 and coset
+    representative g, built unchecked as the sweep builds it, onto the
+    lattice's own instance of gH1g^-1 and from the graph indices of the
+    conjugated basis reps, both found here by Permutation.conjugate."""
+    subgroups = group.all_subgroups()
+    canonical = {s.element_set: s for s in subgroups}
+    index = group._cayley_graph.index
+    for h1 in subgroups:
+        for g in coset_action(group, h1).coset_reps:
+            h2 = canonical[frozenset(x.conjugate(g) for x in h1.elements)]
+            basis = [index[rep.conjugate(g)]
+                     for rep in abelianization(h1).basis_reps]
+            yield h1, g, Correspondence._trusted_conjugation(
+                group, h1, h2, g, basis)
+
+
 def test_conjugation_onto_the_lattice_instance_agrees(s4):
     # the sweep passes the lattice's own instance of gH1g^-1; the phi is
     # the one the public constructor builds on a fresh instance
-    subgroups = s4.all_subgroups()
-    canonical = {s.element_set: s for s in subgroups}
-    for h1 in subgroups:
-        for g in coset_action(s4, h1).coset_reps:
-            h2 = canonical[frozenset(x.conjugate(g) for x in h1.elements)]
-            public = Correspondence.conjugation(s4, h1, g)
-            shared = Correspondence._conjugation(s4, h1, h2, g)
-            assert public.h2 == shared.h2
-            assert public.phi == shared.phi
+    for h1, g, shared in lattice_conjugations(s4):
+        public = Correspondence.conjugation(s4, h1, g)
+        assert public.h2 == shared.h2
+        assert public.phi == shared.phi
+        assert public.provenance is shared.provenance
 
 
 @pytest.mark.parametrize("name", ["s4", "d6"])
@@ -340,8 +353,8 @@ def test_conjugation_refuses_a_conjugator_outside_the_group(a4):
 
 
 def test_sweep_finds_each_conjugate_without_conjugating(monkeypatch):
-    """The sweep finds gHg^-1 through the conjugation tables: the only
-    `Permutation.conjugate` calls left are the basis reps' for phi."""
+    """The sweep reads gHg^-1 and the conjugated basis reps of H1(H) off
+    the coset walk: it makes no `Permutation.conjugate` call."""
     groups = [("S4", symmetric(4)), ("D6", dihedral(6))]
     calls = []
     conjugate = Permutation.conjugate
@@ -349,17 +362,14 @@ def test_sweep_finds_each_conjugate_without_conjugating(monkeypatch):
                         lambda x, g: calls.append(x) or conjugate(x, g))
     report = conjugation_sweep(groups)
     assert report["passed"] and report["correspondences"] == 308
-    monkeypatch.undo()
-    reps = [(group.order // h.order, abelianization(h).basis_reps)
-            for _, group in groups for h in group.all_subgroups()]
-    assert len(calls) == sum(index * len(basis) for index, basis in reps)
-    assert set(calls) == {x for _, basis in reps for x in basis}
+    assert calls == []
 
 
 def test_each_image_is_built_once_as_the_targets_own(monkeypatch):
     """phi(U) is built once per (H2, phi, U), kept in H2's memo, and is
-    H2's own index-t instance; the surjectivity test reads the same
-    memo for U = H1(H1)."""
+    H2's own index-t instance.  The sweep builds its correspondences
+    without the surjectivity test, so it asks only at t > 1; that test
+    reads the same memo for U = H1(H1)."""
     groups = [("S4", symmetric(4)), ("D6", dihedral(6))]
     asked, built = [], []
     memoized = homology_module._memoized
@@ -372,22 +382,17 @@ def test_each_image_is_built_once_as_the_targets_own(monkeypatch):
             or build(owner, key)))
     monkeypatch.setattr(homology_module, "_memoized", spy)
     assert conjugation_sweep(groups)["gthm_checks"] == 425
-    # one surjectivity image per correspondence (308) and one per pair
-    # at t > 1 (the 308 pairs at t = 1 read H1(H2) itself)
-    assert len(asked) == 308 + (425 - 308)
+    # one image per pair at t > 1 (the 308 pairs at t = 1 read H1(H2)
+    # itself)
+    assert len(asked) == 425 - 308
     assert len(built) == len(set(asked)) < len(asked)
     for _, group in groups:
-        subgroups = group.all_subgroups()
-        canonical = {s.element_set: s for s in subgroups}
-        for h1 in subgroups:
-            for g in coset_action(group, h1).coset_reps:
-                h2 = canonical[frozenset(x.conjugate(g) for x in h1.elements)]
-                corr = Correspondence._conjugation(group, h1, h2, g)
-                assert _image(h2, corr.phi, _full(h1)) is _full(h2)
-                for t in (2, 3, 4):
-                    for cs in corresponding_subgroups(corr, t):
-                        assert any(cs.u2 is u
-                                   for u in _index_subgroups(h2, t))
+        for h1, _, corr in lattice_conjugations(group):
+            h2 = corr.h2
+            assert _image(h2, corr.phi, _full(h1)) is _full(h2)
+            for t in (2, 3, 4):
+                for cs in corresponding_subgroups(corr, t):
+                    assert any(cs.u2 is u for u in _index_subgroups(h2, t))
     assert len(built) == len(set(asked))
 
 
@@ -456,6 +461,12 @@ def test_modq_gates():
     with pytest.raises(ValueError):
         modq_legs(corr, c4, 0)
     s4 = symmetric(4)
+    a4 = s4.subgroup(alternating(4).generators)
+    corr_a4 = Correspondence.conjugation(s4, a4, Permutation.identity(4))
+    # a k below 1 is refused as such before its gcd with the index 2
+    for k in (0, -1, -2):
+        with pytest.raises(ValueError, match="modulus must be positive"):
+            modq_check(corr_a4, a4, k)
     h1 = s4.subgroup([Permutation.from_cycles(4, [(0, 1)]),
                       Permutation.from_cycles(4, [(2, 3)])])
     corr2 = Correspondence.conjugation(s4, h1, Permutation.identity(4))

@@ -20,7 +20,7 @@ from gassmann.errors import (InvalidPermutation, NotASubgroup,
                              OrderCapExceeded, ParseError)
 from gassmann.homology import (Correspondence, CoordSubgroup,
                                conjugation_sweep, corresponding_subgroups,
-                               gthm_check)
+                               diagram_check, gthm_check)
 from gassmann.lattice import (IntMat, LocalNormLattice, _square_hnf,
                               smith_with_transforms)
 from gassmann.permgroup import (_DEGREE_CAP, AbHom, FinAbGroup, PermGroup,
@@ -880,27 +880,77 @@ def test_lattice_joins_once_per_coset_of_each_class(monkeypatch, name,
     assert len(calls) == joins
 
 
-@pytest.mark.parametrize("name", ["s4", "d6", "a5", "a5_in_s5", "trivial"])
+SWEEP_GROUPS = {
+    "s4": lambda: symmetric(4), "d6": lambda: dihedral(6),
+    "a5": lambda: relabelled_a5(5),
+    "a5_in_s5": lambda: symmetric(5).subgroup(alternating(5).generators),
+    "trivial": lambda: PermGroup(1, [])}
+
+
+def sweep_constructions(monkeypatch, group):
+    """The arguments (group, h1, h2, g, basis) of every correspondence
+    one conjugation_sweep of the group builds, in order."""
+    calls, trusted = [], Correspondence._trusted_conjugation
+    monkeypatch.setattr(Correspondence, "_trusted_conjugation", classmethod(
+        lambda cls, *args: calls.append(args) or trusted(*args)))
+    conjugation_sweep([("group", group)])
+    monkeypatch.undo()
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_GROUPS))
 def test_sweep_conjugates_match_conjugate(monkeypatch, name):
     """For each H1 and coset representative g, the lattice entry the sweep
-    reads off the coset walk is g H1 g^-1, by Permutation.conjugate; a
+    reads off the coset walk is g H1 g^-1, by Permutation.conjugate, and
+    so are the indices of the conjugated basis reps of H1(H1); a
     subgroup's graph order is not its sorted order."""
-    group = {"s4": lambda: symmetric(4), "d6": lambda: dihedral(6),
-             "a5": lambda: relabelled_a5(5),
-             "a5_in_s5": lambda: symmetric(5).subgroup(
-                 alternating(5).generators),
-             "trivial": lambda: PermGroup(1, [])}[name]()
-    calls, conjugation = [], Correspondence._conjugation
-    monkeypatch.setattr(Correspondence, "_conjugation", classmethod(
-        lambda cls, *args: calls.append(args) or conjugation(*args)))
-    conjugation_sweep([(name, group)])
+    group = SWEEP_GROUPS[name]()
+    calls = sweep_constructions(monkeypatch, group)
     lattice, index = group._subgroup_lattice, group._cayley_graph.index
-    assert [(h1, g) for _, h1, _, g in calls] == [
+    assert [(h1, g) for _, h1, _, g, _ in calls] == [
         (h1, g) for h1 in lattice.values()
         for g in coset_action(group, h1).coset_reps]
-    for _, h1, h2, g in calls:
+    for _, h1, h2, g, basis in calls:
         key = frozenset(index[x.conjugate(g)] for x in h1.elements)
         assert lattice[key] is h2
+        assert basis == tuple(index[rep.conjugate(g)]
+                              for rep in abelianization(h1).basis_reps)
+
+
+@pytest.mark.parametrize("name", ["s4", "d6", "a5", "a5_in_s5"])
+def test_sweep_correspondences_pass_the_checked_path(monkeypatch, name):
+    """Every correspondence the sweep builds unchecked has the phi of the
+    checked `Correspondence.conjugation`, is accepted by the checked
+    constructor, and gets from diagram_check the two legs that AbHom
+    products give."""
+    group = SWEEP_GROUPS[name]()
+    calls = sweep_constructions(monkeypatch, group)
+    assert len(calls) == sum(h.index for h in group.all_subgroups())
+    for args in calls:
+        _, h1, h2, g, _ = args
+        corr = Correspondence._trusted_conjugation(*args)
+        assert corr.phi == Correspondence.conjugation(group, h1, g).phi
+        Correspondence(group, h1, h2, corr.phi)
+        outcome = diagram_check(corr)
+        assert outcome["transfer_leg"] == (
+            corr.phi.compose(transfer(group, h1)) == transfer(group, h2))
+        assert outcome["inclusion_leg"] == (
+            inclusion_induced(h2, group).compose(corr.phi)
+            == inclusion_induced(h1, group))
+        assert outcome["commutes"]
+
+
+def test_diagram_legs_of_a_failing_correspondence(a4):
+    """Inversion on C3 in A4 is a correspondence that conjugation by no
+    element of A4 induces: both legs fail, as the AbHom products say."""
+    c3 = a4.subgroup([Permutation.from_cycles(4, [(0, 1, 2)])])
+    corr = Correspondence(a4, c3, c3, AbHom.scalar((3,), 2))
+    outcome = diagram_check(corr)
+    assert outcome["transfer_leg"] is outcome["inclusion_leg"] is False
+    assert outcome["commutes"] is False
+    assert corr.phi.compose(transfer(a4, c3)) != transfer(a4, c3)
+    assert inclusion_induced(c3, a4).compose(corr.phi) != \
+        inclusion_induced(c3, a4)
 
 
 @pytest.mark.parametrize("name", ["s4", "d6", "a5"])
