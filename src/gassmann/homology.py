@@ -192,7 +192,7 @@ class Correspondence:
     is an isomorphism by equal orders and a full image.  Only the sweep
     skips the checks (`_trusted_conjugation`).  `provenance` is "user"
     by default, and "conjugation(<g>)" for a conjugation, a string made
-    once per g and kept in the group's memo.
+    once per g and kept in the group's memo under "label", keyed on g.
     """
 
     def __init__(self, group: GroupLike, h1: GroupLike, h2: GroupLike,
@@ -209,7 +209,9 @@ class Correspondence:
         if ab1.structure.torsion_order() != ab2.structure.torsion_order():
             raise ValueError("abelianization orders differ: phi cannot "
                              "be an isomorphism")
-        if _image(h2, phi, _full(h1)).index != 1:
+        # the orders are equal, so phi is onto exactly when it is one-to-one
+        if len(set(map(phi.apply, _full(h1).elements))) != \
+                ab2.structure.torsion_order():
             raise ValueError("phi is not surjective")
         self.group, self.h1, self.h2 = group, h1, h2
         self.phi, self.provenance = phi, provenance
@@ -253,14 +255,14 @@ class Correspondence:
 
 
 def _image(h2: GroupLike, phi: AbHom, u: CoordSubgroup) -> CoordSubgroup:
-    """phi(U) for phi into H1(H2), built once per (phi, U) and kept in
-    H2's memo: H2's own index-t instance when phi keeps U's index t, so
-    that the memo keeps no new set."""
+    """phi(U) for an isomorphism phi onto H1(H2): H2's own instance of
+    that index-t subgroup, so that the memo keeps no new set.  Built once
+    per (phi, U) and kept in H2's memo under "image", keyed on (phi, U);
+    `corresponding_subgroups` asks at t > 1."""
     def build(h2: GroupLike, key) -> CoordSubgroup:
         image = frozenset(map(phi.apply, u.elements))
-        return next((v for v in _index_subgroups(h2, u.index)
-                     if v.elements == image),
-                    CoordSubgroup(phi.target_factors, image))
+        return next(v for v in _index_subgroups(h2, u.index)
+                    if v.elements == image)
     return _memoized(h2, "image", (phi, u), build)
 
 
@@ -355,8 +357,9 @@ class CorrespondingSubgroups:
 
 
 def _index_subgroups(h: GroupLike, t: int) -> tuple[CoordSubgroup, ...]:
-    """The index-t subgroups of H1(H), listed once per t and kept in H's
-    memo; the caller checks t before the lookup."""
+    """The index-t subgroups of H1(H), a tuple of CoordSubgroups (t = 1
+    gives H1(H) itself), listed once per t and kept in H's memo under
+    "index", keyed on t; the caller checks t before the lookup."""
     return _memoized(h, "index", t, lambda h, t: tuple(
         index_subgroups(abelianization(h).factors, t)))
 
@@ -368,7 +371,8 @@ def _full(h: GroupLike) -> CoordSubgroup:
 
 
 def _lift(h: GroupLike, u: CoordSubgroup) -> Subgroup:
-    """The preimage of U in H, built once per U and kept in H's memo."""
+    """The preimage of U in H, a Subgroup, built once per U and kept in
+    H's memo under "lift", keyed on the CoordSubgroup U."""
     return _memoized(h, "lift", u, _preimage)
 
 

@@ -373,14 +373,8 @@ class _GroupBase:
         subgroup, where equal subgroups share:
         "cosets": CosetSpace; "splitting": tuple of SplittingType, one
         per class; "transfer", "inclusion": AbHom; "core": the normal
-        core, a Subgroup.  Kept on a group for its own homology
-        (`gassmann.homology`): "index", keyed on t: the index-t subgroups
-        of its abelianization, a tuple of CoordSubgroups (t = 1 gives the
-        whole group); "lift", keyed on a CoordSubgroup U: the preimage of
-        U, a Subgroup; "image", keyed on (phi, U) for a phi into it:
-        phi(U), its own index-t entry when phi keeps U's index t, read
-        at t > 1 and by the checked `Correspondence`'s surjectivity test;
-        "label", keyed on an element g: the string "conjugation(<g>)"."""
+        core, a Subgroup.  Homology's kinds ("index", "lift", "image",
+        "label") are described at their builders in `gassmann.homology`."""
         return {}
 
     @cached_property

@@ -61,3 +61,24 @@ NAMED_BINDINGS = [
 def test_benchmark_bindings_exist(module, name):
     assert callable(getattr(importlib.import_module(f"gassmann.{module}"),
                             name, None))
+
+
+# the modules whose `__all__` the package republishes, in import order
+REPUBLISHED = ["errors", "permgroup", "lattice", "triples", "splitting",
+               "abelext", "kgroups", "homology"]
+
+
+def test_module_apis_are_pairwise_disjoint():
+    exported = [set(importlib.import_module(f"gassmann.{module}").__all__)
+                for module in REPUBLISHED]
+    for i, names in enumerate(exported):
+        for other in exported[i + 1:]:
+            assert names & other == set()
+
+
+def test_package_republishes_each_module_api():
+    exported = set().union(*(
+        importlib.import_module(f"gassmann.{module}").__all__
+        for module in REPUBLISHED))
+    package = importlib.import_module("gassmann")
+    assert set(package.__all__) == exported | set(REPUBLISHED) | {"catalog"}

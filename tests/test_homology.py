@@ -26,6 +26,14 @@ FACTORS = (2, 4)
 VECTORS = [(a, b) for a in range(2) for b in range(4)]
 
 
+def c2_times_c4():
+    """C2 x C4 on 6 points, with abelianization FACTORS."""
+    group = PermGroup(6, [Permutation.from_cycles(6, [(0, 1)]),
+                          Permutation.from_cycles(6, [(2, 3, 4, 5)])])
+    assert abelianization(group).factors == FACTORS
+    return group
+
+
 def brute_close(factors, gens):
     """Subgroup of Z/factors[0] x Z/factors[1] x ... generated by the
     given vectors."""
@@ -191,20 +199,35 @@ HOMS_2X4 = st.builds(
 @given(HOMS_2X4, st.lists(st.sampled_from(VECTORS), max_size=3))
 def test_image_subgroup_and_surjectivity_against_brute_images(phi, gens):
     # C2 x C4 with abelianization (2, 4): phi is accepted exactly when
-    # it is a bijection
-    c2xc4 = PermGroup(6, [Permutation.from_cycles(6, [(0, 1)]),
-                          Permutation.from_cycles(6, [(2, 3, 4, 5)])])
-    assert abelianization(c2xc4).factors == FACTORS
+    # it is a bijection, and only a bijection is ever imaged
+    c2xc4 = c2_times_c4()
     u = CoordSubgroup.from_generators(FACTORS, gens)
-    image = _image(c2xc4, phi, u)
-    assert image.elements == {phi.apply(v) for v in brute_close(FACTORS,
-                                                                 gens)}
-    assert image.factors == FACTORS and _image(c2xc4, phi, u) is image
     if len({phi.apply(v) for v in VECTORS}) == len(VECTORS):
         Correspondence(c2xc4, c2xc4, c2xc4, phi)
+        image = _image(c2xc4, phi, u)
+        assert image.elements == {phi.apply(v)
+                                  for v in brute_close(FACTORS, gens)}
+        assert any(image is v for v in _index_subgroups(c2xc4, u.index))
+        assert _image(c2xc4, phi, u) is image
     else:
         with pytest.raises(ValueError, match="not surjective"):
             Correspondence(c2xc4, c2xc4, c2xc4, phi)
+
+
+def test_a_rejected_phi_leaves_no_image_in_the_memo():
+    """The surjectivity test counts phi's values and memoizes no image:
+    of the 8 diagonal phis on (2, 4), 6 are refused."""
+    c2xc4 = c2_times_c4()
+    refused = 0
+    for a, d in product(range(2), range(4)):
+        phi = AbHom(FACTORS, FACTORS, [[a, 0], [0, d]])
+        try:
+            Correspondence(c2xc4, c2xc4, c2xc4, phi)
+        except ValueError as error:
+            assert "not surjective" in str(error)
+            refused += 1
+    assert refused == 6
+    assert [key for key in c2xc4._memo if key[0] == "image"] == []
 
 
 def test_sweep_runs_the_hnf_only_for_abelianizations(count_passes):
@@ -367,9 +390,7 @@ def test_sweep_finds_each_conjugate_without_conjugating(monkeypatch):
 
 def test_each_image_is_built_once_as_the_targets_own(monkeypatch):
     """phi(U) is built once per (H2, phi, U), kept in H2's memo, and is
-    H2's own index-t instance.  The sweep builds its correspondences
-    without the surjectivity test, so it asks only at t > 1; that test
-    reads the same memo for U = H1(H1)."""
+    H2's own index-t instance.  The sweep asks only at t > 1."""
     groups = [("S4", symmetric(4)), ("D6", dihedral(6))]
     asked, built = [], []
     memoized = homology_module._memoized
@@ -397,8 +418,8 @@ def test_each_image_is_built_once_as_the_targets_own(monkeypatch):
 
 
 def test_a_non_surjective_phi_still_raises(s4):
-    """The memoized image keeps the surjectivity test: a phi that is not
-    onto raises on a subgroup whose memo already holds an onto image."""
+    """A phi that is not onto raises on a subgroup that an onto phi has
+    already been accepted on."""
     c4 = s4.subgroup([Permutation.from_cycles(4, [(0, 1, 2, 3)])])
     Correspondence(s4, c4, c4, AbHom.scalar((4,), 1))
     for c in (2, 0):
