@@ -33,9 +33,11 @@ __all__ = [
 _CONDUCTOR_CAP = 1_000
 
 
-# cyclo_exponent tests |H| * lcm(m, p^nu) / m residues
+# cyclo_exponent refuses a layer with |H| * lcm(m, p^nu) / m over this: the
+# count bounds the image's size, and p^nu by m times it
 _LIFT_CAP = 1_000_000
-# w_invariant's first layers test |H| * p residues per prime p at most
+# w_invariant refuses a walk whose primes p, summed and times |H|, pass
+# this: the sum bounds how many primes, hence first layers, it walks
 _WALK_CAP = 10_000_000
 
 
@@ -170,15 +172,18 @@ class WInvariant:
 def cyclo_exponent(f: FieldModel, p: int, nu: int) -> int:
     """Exponent of the Galois group of F(zeta_{p^nu}) over F.
 
-    The group is the image in (Z/p^nu)^x of the units mod M = lcm(m, p^nu)
-    that fix F.  A unit x mod M with x mod m in H is a lift h + m*t of
-    some h in H, 0 <= t < M/m, so only those |H|*M/m residues are tested;
-    over _LIFT_CAP of them, OrderCapExceeded is raised before p^nu is formed.
-    Each h is a unit mod m, so a lift is a unit mod M iff p does not
-    divide it.
-    For odd p, (Z/p^nu)^x is cyclic and the exponent is the image's
-    order; for p = 2 it is the largest element order, a power of 2
-    found by repeated squaring.
+    The group is the image in (Z/p^nu)^x of the units mod lcm(m, p^nu)
+    that fix F.  With q = gcd(m, p^nu) = p^min(nu, v_p(m)), CRT makes it
+    the units y mod p^nu with y mod q in C = {h mod q : h in H}: all of
+    (Z/p^nu)^x when p does not divide m, the textbook case that reads no
+    element of H, and otherwise |C| * p^nu / q residues.  For odd p,
+    (Z/p^nu)^x is cyclic and the exponent is that size.  For p = 2 it is
+    the largest order, found by repeated squaring, among the lifts c + q
+    mod 2^nu: by lifting the exponent, a lift x has the larger order the
+    smaller v_2(x - 1) + v_2(x + 1), and c + q minimizes that within
+    every class but that of -1, whose lifts have order at most that of
+    1 + q.  Over _LIFT_CAP of the |H| * lcm(m, p^nu) / m lifts of H,
+    OrderCapExceeded is raised before p^nu is formed.
 
     >>> cyclo_exponent(FieldModel.rationals(), 5, 2)
     20
@@ -198,13 +203,17 @@ def cyclo_exponent(f: FieldModel, p: int, nu: int) -> int:
     if len(f.subgroup) * (big // m) > _LIFT_CAP:
         raise OrderCapExceeded(f"cyclotomic layer p = {p}, nu = {nu} "
                                f"needs over {_LIFT_CAP} lifts")
-    image = {x % pn for h in f.subgroup for x in range(h, big, m)
-             if x % p}
+    q = gcd(m, pn)
+    if q == 1:  # (p-1) p^(nu-1), or 1, 2, 2^(nu-2) for p = 2
+        if p != 2:
+            return pn - pn // p
+        return pn // 4 if nu > 2 else nu
+    residues = {h % q for h in f.subgroup}
     if p != 2:
-        return len(image)
+        return len(residues) * (pn // q)
     exponent = 1
-    for a in image:
-        order = 1
+    for c in residues:
+        a, order = (c + q) % pn, 1
         while a != 1:
             a = a * a % pn
             order *= 2
@@ -220,8 +229,9 @@ def w_invariant(f: FieldModel, i: int) -> WInvariant:
     already has a group with index at most the degree in (Z/p)^x.  For
     each such p the level is raised while the exponent divides i; the
     exponents are nondecreasing in the level, so the first failure is
-    final.  Above _WALK_CAP first-layer lifts, |H| * p per prime, it
-    raises OrderCapExceeded before testing any.
+    final.  Each layer is exact (see cyclo_exponent) and reads at most
+    |H| residues.  When |H| times the sum of the primes passes
+    _WALK_CAP, it raises OrderCapExceeded before computing any layer.
 
     >>> w_invariant(FieldModel.rationals(), 2).value
     24

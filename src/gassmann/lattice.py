@@ -165,13 +165,18 @@ def _bareiss(m: IntMat, full: bool) -> tuple[int, IntMat | None]:
     on a row swap and drops the pivot column; every division is exact,
     every entry being a minor of the input.  Forward only (full=False),
     the rows below each pivot are eliminated and the last pivot is
-    +-det M.  With full=True every other row of [M | I] is eliminated,
-    giving [d I | d M^-1] with d = +-det M, and the result is
-    (det M, adj M).  A zero pivot column gives (0, None).
+    +-det M.  With full=True every other row is eliminated too, a
+    Gauss-Jordan pass that ends with d M^-1, d = +-det M, in place of
+    M, and the result is (det M, adj M).  Before step k the identity
+    columns of the rows not yet pivoted would hold only d_(k-1) in their
+    own row, so none is stored: the pivot row appends d_(k-1) and every
+    other row 0, and the appended columns are put back in the order of
+    the pivots' original rows at the end.  A zero pivot column gives
+    (0, None).
     """
     n = m.nrows
-    rows = [list(row) + ([int(i == j) for j in range(n)] if full else [])
-            for i, row in enumerate(m.rows)]
+    rows = [list(row) for row in m.rows]
+    origin = list(range(n))  # the input row now at each position
     sign = prev = 1
     for k in range(n):
         if not rows[k][0]:
@@ -179,7 +184,11 @@ def _bareiss(m: IntMat, full: bool) -> tuple[int, IntMat | None]:
             if pivot_row is None:
                 return 0, None
             rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
+            origin[k], origin[pivot_row] = origin[pivot_row], origin[k]
             sign = -sign
+        if full:
+            for i, row in enumerate(rows):
+                row.append(prev if i == k else 0)
         pivot, *tail = rows[k]
         for i in range(n) if full else range(k + 1, n):
             if i != k:
@@ -188,7 +197,10 @@ def _bareiss(m: IntMat, full: bool) -> tuple[int, IntMat | None]:
                            for x, y in zip(row, tail)]
         rows[k] = tail
         prev = pivot
-    return sign * prev, IntMat(rows).scale(sign) if full else None
+    if not full:
+        return sign * prev, None
+    columns = dict(zip(origin, zip(*rows)))
+    return sign * prev, IntMat(zip(*map(columns.get, range(n)))).scale(sign)
 
 
 def _require_square(m: IntMat, op: str) -> None:
@@ -267,8 +279,7 @@ def smith_with_transforms(m: IntMat) -> tuple[IntMat, IntMat, IntMat]:
     chain d1 | d2 | ...  One working matrix is eliminated: M bordered by
     I_m on the right and by I_n below.  A row operation acts on a whole
     bordered row and a column operation on the first n columns of every
-    row, so U rides in the right border and V in the rows below, as the
-    adjugate rides beside M in _bareiss.
+    row, so U rides in the right border and V in the rows below.
     """
     nrows, ncols = m.nrows, m.ncols
     a = [list(row) + [int(i == j) for j in range(nrows)]

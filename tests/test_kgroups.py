@@ -26,17 +26,17 @@ def closed_form_exponent(p, nu):
 
 def brute_cyclo_exponent(f, p, nu):
     """Every unit mod lcm(m, p^nu) fixing F, mapped to (Z/p^nu)^x; the
-    lcm of the image's element orders."""
+    lcm of the image's element orders, each the least divisor d of
+    |(Z/p^nu)^x| with a^d = 1 (Lagrange)."""
     pn = p ** nu
     big = lcm(f.conductor, pn)
     image = {x % pn for x in range(big)
              if x % f.conductor in f.subgroup and gcd(x, big) == 1}
+    units = sum(gcd(x, pn) == 1 for x in range(pn))
+    divisors = [d for d in range(1, units + 1) if units % d == 0]
     exponent = 1
     for a in image:
-        order, power = 1, a % pn
-        while power != 1 % pn:
-            power = power * a % pn
-            order += 1
+        order = next(d for d in divisors if pow(a, d, pn) == 1 % pn)
         exponent = lcm(exponent, order)
     return exponent
 
@@ -100,6 +100,23 @@ def test_cyclo_exponent_lifts_agree_with_gcd_filter():
                 lifts = [x for h in f.subgroup for x in range(h, big, m)]
                 assert [x for x in lifts if gcd(x, big) == 1] == \
                     [x for x in lifts if x % p], (f.describe(), p, nu)
+                assert cyclo_exponent(f, p, nu) == \
+                    brute_cyclo_exponent(f, p, nu), (f.describe(), p, nu)
+
+
+@pytest.mark.parametrize("p, conductors, depth", [
+    (2, (8, 16, 32, 48, 96), 8),
+    (3, (9, 27, 25, 45, 75), 5),
+    (5, (9, 27, 25, 45, 75), 5),
+])
+def test_cyclo_exponent_matches_brute_force_deep_p_parts(p, conductors, depth):
+    """Every subgroup of conductors with v_2(m) from 3 to 5 at p = 2, and
+    with v_3(m) or v_5(m) at least 2 at p = 3 and 5, at every level up to
+    the depth, so that nu runs on both sides of v_p(m); at p = 2 the
+    levels nu >= 4 are where (Z/2^nu)^x first has elements of order 4."""
+    for m in conductors:
+        for f in every_unit_subgroup(m):
+            for nu in range(depth + 1):
                 assert cyclo_exponent(f, p, nu) == \
                     brute_cyclo_exponent(f, p, nu), (f.describe(), p, nu)
 
@@ -231,21 +248,31 @@ def test_conductor_cap_rejects_before_enumerating(monkeypatch):
             make(_CONDUCTOR_CAP + 1)
 
 
+class UnreadSubgroup(frozenset):
+    """A subgroup whose elements fail the test when they are read; its
+    size is still known."""
+
+    def __iter__(self):
+        raise AssertionError("H was read")
+
+
 def test_lift_cap_rejects_before_enumerating(monkeypatch):
     lifts = len(REAL_QUAD.subgroup) * lcm(5, 5 ** 3) // 5
     monkeypatch.setattr(kgroups, "_LIFT_CAP", lifts)
     assert cyclo_exponent(REAL_QUAD, 5, 3) == 50
-
-    def enumerated(*args):
-        raise AssertionError("residues enumerated past the cap")
-
-    monkeypatch.setattr(kgroups, "gcd", enumerated)
+    guarded = FieldModel.abelian(5, [4])
+    object.__setattr__(guarded, "subgroup", UnreadSubgroup(guarded.subgroup))
+    # the guard bites: within the cap, 5 divides m and H is read
+    with pytest.raises(AssertionError, match="H was read"):
+        cyclo_exponent(guarded, 5, 3)
     monkeypatch.setattr(kgroups, "_LIFT_CAP", lifts - 1)
     with pytest.raises(OrderCapExceeded):
-        cyclo_exponent(REAL_QUAD, 5, 3)
+        cyclo_exponent(guarded, 5, 3)
+    # a prime that does not divide m takes the textbook exponent unread
+    assert cyclo_exponent(guarded, 3, 2) == 6
+    assert cyclo_exponent(guarded, 2, 4) == 4
     # within its own cap, w_invariant stops at the first layer past the
     # cyclo_exponent cap: w_64(Q) needs 2^8 lifts mod 2^8
-    monkeypatch.setattr(kgroups, "gcd", gcd)
     monkeypatch.setattr(kgroups, "_LIFT_CAP", 64)
     with pytest.raises(OrderCapExceeded):
         w_invariant(Q, 64)

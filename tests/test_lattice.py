@@ -416,6 +416,59 @@ def test_det_and_adjugate_against_sympy(n):
     assert swapped or n == 1
 
 
+def permuted_unit_triangular(rng, n, diagonal=None):
+    """P L D U with L unit lower and U unit upper triangular, their
+    off-diagonal entries in -2..2 and most of them 0, D the given
+    diagonal (I by default) and P a random row permutation, as rows."""
+    def entry():
+        return rng.choice((0, 0, 0, -2, -1, 1, 2))
+    lower = IntMat([[int(i == j) or (entry() if j < i else 0)
+                     for j in range(n)] for i in range(n)])
+    upper = IntMat([[int(i == j) or (entry() if j > i else 0)
+                     for j in range(n)] for i in range(n)])
+    middle = IntMat.diagonal(diagonal or [1] * n)
+    rows = (lower @ middle @ upper).to_lists()
+    rng.shuffle(rows)
+    return rows
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_det_and_adjugate_with_swaps_at_later_pivots(n):
+    """Unimodular P L U products with a nonzero first pivot and a zero
+    leading minor of size 2 to n - 1, so that the first row swap comes
+    after the first pivot, against sympy: adj M = det M * M^-1."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(300 + n)
+    checked = 0
+    for _ in range(100):
+        if checked == 3:
+            break
+        rows = permuted_unit_triangular(rng, n)
+        expected = sympy.Matrix(rows)
+        if not rows[0][0] or all(expected[:k, :k].det()
+                                 for k in range(2, n)):
+            continue
+        m = IntMat(rows)
+        assert det(m) == m._elimination[0] == expected.det() in (1, -1)
+        assert adjugate(m).to_lists() == \
+            (expected.det() * expected.inv()).tolist()
+        checked += 1
+    assert checked == 3
+
+
+def test_singular_permuted_adjugate_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(313)
+    diagonal = [1] * 9
+    diagonal[5] = 0
+    rows = permuted_unit_triangular(rng, 9, diagonal)
+    m = IntMat(rows)
+    assert det(m) == m._elimination[0] == 0
+    assert m._elimination[1] is None
+    assert adjugate(m).to_lists() == sympy.Matrix(rows).adjugate().tolist()
+    assert any(adjugate(m).rows)
+
+
 def test_singular_adjugate_is_capped_before_any_minor(monkeypatch):
     import gassmann.lattice as lattice_module
 
